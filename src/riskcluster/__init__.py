@@ -23,8 +23,7 @@ from .model import (
     ClickSession, ClusterAssignment, PointSet, TransactionRecord,
     load_points, load_transactions, save_points, save_transactions)
 from .mst import (
-    SpanningForest, UnionFind, attach_forest_root, kruskal_forest,
-    prim_dense)
+    SpanningForest, UnionFind, attach_forest_root, kruskal_forest)
 from .pipeline import (
     ExperimentSpec, RiskyClusterConfig, SessionFeatures,
     build_feature_matrix, extract_session_features, run_experiment,
@@ -82,7 +81,6 @@ __all__ = [
     "load_points",
     "load_transactions",
     "mutual_reach_edges",
-    "prim_dense",
     "render_rule",
     "run_experiment",
     "save_points",

@@ -1,27 +1,32 @@
 """Minimum spanning forest over mutual reachability edges.
 
-Kruskal with a parallel sort is the production path; prim_dense is the O(n^2)
-reference that materializes nothing bigger than a row. Every edge comparison
-anywhere in this module uses the full (w, u, v) tuple, which makes the
-minimum forest unique and both algorithms agree edge for edge.
+The forest comes from a vectorized Borůvka over edge ranks: edges are sorted
+once into ascending (w, u, v) order and each edge's position is its rank.
+Ranks are distinct, so the minimum forest is unique, and it equals edge for
+edge the forest Kruskal's greedy pass or a Prim over the same order builds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import sqdist_exact
-from .parallel import parallel_argsort
 from .reach import EdgeList
 
 
 @dataclass(frozen=True)
 class SpanningForest:
+    """Forest edges in ascending (w, u, v) order.
+
+    labels holds one component label per vertex: two vertices share a label
+    exactly when the forest connects them.
+    """
+
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     component_count: int
+    labels: np.ndarray
 
     def total_weight(self):
         return float(self.w.sum())
@@ -62,146 +67,78 @@ class UnionFind:
 def sorted_edge_order(u, v, w, threads=1):
     """Permutation putting edges in ascending (w, u, v) order.
 
-    The weight sort runs chunk-parallel; runs of equal weights are then
-    re-ordered by (u, v), so the result is one canonical total order no
-    matter how many threads sorted it.
+    One sort on w, then one lexsort over only the positions whose weight
+    equals a neighbor's. The lexsort keys on w first, so tie runs of
+    different weights that sit side by side keep their weight order. Edges
+    with equal (w, u, v) may come in any order; an EdgeList has none.
+    threads is accepted for compatibility and changes nothing.
     """
-    order = parallel_argsort(w, threads)
+    order = np.argsort(w)
     ws = w[order]
-    if ws.size > 1:
-        tied = np.flatnonzero(ws[1:] == ws[:-1])
-        if tied.size:
-            # runs of equal weight: [start, stop) spans over `order`
-            starts = tied[np.concatenate([[True], np.diff(tied) > 1])]
-            for start in starts:
-                stop = start + 1
-                while stop < ws.size and ws[stop] == ws[start]:
-                    stop += 1
-                seg = order[start:stop]
-                seg_order = np.lexsort((v[seg], u[seg]))
-                order[start:stop] = seg[seg_order]
+    tie = ws[1:] == ws[:-1]
+    if tie.any():
+        tied = np.zeros(ws.size, dtype=bool)
+        tied[1:] = tie
+        tied[:-1] |= tie
+        pos = np.flatnonzero(tied)
+        seg = order[pos]
+        order[pos] = seg[np.lexsort((v[seg], u[seg], w[seg]))]
     return order
 
 
-def _batch_roots(parent, nodes):
-    """Roots for a batch of nodes by repeated gathering (no writes)."""
-    roots = parent[nodes]
-    while True:
-        nxt = parent[roots]
-        if np.array_equal(nxt, roots):
-            return roots
-        roots = nxt
-
-
 def kruskal_forest(edges, n, threads=1):
-    """Greedy forest from edges sorted by (w, u, v); O(m alpha) accept pass.
+    """Minimum spanning forest by Borůvka over ranks in (w, u, v) order.
 
-    Most edges are rejected; batches are pre-filtered with a vectorized root
-    comparison so the sequential union-find only touches candidates.
+    Each round, every component takes its lowest-rank outgoing edge and
+    hooks to the component at the other end. Distinct ranks allow no cycle
+    but a mutual pick, which is rooted at the lower label; pointer jumping
+    then flattens the hooks. Components with outgoing edges at least halve
+    per round. The forest equals the one Kruskal's greedy pass accepts over
+    the same order, and comes back in that order. The name stays because
+    the public API and the benchmark's tracer look this function up by it.
+    threads is accepted for compatibility and changes nothing.
     """
-    m = len(edges)
     order = sorted_edge_order(edges.u, edges.v, edges.w, threads)
-    us = edges.u[order]
-    vs = edges.v[order]
-    ws = edges.w[order]
-    uf = UnionFind(n)
-    out_u = []
-    out_v = []
-    out_w = []
-    accepted = 0
-    batch = 1 << 18
-    for start in range(0, m, batch):
-        if accepted == n - 1:
-            break
-        stop = min(start + batch, m)
-        ru = _batch_roots(uf.parent, us[start:stop])
-        rv = _batch_roots(uf.parent, vs[start:stop])
-        for i in (start + np.flatnonzero(ru != rv)):
-            if uf.union(us[i], vs[i]) >= 0:
-                out_u.append(us[i])
-                out_v.append(vs[i])
-                out_w.append(ws[i])
-                accepted += 1
-                if accepted == n - 1:
-                    break
+    m = order.size
+    # live edges in rank order: component labels of both ends, and the rank
+    lu = edges.u[order]
+    lv = edges.v[order]
+    rank = positions = np.arange(m, dtype=np.int64)
+    labels = np.arange(n, dtype=np.int64)
+    picked = []
+    while rank.size:
+        # positions ascend with rank, so the lowest position is the lightest
+        pos = positions[: rank.size]
+        best = np.full(n, m, dtype=np.int64)
+        np.minimum.at(best, lu, pos)
+        np.minimum.at(best, lv, pos)
+        comps = np.flatnonzero(best < m)
+        e = best[comps]
+        other = np.where(lu[e] == comps, lv[e], lu[e])
+        hook = np.arange(n, dtype=np.int64)
+        hook[comps] = other
+        # a mutual pick names one edge twice; keep it once, at the non-root
+        root = (hook[other] == comps) & (comps < other)
+        hook[comps[root]] = comps[root]
+        picked.append(rank[e[~root]])
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        labels = hook[labels]
+        lu = hook[lu]
+        lv = hook[lv]
+        cross = lu != lv
+        lu, lv, rank = lu[cross], lv[cross], rank[cross]
+    chosen = order[np.sort(np.concatenate(picked))] if picked else order[:0]
     return SpanningForest(
         n=n,
-        u=np.array(out_u, dtype=np.int64),
-        v=np.array(out_v, dtype=np.int64),
-        w=np.array(out_w, dtype=np.float64),
-        component_count=n - accepted,
-    )
-
-
-def prim_dense(points, core, threads=1):
-    """Exact MST of the complete mutual reachability graph, O(n) memory.
-
-    Each step expands the tree by the smallest frontier edge under the
-    (w, u, v) order, computing the new vertex's distance row on the fly.
-    """
-    n = points.n
-    if core.n != n:
-        raise ValueError("core distances not aligned with points")
-    if n == 1:
-        return SpanningForest(
-            n=1,
-            u=np.empty(0, dtype=np.int64),
-            v=np.empty(0, dtype=np.int64),
-            w=np.empty(0, dtype=np.float64),
-            component_count=1,
-        )
-    x = points.data.astype(np.float64)
-    c = core.values
-
-    def reach_row(i):
-        row = np.sqrt(sqdist_exact(x[i : i + 1], x)[0])
-        np.maximum(row, c, out=row)
-        np.maximum(row, c[i], out=row)
-        row[i] = np.inf
-        return row
-
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = reach_row(0)
-    best_from = np.zeros(n, dtype=np.int64)
-    out_u = np.empty(n - 1, dtype=np.int64)
-    out_v = np.empty(n - 1, dtype=np.int64)
-    out_w = np.empty(n - 1, dtype=np.float64)
-    for step in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        m = masked.min()
-        cands = np.flatnonzero(masked == m)
-        if cands.size > 1:
-            eu = np.minimum(best_from[cands], cands)
-            ev = np.maximum(best_from[cands], cands)
-            pick = int(cands[np.lexsort((ev, eu))[0]])
-        else:
-            pick = int(cands[0])
-        src = int(best_from[pick])
-        out_u[step] = min(src, pick)
-        out_v[step] = max(src, pick)
-        out_w[step] = best[pick]
-        in_tree[pick] = True
-        row = reach_row(pick)
-        row[in_tree] = np.inf
-        closer = row < best
-        best[closer] = row[closer]
-        best_from[closer] = pick
-        tied = np.flatnonzero((row == best) & ~closer & ~in_tree)
-        if tied.size:
-            new_u = np.minimum(pick, tied)
-            new_v = np.maximum(pick, tied)
-            old_u = np.minimum(best_from[tied], tied)
-            old_v = np.maximum(best_from[tied], tied)
-            better = (new_u < old_u) | ((new_u == old_u) & (new_v < old_v))
-            best_from[tied[better]] = pick
-    final = np.lexsort((out_v, out_u, out_w))
-    return SpanningForest(
-        n=n,
-        u=out_u[final],
-        v=out_v[final],
-        w=out_w[final],
-        component_count=1,
+        u=edges.u[chosen],
+        v=edges.v[chosen],
+        w=edges.w[chosen],
+        component_count=n - chosen.size,
+        labels=labels,
     )
 
 
@@ -214,21 +151,12 @@ def attach_forest_root(forest):
     """
     if forest.component_count == 1:
         return EdgeList(u=forest.u, v=forest.v, w=forest.w)
-    n = forest.n
-    uf = UnionFind(n)
-    for a, b in zip(forest.u.tolist(), forest.v.tolist()):
-        uf.union(a, b)
-    lowest = {}
-    for vtx in range(n):
-        root = uf.find(vtx)
-        if root not in lowest:
-            lowest[root] = vtx
-    anchors = sorted(low for low in lowest.values() if low != 0)
-    synth_u = np.zeros(len(anchors), dtype=np.int64)
-    synth_v = np.array(anchors, dtype=np.int64)
-    synth_w = np.full(len(anchors), np.inf, dtype=np.float64)
+    # first index of each label is its component's lowest vertex; the
+    # smallest of those is 0 itself
+    _, lowest = np.unique(forest.labels, return_index=True)
+    anchors = np.sort(lowest)[1:]
     return EdgeList(
-        u=np.concatenate([forest.u, synth_u]),
-        v=np.concatenate([forest.v, synth_v]),
-        w=np.concatenate([forest.w, synth_w]),
+        u=np.concatenate([forest.u, np.zeros(anchors.size, dtype=np.int64)]),
+        v=np.concatenate([forest.v, anchors.astype(np.int64)]),
+        w=np.concatenate([forest.w, np.full(anchors.size, np.inf)]),
     )

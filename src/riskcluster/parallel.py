@@ -8,8 +8,6 @@ whether a job runs on 1 thread or 16.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 
 def resolve_threads(threads=None):
     """Explicit argument, else RC_THREADS, else available cores."""
@@ -39,59 +37,16 @@ def chunk_ranges(n, chunk):
 def run_chunked(fn, n, threads, chunk):
     """Run fn(start, stop) over fixed chunks, possibly on a thread pool.
 
-    fn must only write to state owned by its own slice.
+    The pool never has more workers than chunks or cores, whatever threads
+    asks for. fn must only write to state owned by its own slice.
     """
     ranges = chunk_ranges(n, chunk)
-    if threads <= 1 or len(ranges) <= 1:
+    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    if workers <= 1:
         for start, stop in ranges:
             fn(start, stop)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, start, stop) for start, stop in ranges]
         for fut in futures:
             fut.result()
-
-
-def _merge_sorted(keys, left, right):
-    # positions of right's elements among left's; side="left" keeps the merge
-    # stable with left elements winning ties
-    pos = np.searchsorted(keys[left], keys[right], side="left")
-    out = np.empty(left.size + right.size, dtype=left.dtype)
-    right_slots = pos + np.arange(right.size)
-    mask = np.ones(out.size, dtype=bool)
-    mask[right_slots] = False
-    out[right_slots] = right
-    out[mask] = left
-    return out
-
-
-def parallel_argsort(keys, threads):
-    """Indices sorting keys ascending; chunked sorts merged pairwise.
-
-    The result may order equal keys arbitrarily (like np.argsort with the
-    default kind); callers needing a canonical order must break ties
-    themselves.
-    """
-    keys = np.asarray(keys)
-    n = keys.size
-    if threads <= 1 or n < (1 << 16):
-        return np.argsort(keys, kind="stable" if n < (1 << 16) else None)
-    bounds = np.linspace(0, n, threads + 1, dtype=np.int64)
-    parts = []
-
-    def sort_part(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        parts[i] = lo + np.argsort(keys[lo:hi])
-
-    parts.extend(None for _ in range(threads))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(sort_part, range(threads)))
-    parts = [p for p in parts if p is not None and p.size]
-    while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            merged.append(_merge_sorted(keys, parts[i], parts[i + 1]))
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0] if parts else np.empty(0, dtype=np.int64)

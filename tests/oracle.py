@@ -1,14 +1,19 @@
 """Independent dense reference implementations used to cross-check the package.
 
-Everything in this module is written against full n x n matrices with the
-simplest control flow that could possibly work, trading memory and speed for
-obviousness. The package under test never imports anything from here; the
-package and this module are only allowed to agree through their outputs.
+Everything in this module is written against full n x n matrices, their rows,
+or a plain edge list, with the simplest control flow that could possibly work,
+trading memory and speed for obviousness. The package under test never imports
+anything from here; the package and this module are only allowed to agree
+through their outputs.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 MAX_LAMBDA = 1e300
+
+DenseForest = namedtuple("DenseForest", "u v w component_count")
 
 
 def dense_sqdist(points):
@@ -108,6 +113,110 @@ def prim_canonical(weights):
                 best_from[t] = pick
     edges.sort(key=lambda e: (e[2], e[0], e[1]))
     return edges
+
+
+def prim_dense(points, core):
+    """Exact MST of the complete mutual reachability graph, O(n) memory.
+
+    Takes a point set (.data, .n) and core distances (.values). Each step
+    expands the tree by the smallest frontier edge under the (w, u, v)
+    order, computing the new vertex's distance row on the fly, one dimension
+    at a time in float64 like dense_sqdist. Returns a DenseForest with edges
+    sorted by (w, u, v).
+    """
+    n = points.n
+    if core.values.shape[0] != n:
+        raise ValueError("core distances not aligned with points")
+    if n == 1:
+        return DenseForest(
+            u=np.empty(0, dtype=np.int64),
+            v=np.empty(0, dtype=np.int64),
+            w=np.empty(0, dtype=np.float64),
+            component_count=1,
+        )
+    x = np.asarray(points.data, dtype=np.float64)
+    c = core.values
+
+    def reach_row(i):
+        d2 = np.zeros(n, dtype=np.float64)
+        for d in range(x.shape[1]):
+            diff = x[i, d] - x[:, d]
+            d2 += diff * diff
+        row = np.sqrt(d2)
+        np.maximum(row, c, out=row)
+        np.maximum(row, c[i], out=row)
+        row[i] = np.inf
+        return row
+
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = reach_row(0)
+    best_from = np.zeros(n, dtype=np.int64)
+    out_u = np.empty(n - 1, dtype=np.int64)
+    out_v = np.empty(n - 1, dtype=np.int64)
+    out_w = np.empty(n - 1, dtype=np.float64)
+    for step in range(n - 1):
+        masked = np.where(in_tree, np.inf, best)
+        m = masked.min()
+        cands = np.flatnonzero(masked == m)
+        if cands.size > 1:
+            eu = np.minimum(best_from[cands], cands)
+            ev = np.maximum(best_from[cands], cands)
+            pick = int(cands[np.lexsort((ev, eu))[0]])
+        else:
+            pick = int(cands[0])
+        src = int(best_from[pick])
+        out_u[step] = min(src, pick)
+        out_v[step] = max(src, pick)
+        out_w[step] = best[pick]
+        in_tree[pick] = True
+        row = reach_row(pick)
+        row[in_tree] = np.inf
+        closer = row < best
+        best[closer] = row[closer]
+        best_from[closer] = pick
+        tied = np.flatnonzero((row == best) & ~closer & ~in_tree)
+        if tied.size:
+            new_u = np.minimum(pick, tied)
+            new_v = np.maximum(pick, tied)
+            old_u = np.minimum(best_from[tied], tied)
+            old_v = np.maximum(best_from[tied], tied)
+            better = (new_u < old_u) | ((new_u == old_u) & (new_v < old_v))
+            best_from[tied[better]] = pick
+    final = np.lexsort((out_v, out_u, out_w))
+    return DenseForest(
+        u=out_u[final],
+        v=out_v[final],
+        w=out_w[final],
+        component_count=1,
+    )
+
+
+def kruskal_reference(u, v, w, n):
+    """Kruskal's greedy spanning forest over edges in (w, u, v) order.
+
+    A dict union-find whose roots are always the lowest vertex of their
+    tree. Returns (edges, lowest): the accepted (u, v, w) tuples in the
+    order they were accepted, and per vertex the lowest vertex of its tree.
+    """
+    parent = {}
+
+    def find(a):
+        root = a
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while a != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    edges = []
+    for i in np.lexsort((v, u, w)):
+        a, b = int(u[i]), int(v[i])
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            edges.append((a, b, float(w[i])))
+    return edges, [find(x) for x in range(n)]
 
 
 def single_linkage_from_edges(edges, n):

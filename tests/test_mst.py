@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from riskcluster.datagen import SyntheticSpec, generate
-from riskcluster.knn import brute_force_knn
+from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.mst import (
-    UnionFind, attach_forest_root, kruskal_forest, prim_dense,
-    sorted_edge_order)
+    UnionFind, attach_forest_root, kruskal_forest, sorted_edge_order)
 from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
-from oracle import dense_mutual_reachability, prim_canonical
+from oracle import (
+    dense_mutual_reachability, kruskal_reference, prim_canonical, prim_dense)
 
 
 def _reach_edges(pts, min_samples, k=None):
@@ -191,3 +191,80 @@ class TestAttachForestRoot:
         assert synth.sum() == 5
         # synthetic edges anchor to vertex 0's component lowest index
         assert np.all(full.u[synth] == 0)
+
+
+class TestSortedEdgeOrderMatchesLexsort:
+    def _check(self, u, v, w):
+        order = sorted_edge_order(u, v, w)
+        assert np.array_equal(order, np.lexsort((v, u, w)))
+
+    def test_seeded_unsorted_inputs(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for trial in range(40):
+            m = int(rng.integers(2, 3000))
+            n = int(rng.integers(2, 200))
+            # distinct (u, v) pairs, as in an EdgeList, in shuffled order
+            pairs = rng.choice(n * n, size=min(m, n * n), replace=False)
+            u, v = pairs // n, pairs % n
+            distinct = int(rng.choice([1, 2, 5, 50, 10**9]))
+            w = rng.integers(0, distinct, u.size).astype(np.float64)
+            self._check(u, v, w)
+
+    def test_adjacent_tie_runs_of_different_weights(self):
+        # sorted by w the runs 1.0 and 2.0 touch; their (u, v) order is the
+        # reverse of their weight order, so a repair keyed on contiguous
+        # tied positions instead of on weight would interleave them
+        u = np.array([0, 3, 1, 0], dtype=np.int64)
+        v = np.array([2, 4, 2, 1], dtype=np.int64)
+        w = np.array([2.0, 1.0, 1.0, 2.0])
+        self._check(u, v, w)
+        order = sorted_edge_order(u, v, w)
+        assert w[order].tolist() == [1.0, 1.0, 2.0, 2.0]
+
+    def test_empty_and_single_edge(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert sorted_edge_order(empty, empty, np.empty(0)).size == 0
+        one = sorted_edge_order(
+            np.array([2]), np.array([5]), np.array([0.5]))
+        assert one.tolist() == [0]
+
+
+class TestBoruvkaMatchesKruskalReference:
+    def _assert_same_forest(self, edges, n):
+        forest = kruskal_forest(edges, n)
+        want, lowest = kruskal_reference(edges.u, edges.v, edges.w, n)
+        got = list(zip(forest.u.tolist(), forest.v.tolist(),
+                       forest.w.tolist()))
+        assert got == want
+        assert forest.component_count == len(set(lowest))
+        # labels partition the vertices exactly like the reference trees
+        _, by_label = np.unique(forest.labels, return_inverse=True)
+        _, by_lowest = np.unique(lowest, return_inverse=True)
+        pairs = set(zip(by_label.tolist(), by_lowest.tolist()))
+        assert len(pairs) == forest.component_count
+        return forest, lowest
+
+    def test_tie_heavy_ivf_graph_with_many_components(self):
+        pts, _ = generate(SyntheticSpec(
+            shape="blobs", n=2000, dim=16, centers=64, seed=3))
+        g = ivf_search(ivf_build(pts, 64, seed=0), pts, 16, 2)
+        edges = mutual_reach_edges(g, core_distances(g, 16))
+        assert np.unique(edges.w).size < 0.2 * len(edges)
+        forest, lowest = self._assert_same_forest(edges, pts.n)
+        assert forest.component_count >= 32
+        full = attach_forest_root(forest)
+        synth = np.isinf(full.w)
+        assert np.all(full.u[synth] == 0)
+        assert full.v[synth].tolist() == sorted(set(lowest) - {0})
+
+    def test_seeded_random_graphs(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        for trial in range(30):
+            n = int(rng.integers(1, 120))
+            pairs = np.unique(rng.integers(0, n, size=(int(rng.integers(
+                0, 3 * n)), 2)), axis=0)
+            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+            rng.shuffle(pairs)
+            w = rng.integers(0, 4, len(pairs)).astype(np.float64)
+            edges = EdgeList(u=pairs[:, 0].copy(), v=pairs[:, 1].copy(), w=w)
+            self._assert_same_forest(edges, n)
