@@ -155,7 +155,7 @@ def cmd_predict(args):
     model = InductiveModel(
         train_points=train, train_labels=assignment,
         k_assign=args.k_assign)
-    predicted = assign_new_points(model, queries, threads=args.threads or 1)
+    predicted = assign_new_points(model, queries, threads=args.threads)
     out = {
         "command": "predict",
         "version": __version__,

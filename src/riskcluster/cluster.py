@@ -10,7 +10,7 @@ from .knn import (
     brute_force_knn, default_nlist, default_nprobe, ivf_build, ivf_search)
 from .mst import attach_forest_root, kruskal_forest
 from .parallel import resolve_threads
-from .reach import core_distances, mutual_reach_edges
+from .reach import EdgeList, core_distances, mutual_reach_edges
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,11 @@ def cluster_points(points, params, threads=None):
     t_start = time.perf_counter()
 
     if n == 1:
+        no_edges = EdgeList(
+            u=np.empty(0, dtype=np.int64), v=np.empty(0, dtype=np.int64),
+            w=np.empty(0, dtype=np.float64))
         condensed = condense_tree(
-            single_linkage(_EMPTY_EDGES, 1), resolved["min_cluster_size"])
+            single_linkage(no_edges, 1), resolved["min_cluster_size"])
         assignment = extract_clusters(
             condensed, resolved["allow_single_cluster"])
         timings["total"] = time.perf_counter() - t_start
@@ -131,7 +134,7 @@ def cluster_points(points, params, threads=None):
     timings["reach"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    forest = kruskal_forest(edges, n, threads=threads)
+    forest = kruskal_forest(edges, n)
     tree_edges = attach_forest_root(forest)
     timings["mst"] = time.perf_counter() - t0
 
@@ -156,15 +159,3 @@ def cluster_points(points, params, threads=None):
         component_count=forest.component_count,
         condensed=condensed,
     )
-
-
-class _EmptyEdges:
-    u = np.empty(0, dtype=np.int64)
-    v = np.empty(0, dtype=np.int64)
-    w = np.empty(0, dtype=np.float64)
-
-    def __len__(self):
-        return 0
-
-
-_EMPTY_EDGES = _EmptyEdges()

@@ -66,14 +66,11 @@ class IvfIndex:
         return self.assignments.shape[0]
 
 
-def sqdist_exact(queries, base, out=None):
+def sqdist_exact(queries, base):
     """Squared distances, one dimension accumulated at a time in float64."""
     q = np.asarray(queries, dtype=np.float64)
     b = np.asarray(base, dtype=np.float64)
-    if out is None:
-        out = np.zeros((q.shape[0], b.shape[0]), dtype=np.float64)
-    else:
-        out[:] = 0.0
+    out = np.zeros((q.shape[0], b.shape[0]), dtype=np.float64)
     scratch = np.empty_like(out)
     for d in range(q.shape[1]):
         np.subtract(q[:, d, None], b[None, :, d], out=scratch)
@@ -93,33 +90,21 @@ def sqdist_fast(queries, base):
     return d2
 
 
-_KERNELS = {"exact": sqdist_exact, "fast": lambda q, b, out=None: sqdist_fast(q, b)}
-
-
-def _order_rows(vals, ids):
-    """Reorder each row of (vals, ids) ascending by (value, id).
-
-    Two stable argsorts: first by id, then by value; stability makes the
-    second sort keep the id order among equal values.
-    """
-    o1 = np.argsort(ids, axis=1, kind="stable")
-    v1 = np.take_along_axis(vals, o1, axis=1)
-    i1 = np.take_along_axis(ids, o1, axis=1)
-    o2 = np.argsort(v1, axis=1, kind="stable")
-    return np.take_along_axis(v1, o2, axis=1), np.take_along_axis(i1, o2, axis=1)
+_KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 
 
 def _topk_rows(d2, k):
     """k smallest entries per row by (value, column), rows returned sorted.
 
     Rows must contain at least k non-inf entries unless k equals the width.
+    A stable sort on value over columns in ascending order resolves equal
+    values toward the smaller column.
     """
-    m = d2.shape[1]
-    cols = np.broadcast_to(np.arange(m, dtype=np.int64), d2.shape)
-    if k >= m:
-        return _order_rows(d2.copy(), cols.copy())
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(d2, part, axis=1)
+    if k >= d2.shape[1]:
+        cols = np.argsort(d2, axis=1, kind="stable")
+        return np.take_along_axis(d2, cols, axis=1), cols
+    cols = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(d2, cols, axis=1)
     # a partition is value-correct but may pick arbitrary ids among entries
     # equal to the k-th smallest value; repair those rows explicitly
     edge = vals.max(axis=1)
@@ -129,10 +114,12 @@ def _topk_rows(d2, k):
         row = d2[r]
         less = np.flatnonzero(row < edge[r])
         ties = np.flatnonzero(row == edge[r])[: k - less.size]
-        sel = np.concatenate([less, ties])
-        part[r] = sel
-        vals[r] = row[sel]
-    return _order_rows(vals, part.astype(np.int64))
+        cols[r] = np.concatenate([less, ties])
+    cols.sort(axis=1)
+    vals = np.take_along_axis(d2, cols, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=1),
+            np.take_along_axis(cols, order, axis=1))
 
 
 def brute_force_knn(points, k, threads=1, kernel="exact"):
@@ -280,15 +267,6 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None):
     )
 
 
-def _probe_order(x, centroids):
-    """Cells by ascending (distance, cell id) per query row."""
-    d2 = sqdist_fast(x, centroids)
-    cells = np.broadcast_to(
-        np.arange(centroids.shape[0], dtype=np.int64), d2.shape)
-    _, order = _order_rows(d2, cells.copy())
-    return order
-
-
 def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     """kNN graph over `points` probing the nprobe nearest cells per query.
 
@@ -308,21 +286,20 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     dists = np.empty((n, k), dtype=np.float64)
 
     def _search_block(qidx):
-        probe = _probe_order(x[qidx], index.centroids)
+        # cells by ascending (distance, cell id) per query
+        probe = np.argsort(
+            sqdist_fast(x[qidx], index.centroids), axis=1, kind="stable")
         home = index.assignments[qidx]
         # candidates available after c+1 probed cells, self excluded
-        avail = np.cumsum(cell_sizes[probe], axis=1)
-        home_pos = np.argmax(probe == home[:, None], axis=1)
+        avail = np.cumsum(
+            cell_sizes[probe] - (probe == home[:, None]), axis=1)
         cols = np.arange(index.nlist)
-        avail -= home_pos[:, None] <= cols[None, :]
         enough = (avail >= k) & (cols[None, :] + 1 >= nprobe)
         need = np.argmax(enough, axis=1) + 1
         width = int(need.max())
         allowed_cells = np.zeros((qidx.size, index.nlist), dtype=bool)
-        col_mask = cols[None, :width] < need[:, None]
-        rows = np.broadcast_to(
-            np.arange(qidx.size)[:, None], (qidx.size, width))
-        allowed_cells[rows[col_mask], probe[:, :width][col_mask]] = True
+        np.put_along_axis(allowed_cells, probe[:, :width],
+                          cols[None, :width] < need[:, None], axis=1)
         union_cells = np.flatnonzero(allowed_cells.any(axis=0))
         cand = np.sort(np.concatenate(
             [index.postings[c] for c in union_cells]))

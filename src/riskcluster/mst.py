@@ -64,14 +64,13 @@ class UnionFind:
         return ra
 
 
-def sorted_edge_order(u, v, w, threads=1):
+def sorted_edge_order(u, v, w):
     """Permutation putting edges in ascending (w, u, v) order.
 
     One sort on w, then one lexsort over only the positions whose weight
     equals a neighbor's. The lexsort keys on w first, so tie runs of
     different weights that sit side by side keep their weight order. Edges
     with equal (w, u, v) may come in any order; an EdgeList has none.
-    threads is accepted for compatibility and changes nothing.
     """
     order = np.argsort(w)
     ws = w[order]
@@ -86,7 +85,7 @@ def sorted_edge_order(u, v, w, threads=1):
     return order
 
 
-def kruskal_forest(edges, n, threads=1):
+def kruskal_forest(edges, n):
     """Minimum spanning forest by Borůvka over ranks in (w, u, v) order.
 
     Each round, every component takes its lowest-rank outgoing edge and
@@ -96,9 +95,8 @@ def kruskal_forest(edges, n, threads=1):
     per round. The forest equals the one Kruskal's greedy pass accepts over
     the same order, and comes back in that order. The name stays because
     the public API and the benchmark's tracer look this function up by it.
-    threads is accepted for compatibility and changes nothing.
     """
-    order = sorted_edge_order(edges.u, edges.v, edges.w, threads)
+    order = sorted_edge_order(edges.u, edges.v, edges.w)
     m = order.size
     # live edges in rank order: component labels of both ends, and the rank
     lu = edges.u[order]

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import _topk_rows, sqdist_exact
+from .knn import _BLOCK_CELLS, _topk_rows, sqdist_exact
 from .model import ClusterAssignment
-from .parallel import run_chunked
-
-_BLOCK_CELLS = 4_000_000
+from .parallel import resolve_threads, run_chunked
 
 
 @dataclass(frozen=True)
@@ -31,8 +29,9 @@ class InductiveModel:
             raise ValueError("k_assign must be >= 1")
 
 
-def assign_new_points(model, queries, threads=1):
+def assign_new_points(model, queries, threads=None):
     """Vote-based labels and strengths for a new PointSet."""
+    threads = resolve_threads(threads)
     train = model.train_points
     if queries.dim != train.dim:
         raise ValueError(
@@ -47,31 +46,32 @@ def assign_new_points(model, queries, threads=1):
     # labels shifted by +1 so noise (-1) lands in vote bucket 0
     shifted = (train_labels + 1).astype(np.int64)
     nbuckets = int(shifted.max()) + 1 if shifted.size else 1
-    chunk = max(1, _BLOCK_CELLS // train.n)
+    # a chunk's distance block is rows x n and its vote block rows x nbuckets
+    chunk = max(1, _BLOCK_CELLS // max(train.n, nbuckets))
 
     def work(start, stop):
         d2 = sqdist_exact(qdata[start:stop], base)
         vals, cols = _topk_rows(d2, k)
         dists = np.sqrt(vals)
-        for r in range(stop - start):
-            row_d = dists[r]
-            row_i = cols[r]
-            if row_d[0] == 0.0:
-                # exact match: cols are (distance, id)-ordered, so index 0
-                # is the smallest-index zero-distance training point
-                lab = int(train_labels[row_i[0]])
-                labels[start + r] = lab
-                strengths[start + r] = 0.0 if lab == -1 else 1.0
-                continue
-            weights = 1.0 / row_d
-            votes = np.bincount(
-                shifted[row_i], weights=weights, minlength=nbuckets)
-            winner = int(np.argmax(votes))
-            lab = winner - 1
-            labels[start + r] = lab
-            total = votes.sum()
-            strengths[start + r] = (
-                0.0 if lab == -1 else float(votes[winner] / total))
+        rows = np.arange(stop - start)
+        # exact match: cols are (distance, id)-ordered, so column 0 is the
+        # smallest-index zero-distance training point
+        exact = dists[:, 0] == 0.0
+        # rows ascend, so only exact-match rows hold zeros; they do not vote
+        weights = 1.0 / np.where(exact[:, None], 1.0, dists)
+        # one bincount adds each (row, bucket)'s weights in column order,
+        # as a bincount per row would
+        votes = np.bincount(
+            (rows[:, None] * nbuckets + shifted[cols]).ravel(),
+            weights=weights.ravel(), minlength=rows.size * nbuckets,
+        ).reshape(rows.size, nbuckets)
+        winner = np.argmax(votes, axis=1)
+        share = votes[rows, winner] / votes.sum(axis=1)
+        match = train_labels[cols[:, 0]]
+        lab = np.where(exact, match, winner - 1)
+        labels[start:stop] = lab
+        strengths[start:stop] = np.where(
+            lab == -1, 0.0, np.where(exact, 1.0, share))
 
     run_chunked(work, nq, threads, chunk)
     return ClusterAssignment(labels=labels, strengths=strengths)

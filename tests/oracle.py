@@ -52,6 +52,43 @@ def dense_knn(points, k):
     return ids, dists
 
 
+def vote_reference(train, train_labels, queries, k):
+    """Distance-weighted kNN vote, one query at a time.
+
+    Each query's k nearest training points by (distance, index) add weight
+    1/distance to the bucket of their label, noise (-1) included; the
+    heaviest bucket wins, ties toward the smaller label, and the strength is
+    its share of the total, 0 for noise. A query at distance 0 from a
+    training point takes the label of the lowest such index, strength 1 (0
+    for noise). Returns (labels, strengths).
+    """
+    t = np.asarray(train, dtype=np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    shifted = np.asarray(train_labels, dtype=np.int64) + 1
+    nbuckets = int(shifted.max()) + 1
+    col = np.arange(t.shape[0])
+    labels = np.empty(q.shape[0], dtype=np.int64)
+    strengths = np.empty(q.shape[0], dtype=np.float64)
+    for r in range(q.shape[0]):
+        d2 = np.zeros(t.shape[0], dtype=np.float64)
+        for d in range(t.shape[1]):
+            diff = q[r, d] - t[:, d]
+            d2 += diff * diff
+        row_i = np.lexsort((col, d2))[:k]
+        row_d = np.sqrt(d2[row_i])
+        if row_d[0] == 0.0:
+            labels[r] = shifted[row_i[0]] - 1
+            strengths[r] = 0.0 if labels[r] == -1 else 1.0
+            continue
+        votes = np.bincount(
+            shifted[row_i], weights=1.0 / row_d, minlength=nbuckets)
+        winner = int(np.argmax(votes))
+        labels[r] = winner - 1
+        strengths[r] = (
+            0.0 if winner == 0 else float(votes[winner] / votes.sum()))
+    return labels, strengths
+
+
 def dense_core_distances(points, min_samples):
     """Distance to the min_samples-th nearest neighbor, self excluded.
 

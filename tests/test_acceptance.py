@@ -97,7 +97,7 @@ def test_criterion_03_desk_scale_performance():
     v = u + 1 + rng.integers(0, 1000, size=m)
     w = rng.random(size=m)
     t0 = time.perf_counter()
-    order = sorted_edge_order(u, v, w, threads=1)
+    order = sorted_edge_order(u, v, w)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"10M edge sort took {elapsed:.2f}s"
     assert order.shape == (m,)

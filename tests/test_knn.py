@@ -3,8 +3,8 @@ import pytest
 
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import (
-    brute_force_knn, default_nlist, default_nprobe, ivf_build, ivf_search,
-    kmeans_fit, sqdist_exact, sqdist_fast)
+    _topk_rows, brute_force_knn, default_nlist, default_nprobe, ivf_build,
+    ivf_search, kmeans_fit, sqdist_exact, sqdist_fast)
 from riskcluster.model import PointSet
 
 from oracle import dense_knn
@@ -36,6 +36,32 @@ class TestDistanceKernels:
         d_fast = sqdist_fast(a, a)
         assert d_fast.min() >= 0.0
         assert np.allclose(d_fast, d_exact, atol=1e-6 * d_exact.max())
+
+
+class TestTopkRows:
+    def test_matches_per_row_lexsort(self):
+        # small integer values tie heavily; inf entries are capped so every
+        # row keeps k finite ones unless k is the full width
+        rng = np.random.Generator(np.random.PCG64(21))
+        width = 40
+        straddled = 0
+        for k in (1, width // 2, width - 1, width):
+            for trial in range(6):
+                d2 = rng.integers(0, 3 + trial, size=(50, width)).astype(
+                    np.float64)
+                for row in d2:
+                    n_inf = rng.integers(0, width - k + 1)
+                    row[rng.permutation(width)[:n_inf]] = np.inf
+                vals, cols = _topk_rows(d2, k)
+                for r, row in enumerate(d2):
+                    order = np.lexsort((np.arange(width), row))
+                    want = order[:k]
+                    assert cols[r].tolist() == want.tolist()
+                    assert np.array_equal(vals[r], row[want])
+                    # the k-th value also sits past the cut: the rows
+                    # _topk_rows must repair after its partition
+                    straddled += row[want[-1]] in row[order[k:]]
+        assert straddled > 100
 
 
 class TestBruteForce:

@@ -103,16 +103,6 @@ class TestKruskal:
         assert forest.component_count == 3
         assert forest.u.size == 2
 
-    def test_thread_count_does_not_change_result(self):
-        pts, _ = generate(
-            SyntheticSpec(shape="circles", n=400, seed=17))
-        _, edges = _reach_edges(pts, 5, k=20)
-        f1 = kruskal_forest(edges, pts.n, threads=1)
-        f4 = kruskal_forest(edges, pts.n, threads=4)
-        assert np.array_equal(f1.u, f4.u)
-        assert np.array_equal(f1.v, f4.v)
-        assert np.array_equal(f1.w, f4.w)
-
 
 class TestSortedEdgeOrder:
     def test_ties_resolved_by_u_then_v(self):
@@ -123,16 +113,6 @@ class TestSortedEdgeOrder:
         got = list(zip(u[order].tolist(), v[order].tolist(),
                        w[order].tolist()))
         assert got == [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0)]
-
-    def test_thread_invariance_on_heavy_ties(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        m = 20000
-        u = rng.integers(0, 500, m).astype(np.int64)
-        v = (u + 1 + rng.integers(0, 100, m)).astype(np.int64)
-        w = rng.integers(0, 5, m).astype(np.float64)  # massive ties
-        o1 = sorted_edge_order(u, v, w, threads=1)
-        o4 = sorted_edge_order(u, v, w, threads=4)
-        assert np.array_equal(o1, o4)
 
 
 class TestPrimDense:

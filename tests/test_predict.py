@@ -6,6 +6,8 @@ from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.model import ClusterAssignment, PointSet
 from riskcluster.predict import InductiveModel, assign_new_points
 
+from oracle import vote_reference
+
 
 def _assignment(labels, strengths=None):
     labels = np.asarray(labels, dtype=np.int64)
@@ -130,3 +132,30 @@ class TestEndToEnd:
         many = assign_new_points(model, test, threads=8)
         assert np.array_equal(one.labels, many.labels)
         assert np.array_equal(one.strengths, many.strengths)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("nlabels", [1, 5, 200])
+    @pytest.mark.parametrize("k_assign", [1, 7, 60])
+    def test_bitwise_equal_to_per_query_vote(self, nlabels, k_assign):
+        # a 16 x 16 integer grid makes distances tie everywhere; queries sit
+        # on grid points (exact matches, noise ones too), on half steps and
+        # off the grid
+        rng = np.random.Generator(np.random.PCG64(nlabels * 100 + k_assign))
+        g = np.arange(16, dtype=np.float64)
+        train = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        labels = rng.integers(-1, nlabels, size=train.shape[0])
+        labels[:nlabels] = np.arange(nlabels)  # every label occurs
+        labels[nlabels::3] = -1
+        queries = PointSet(np.concatenate([
+            train[rng.permutation(train.shape[0])[:60]],
+            train[labels == -1][:10],
+            rng.integers(-4, 40, size=(60, 2)) / 2.0,
+            rng.normal(8.0, 6.0, size=(30, 2)),
+        ]))
+        model = _model(train, labels, k_assign=k_assign)
+        out = assign_new_points(model, queries, threads=2)
+        want_labels, want_strengths = vote_reference(
+            train, labels, queries.data, k_assign)
+        assert np.array_equal(out.labels, want_labels)
+        assert np.array_equal(out.strengths, want_strengths)
