@@ -7,7 +7,11 @@ which makes every search result bitwise reproducible.
 Two squared-distance kernels exist on purpose. sqdist_exact accumulates one
 dimension at a time in float64, a fixed operation sequence for every pair no
 matter how the caller batches rows, so independent implementations can agree
-bitwise. sqdist_fast uses the Gram-matrix identity, which is faster but
+bitwise. It walks the output in row tiles that fit in L2, and inside a tile
+each pair still takes (q_0 - b_0)^2 first and then adds (q_d - b_d)^2 for
+d = 1, 2, ... in order, so the tiling changes no bit of any value (a NaN
+result's sign is left to numpy's loops, as IEEE 754 leaves it open).
+sqdist_fast uses the Gram-matrix identity, which is faster but
 rounds differently depending on BLAS blocking; it only feeds decisions with
 no bitwise contract (k-means assignment, coarse cell probing, and optional
 quality-equivalent searches at large scale).
@@ -21,8 +25,11 @@ import numpy as np
 from .model import PointSet
 from .parallel import run_chunked
 
-# cells per distance block; keeps per-chunk scratch under ~64 MB
+# cells per distance block: a chunk's float64 d2 block stays near 32 MB
 _BLOCK_CELLS = 4_000_000
+# cells per sqdist_exact tile: 512 KB per float64 array, so the output tile
+# and its one scratch tile (about 1 MB) stay in L2 across all dimensions
+_TILE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,23 @@ def sqdist_exact(queries, base):
     """Squared distances, one dimension accumulated at a time in float64."""
     q = np.asarray(queries, dtype=np.float64)
     b = np.asarray(base, dtype=np.float64)
-    out = np.zeros((q.shape[0], b.shape[0]), dtype=np.float64)
-    scratch = np.empty_like(out)
-    for d in range(q.shape[1]):
-        np.subtract(q[:, d, None], b[None, :, d], out=scratch)
-        scratch *= scratch
-        out += scratch
+    if q.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"query dim {q.shape[1]} != base dim {b.shape[1]}")
+    m, n = q.shape[0], b.shape[0]
+    out = np.zeros((m, n), dtype=np.float64)
+    # each bt[d] is one contiguous row, read once per tile and dimension
+    bt = np.ascontiguousarray(b.T)
+    rows = max(1, _TILE_CELLS // max(n, 1))
+    scratch = np.empty((min(rows, m), n), dtype=np.float64)
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        o = out[r0:r1]
+        s = scratch[: r1 - r0]
+        for d in range(q.shape[1]):
+            np.subtract(q[r0:r1, d, None], bt[d], out=s)
+            s *= s
+            o += s
     return out
 
 

@@ -67,11 +67,16 @@ class UnionFind:
 def sorted_edge_order(u, v, w):
     """Permutation putting edges in ascending (w, u, v) order.
 
-    One sort on w, then one lexsort over only the positions whose weight
-    equals a neighbor's. The lexsort keys on w first, so tie runs of
-    different weights that sit side by side keep their weight order. Edges
-    with equal (w, u, v) may come in any order; an EdgeList has none.
+    One sort on w, then a repair over only the positions whose weight
+    equals a neighbor's: an argsort of the packed key (u << 32) | v, then a
+    stable argsort on w, so tie runs of different weights that sit side by
+    side keep their weight order. Vertex ids must lie in [0, 2^31) for the
+    key to pack. Edges with equal (w, u, v) may come in any order; an
+    EdgeList has none.
     """
+    if u.size and (min(u.min(), v.min()) < 0
+                   or max(u.max(), v.max()) >= 1 << 31):
+        raise ValueError("vertex ids must lie in [0, 2^31)")
     order = np.argsort(w)
     ws = w[order]
     tie = ws[1:] == ws[:-1]
@@ -81,7 +86,10 @@ def sorted_edge_order(u, v, w):
         tied[:-1] |= tie
         pos = np.flatnonzero(tied)
         seg = order[pos]
-        order[pos] = seg[np.lexsort((v[seg], u[seg], w[seg]))]
+        p = np.argsort(
+            (u[seg].astype(np.int64, copy=False) << 32)
+            | v[seg].astype(np.int64, copy=False))
+        order[pos] = seg[p[np.argsort(w[seg][p], kind="stable")]]
     return order
 
 

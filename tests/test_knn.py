@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from riskcluster import knn
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import (
     _topk_rows, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search, kmeans_fit, sqdist_exact, sqdist_fast)
 from riskcluster.model import PointSet
 
-from oracle import dense_knn
+from oracle import dense_knn, dense_sqdist
 
 
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
@@ -36,6 +39,70 @@ class TestDistanceKernels:
         d_fast = sqdist_fast(a, a)
         assert d_fast.min() >= 0.0
         assert np.allclose(d_fast, d_exact, atol=1e-6 * d_exact.max())
+
+
+class TestTiledExactKernel:
+    """sqdist_exact walks row tiles; every value must keep the oracle's bits."""
+
+    TILE = 48
+
+    def _entries(self, rng, rows, dim):
+        x = rng.normal(size=(rows, dim)) * 10.0
+        special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e200, -1e200])
+        mask = rng.random(size=x.shape) < 0.1
+        x[mask] = rng.choice(special, size=int(mask.sum()))
+        return x
+
+    def _assert_bitwise_oracle(self, a, b):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sqdist_exact(a, b)
+            want = dense_sqdist(np.vstack([a, b]))[: a.shape[0], a.shape[0]:]
+        assert got.shape == want.shape
+        # IEEE 754 leaves the sign and payload of a NaN result open, and
+        # numpy's loops for the two layouts may pick either NaN operand, so
+        # NaN cells must agree as NaN and every other cell bit for bit
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(
+            got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+    def test_tile_boundaries_and_special_values(self, monkeypatch):
+        # a small tile puts row-tile edges inside every case: n = 5 ends in
+        # a partial tile, n = 2*tile+3 leaves one query row per tile
+        monkeypatch.setattr(knn, "_TILE_CELLS", self.TILE)
+        tile = self.TILE
+        rng = np.random.Generator(np.random.PCG64(41))
+        for n in (0, 1, 5, tile - 1, tile, tile + 1, 2 * tile + 3):
+            for dim in (1, 2, 28):
+                for m in (0, 1, 7, 2 * tile + 5):
+                    a = self._entries(rng, m, dim)
+                    b = self._entries(rng, n, dim)
+                    self._assert_bitwise_oracle(a, b)
+
+    def test_module_tile_with_partial_last_tile(self):
+        # n = 1000 gives 65 rows per tile, so 140 rows end in a 10-row tile
+        rng = np.random.Generator(np.random.PCG64(43))
+        for dim in (1, 2, 28):
+            self._assert_bitwise_oracle(
+                self._entries(rng, 140, dim), self._entries(rng, 1000, dim))
+
+    def test_peak_memory_is_one_tile_above_output(self):
+        rng = np.random.Generator(np.random.PCG64(44))
+        a = rng.normal(size=(600, 28))
+        b = rng.normal(size=(3400, 28))
+        tracemalloc.start()
+        try:
+            out = sqdist_exact(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * 1024 * 1024
+
+    def test_rejects_dim_mismatch(self):
+        with pytest.raises(ValueError):
+            sqdist_exact(np.zeros((2, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            sqdist_exact(np.ones((3, 3)), np.zeros((2, 2)))
 
 
 class TestTopkRows:

@@ -209,6 +209,26 @@ class TestSortedEdgeOrderMatchesLexsort:
         assert one.tolist() == [0]
 
 
+class TestSortedEdgeOrderIdGuard:
+    def test_ids_up_to_two_pow_31_minus_one_sort(self):
+        top = (1 << 31) - 1
+        u = np.array([top, 0, top, 5], dtype=np.int64)
+        v = np.array([0, top, 7, top], dtype=np.int64)
+        w = np.array([1.0, 1.0, 1.0, 0.5])
+        order = sorted_edge_order(u, v, w)
+        assert np.array_equal(order, np.lexsort((v, u, w)))
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 31])
+    def test_rejects_ids_outside_packable_range(self, bad):
+        w = np.array([1.0, 1.0])
+        ok = np.array([0, 1], dtype=np.int64)
+        wrong = np.array([bad, 1], dtype=np.int64)
+        with pytest.raises(ValueError):
+            sorted_edge_order(wrong, ok, w)
+        with pytest.raises(ValueError):
+            sorted_edge_order(ok, wrong, w)
+
+
 class TestBoruvkaMatchesKruskalReference:
     def _assert_same_forest(self, edges, n):
         forest = kruskal_forest(edges, n)
