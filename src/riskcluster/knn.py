@@ -27,8 +27,9 @@ from .parallel import run_chunked
 
 # cells per distance block: a chunk's float64 d2 block stays near 32 MB
 _BLOCK_CELLS = 4_000_000
-# cells per sqdist_exact tile: 512 KB per float64 array, so the output tile
-# and its one scratch tile (about 1 MB) stay in L2 across all dimensions
+# cells per sqdist_exact and _topk_rows tile: 512 KB per float64 array, so
+# the output tile and its one scratch tile (about 1 MB) stay in L2 across all
+# dimensions, and a partition's index block stays one tile
 _TILE_CELLS = 1 << 16
 
 
@@ -118,10 +119,17 @@ def _topk_rows(d2, k):
     A stable sort on value over columns in ascending order resolves equal
     values toward the smaller column.
     """
-    if k >= d2.shape[1]:
+    m, width = d2.shape
+    if k >= width:
         cols = np.argsort(d2, axis=1, kind="stable")
         return np.take_along_axis(d2, cols, axis=1), cols
-    cols = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    # partition row tiles and keep only the k picked columns of each, so
+    # no index block as large as d2 is ever alive
+    cols = np.empty((m, k), dtype=np.int64)
+    rows = max(1, _TILE_CELLS // width)
+    for r0 in range(0, m, rows):
+        cols[r0 : r0 + rows] = np.argpartition(
+            d2[r0 : r0 + rows], k - 1, axis=1)[:, :k]
     vals = np.take_along_axis(d2, cols, axis=1)
     # a partition is value-correct but may pick arbitrary ids among entries
     # equal to the k-th smallest value; repair those rows explicitly

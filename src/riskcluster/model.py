@@ -8,6 +8,7 @@ newline-delimited JSON, one object per line.
 import csv
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -82,8 +83,16 @@ class TransactionRecord:
         if self.risk_seed not in RISK_SEEDS:
             raise ValueError(f"unknown risk_seed {self.risk_seed!r}")
         for name, value in self.features.items():
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
+            if not isinstance(value, (int, float)) or not _finite(value):
                 raise ValueError(f"feature {name!r} is not a finite number")
+
+
+def _finite(value):
+    """math.isfinite, but False for an int too large for a float64."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ and transductive evaluation protocols.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,38 +74,71 @@ class SessionFeatures:
             dtype=np.float64)
 
 
+_PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
+
+
+def _session_block(sessions):
+    """Session feature rows, SESSION_FEATURE_NAMES order, float64.
+
+    One columnar pass over every session's events. Counts come from one
+    bincount over (row, page code). Dwell statistics come from one (m, L)
+    block per distinct session length L, reduced along its rows: numpy
+    reduces each row as it reduces a 1-d array of L values, so each value
+    keeps the bits of the per-session numpy reduction. Integer dwell totals
+    are truncated with np.trunc, not cast: a cast to int64 overflows once a
+    total passes 2**63.
+    """
+    lengths = np.array([len(s.events) for s in sessions], dtype=np.int64)
+    other = _PAGE_CODES["other"]
+    codes = np.array(
+        [_PAGE_CODES.get(p, other) for s in sessions for p, _ in s.events],
+        dtype=np.int64)
+    dwell = np.array(
+        [d for s in sessions for _, d in s.events], dtype=np.float64)
+    n, npages = lengths.size, len(PAGE_TYPES)
+    rows = np.repeat(np.arange(n), lengths)
+    counts = np.bincount(
+        rows * npages + codes, minlength=n * npages).reshape(n, npages)
+    starts = np.cumsum(lengths) - lengths
+    total, mean, hi, lo, var = np.empty((5, n), dtype=np.float64)
+    order = np.argsort(lengths, kind="stable")
+    sizes, first = np.unique(lengths[order], return_index=True)
+    for size, sel in zip(sizes, np.split(order, first[1:])):
+        block = dwell[starts[sel, None] + np.arange(size)]
+        total[sel] = block.sum(axis=1)
+        mean[sel] = block.mean(axis=1)
+        hi[sel] = block.max(axis=1)
+        lo[sel] = block.min(axis=1)
+        var[sel] = block.var(axis=1)
+    if np.isinf(total).any():
+        raise OverflowError("total dwell_ms overflows float64")
+    total = np.trunc(total)
+    count = dict(zip(PAGE_TYPES, counts.T))
+    views = count["view"]
+    columns = {
+        **{"count_" + page: count[page] for page in PAGE_TYPES},
+        "total_events": lengths,
+        "distinct_page_types": np.count_nonzero(counts, axis=1),
+        "total_dwell_ms": total,
+        "mean_dwell_ms": mean,
+        "max_dwell_ms": hi,
+        "min_dwell_ms": lo,
+        "dwell_variance": var,
+        "session_duration_ms": total,
+        "checkout_to_view_ratio": np.divide(
+            count["checkout"], views, out=np.zeros(n), where=views > 0),
+        "search_count": count["search"],
+    }
+    return np.column_stack([columns[name] for name in SESSION_FEATURE_NAMES])
+
+
 def extract_session_features(session):
     """Deterministic SessionFeatures for a nonempty ClickSession."""
     if session is None or not session.events:
         raise ValueError("cannot featurize an empty session")
-    counts = dict.fromkeys(PAGE_TYPES, 0)
-    dwells = []
-    for page, dwell in session.events:
-        key = page if page in counts else "other"
-        counts[key] += 1
-        dwells.append(dwell)
-    dw = np.asarray(dwells, dtype=np.float64)
-    total_dwell = int(dw.sum())
-    views = counts["view"]
+    row = dict(zip(SESSION_FEATURE_NAMES, _session_block([session])[0]))
     return SessionFeatures(
-        count_view=counts["view"],
-        count_search=counts["search"],
-        count_cart=counts["cart"],
-        count_checkout=counts["checkout"],
-        count_account=counts["account"],
-        count_other=counts["other"],
-        total_events=len(dwells),
-        distinct_page_types=sum(1 for c in counts.values() if c > 0),
-        total_dwell_ms=total_dwell,
-        mean_dwell_ms=float(dw.mean()),
-        max_dwell_ms=int(dw.max()),
-        min_dwell_ms=int(dw.min()),
-        dwell_variance=float(dw.var()),
-        session_duration_ms=total_dwell,
-        checkout_to_view_ratio=(
-            0.0 if views == 0 else counts["checkout"] / views),
-        search_count=counts["search"],
-    )
+        **{f.name: f.type(row[f.name]) for f in fields(SessionFeatures)})
 
 
 FEATURE_SETS = ("embedding", "session", "hybrid")
@@ -116,8 +149,15 @@ def build_feature_matrix(records, feature_set="hybrid"):
 
     Embedding columns are the records' opaque numeric features, ordered by
     sorted key name and required to be uniform across the batch. Session
-    columns carry a session_ prefix. Hybrid concatenates embedding then
-    session columns.
+    columns carry a session_ prefix and are built for the whole batch in
+    one columnar pass (see _session_block). Hybrid concatenates embedding
+    then session columns. Every session row is bit for bit the vector
+    extract_session_features(session).to_vector() gives, and the matrix
+    equals the one a per-record loop builds.
+
+    Checks run in this order: empty batch, no embedding keys, the first
+    record whose keys differ from the batch, then the first record without
+    a session.
     """
     if feature_set not in FEATURE_SETS:
         raise ValueError(f"unknown feature_set {feature_set!r}")
@@ -130,22 +170,19 @@ def build_feature_matrix(records, feature_set="hybrid"):
         if not keys:
             raise ValueError("records carry no embedding features")
         keyset = set(keys)
-        emb = np.empty((len(records), len(keys)), dtype=np.float64)
-        for i, rec in enumerate(records):
-            if set(rec.features.keys()) != keyset:
+        for rec in records:
+            if rec.features.keys() != keyset:
                 raise ValueError(
                     f"record {rec.id}: feature keys differ from batch")
-            emb[i] = [rec.features[k] for k in keys]
-        blocks.append(emb)
+        blocks.append(np.array(
+            [[rec.features[k] for k in keys] for rec in records],
+            dtype=np.float64))
         names.extend(keys)
     if feature_set in ("session", "hybrid"):
-        sess = np.empty(
-            (len(records), len(SESSION_FEATURE_NAMES)), dtype=np.float64)
-        for i, rec in enumerate(records):
+        for rec in records:
             if rec.session is None:
                 raise ValueError(f"record {rec.id}: no session to featurize")
-            sess[i] = extract_session_features(rec.session).to_vector()
-        blocks.append(sess)
+        blocks.append(_session_block([rec.session for rec in records]))
         names.extend("session_" + n for n in SESSION_FEATURE_NAMES)
     return np.concatenate(blocks, axis=1), tuple(names)
 

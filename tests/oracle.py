@@ -89,6 +89,36 @@ def vote_reference(train, train_labels, queries, k):
     return labels, strengths
 
 
+def session_features_reference(events):
+    """One session's 16 handcrafted features, one event at a time.
+
+    events are (page_type, dwell_ms) pairs. Counts are per page type in the
+    order view, search, cart, checkout, account, other (unknown types count
+    as other); then total events, distinct page types, total dwell (the
+    float64 sum truncated to an int), mean, max, min and population
+    variance of dwell, total dwell again as the session duration, checkouts
+    per view (0 without views) and the search count again. Every dwell
+    statistic is numpy's reduction of the session's own 1-d float64 array.
+    """
+    counts = dict.fromkeys(
+        ("view", "search", "cart", "checkout", "account", "other"), 0)
+    dwells = []
+    for page, dwell in events:
+        counts[page if page in counts else "other"] += 1
+        dwells.append(dwell)
+    dw = np.asarray(dwells, dtype=np.float64)
+    total_dwell = int(dw.sum())
+    views = counts["view"]
+    return np.array(
+        [*counts.values(), len(dwells),
+         sum(1 for c in counts.values() if c > 0),
+         total_dwell, float(dw.mean()), int(dw.max()), int(dw.min()),
+         float(dw.var()), total_dwell,
+         0.0 if views == 0 else counts["checkout"] / views,
+         counts["search"]],
+        dtype=np.float64)
+
+
 def dense_core_distances(points, min_samples):
     """Distance to the min_samples-th nearest neighbor, self excluded.
 

@@ -106,29 +106,44 @@ class TestTiledExactKernel:
 
 
 class TestTopkRows:
-    def test_matches_per_row_lexsort(self):
+    def test_matches_per_row_lexsort(self, monkeypatch):
         # small integer values tie heavily; inf entries are capped so every
-        # row keeps k finite ones unless k is the full width
-        rng = np.random.Generator(np.random.PCG64(21))
+        # row keeps k finite ones unless k is the full width; a 120-cell
+        # tile partitions 3 rows at a time and ends in a partial tile
         width = 40
-        straddled = 0
-        for k in (1, width // 2, width - 1, width):
-            for trial in range(6):
-                d2 = rng.integers(0, 3 + trial, size=(50, width)).astype(
-                    np.float64)
-                for row in d2:
-                    n_inf = rng.integers(0, width - k + 1)
-                    row[rng.permutation(width)[:n_inf]] = np.inf
-                vals, cols = _topk_rows(d2, k)
-                for r, row in enumerate(d2):
-                    order = np.lexsort((np.arange(width), row))
-                    want = order[:k]
-                    assert cols[r].tolist() == want.tolist()
-                    assert np.array_equal(vals[r], row[want])
-                    # the k-th value also sits past the cut: the rows
-                    # _topk_rows must repair after its partition
-                    straddled += row[want[-1]] in row[order[k:]]
-        assert straddled > 100
+        for tile in (knn._TILE_CELLS, 120):
+            monkeypatch.setattr(knn, "_TILE_CELLS", tile)
+            rng = np.random.Generator(np.random.PCG64(21))
+            straddled = 0
+            for k in (1, width // 2, width - 1, width):
+                for trial in range(6):
+                    d2 = rng.integers(0, 3 + trial, size=(50, width)).astype(
+                        np.float64)
+                    for row in d2:
+                        n_inf = rng.integers(0, width - k + 1)
+                        row[rng.permutation(width)[:n_inf]] = np.inf
+                    vals, cols = _topk_rows(d2, k)
+                    for r, row in enumerate(d2):
+                        order = np.lexsort((np.arange(width), row))
+                        want = order[:k]
+                        assert cols[r].tolist() == want.tolist()
+                        assert np.array_equal(vals[r], row[want])
+                        # the k-th value also sits past the cut: the rows
+                        # _topk_rows must repair after its partition
+                        straddled += row[want[-1]] in row[order[k:]]
+            assert straddled > 100
+
+    def test_peak_memory_is_d2_plus_tiles(self):
+        # the partition's index block is one tile, not one as large as d2
+        rng = np.random.Generator(np.random.PCG64(45))
+        tracemalloc.start()
+        try:
+            d2 = rng.random((600, 3400))
+            _topk_rows(d2, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d2.nbytes + 4 * 1024 * 1024
 
 
 class TestBruteForce:

@@ -61,6 +61,12 @@ class TestTransactionRecord:
                 id="t", timestamp=1, amount=0,
                 features={"x": float("nan")})
 
+    def test_rejects_int_feature_beyond_float64(self):
+        with pytest.raises(
+                ValueError, match="feature 'x' is not a finite number"):
+            TransactionRecord(
+                id="t", timestamp=1, amount=0, features={"x": 10**400})
+
     def test_rejects_nonpositive_timestamp(self):
         with pytest.raises(ValueError, match="timestamp"):
             TransactionRecord(id="t", timestamp=0, amount=0)
@@ -156,6 +162,16 @@ class TestTransactionIO:
             '{"id":"a","timestamp":1,"amount":2}\n'
             '{"id":"b","timestamp":1}\n')
         with pytest.raises(ValueError, match="line 2"):
+            load_transactions(path)
+
+    def test_int_feature_beyond_float64_line_numbered(self, tmp_path):
+        path = tmp_path / "big.ndjson"
+        path.write_text(
+            '{"id":"a","timestamp":1,"amount":2}\n'
+            '{"id":"b","timestamp":1,"amount":2,"features":{"x":1'
+            + "0" * 400 + '}}\n')
+        with pytest.raises(
+                ValueError, match="^line 2: feature 'x' is not a finite"):
             load_transactions(path)
 
     def test_blank_lines_skipped(self, tmp_path):

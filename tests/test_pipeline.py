@@ -9,6 +9,8 @@ from riskcluster.pipeline import (
     build_feature_matrix, extract_session_features, run_experiment,
     select_risky_clusters, snapshot_of)
 
+from oracle import session_features_reference
+
 
 def _session(*events):
     return ClickSession(tuple(events))
@@ -122,6 +124,80 @@ class TestFeatureMatrix:
             build_feature_matrix([rec], "hybrid")
         mat, _ = build_feature_matrix([rec], "embedding")
         assert mat.shape == (1, 1)
+
+    def test_key_mismatch_named_before_missing_session(self):
+        bare = TransactionRecord(
+            id="bare", timestamp=1, amount=1.0,
+            features={"f0": 0.0, "f1": 1.0})
+        other = TransactionRecord(
+            id="other", timestamp=1, amount=1.0, features={"f0": 0.0},
+            session=_session(("view", 1)))
+        recs = [_record(0), bare, other, bare]
+        with pytest.raises(ValueError, match="record other: feature keys"):
+            build_feature_matrix(recs, "hybrid")
+        second = TransactionRecord(
+            id="second", timestamp=1, amount=1.0, features={})
+        with pytest.raises(ValueError, match="record bare: no session"):
+            build_feature_matrix([_record(0), bare, second], "session")
+
+    def test_embedding_values_convert_as_per_record_rows(self):
+        # ints past 2**53 and 2**64 round to float64 like a row assignment
+        values = [2**53 + 1, 2**63 + 2**11 + 1, 10**30 + 1, True, -0.0, 1e-310]
+        recs = [_record(i, features={"a": v, "b": 0.5})
+                for i, v in enumerate(values)]
+        mat, _ = build_feature_matrix(recs, "embedding")
+        want = np.empty((len(values), 2))
+        for i, v in enumerate(values):
+            want[i] = [v, 0.5]
+        assert np.array_equal(mat.view(np.int64), want.view(np.int64))
+
+
+class TestColumnarSessionBlock:
+    """Session rows built in one columnar pass keep the per-session bits."""
+
+    LENGTHS = (1, 2, 7, 8, 9, 127, 128, 129, 1000)
+    PAGES = ("view", "search", "cart", "checkout", "account", "other",
+             "promo", "", "VIEW")
+
+    def _session(self, rng, length):
+        # dwell 0, small, and up to 1e17: a 1000-event session then sums
+        # past 2**63, where an int64 cast of the total goes wrong
+        top = rng.choice([0, 10**4, 10**17])
+        pages = rng.choice(self.PAGES, size=length)
+        dwells = rng.integers(0, top, size=length, endpoint=True)
+        return _session(*zip(pages.tolist(), dwells.tolist()))
+
+    def _assert_rows_equal(self, sessions):
+        recs = [_record(i, session=s) for i, s in enumerate(sessions)]
+        got, _ = build_feature_matrix(recs, "session")
+        want = np.array(
+            [session_features_reference(s.events) for s in sessions])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for s, row in zip(sessions, want):
+            vec = extract_session_features(s).to_vector()
+            assert np.array_equal(vec.view(np.int64), row.view(np.int64))
+        return want
+
+    def test_mixed_lengths_in_one_batch(self):
+        rng = np.random.Generator(np.random.PCG64(51))
+        lengths = rng.permutation(np.repeat(self.LENGTHS, 4))
+        want = self._assert_rows_equal(
+            [self._session(rng, int(n)) for n in lengths])
+        total = want[:, SESSION_FEATURE_NAMES.index("total_dwell_ms")]
+        assert (total == 0).any() and (total > 2**63).any()
+
+    def test_uniform_length_batches(self):
+        rng = np.random.Generator(np.random.PCG64(52))
+        for n in self.LENGTHS:
+            self._assert_rows_equal([self._session(rng, n) for _ in range(5)])
+
+    def test_total_past_float64_raises(self):
+        huge = _session(("view", 10**308), ("cart", 10**308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError):
+                extract_session_features(huge)
+            with pytest.raises(OverflowError):
+                build_feature_matrix([_record(0, session=huge)], "session")
 
 
 def _assignment(labels, strengths=None):
