@@ -10,7 +10,7 @@ explanation.
 __version__ = "0.1.0"
 
 from .cluster import ClusterParams, ClusterResult, cluster_points
-from .datagen import SyntheticSpec, benchmark_manifest, fraud_stream, generate
+from .datagen import SyntheticSpec, fraud_stream, generate
 from .explain import ExplainConfig, Rule, dedup_rules, fit_rules, render_rule
 from .hierarchy import (
     MAX_LAMBDA, CondensedTree, SingleLinkageTree, StabilityScores,
@@ -22,11 +22,9 @@ from .metrics import FraudReport, adjusted_rand_index, fraud_metrics
 from .model import (
     ClickSession, ClusterAssignment, PointSet, TransactionRecord,
     load_points, load_transactions, save_points, save_transactions)
-from .mst import (
-    SpanningForest, UnionFind, attach_forest_root, kruskal_forest)
+from .mst import SpanningForest, attach_forest_root, kruskal_forest
 from .pipeline import (
-    ExperimentSpec, RiskyClusterConfig, SessionFeatures,
-    build_feature_matrix, extract_session_features, run_experiment,
+    ExperimentSpec, RiskyClusterConfig, build_feature_matrix, run_experiment,
     select_risky_clusters)
 from .predict import InductiveModel, assign_new_points
 from .reach import CoreDistances, EdgeList, core_distances, mutual_reach_edges
@@ -50,18 +48,15 @@ __all__ = [
     "PointSet",
     "RiskyClusterConfig",
     "Rule",
-    "SessionFeatures",
     "SingleLinkageTree",
     "SpanningForest",
     "StabilityScores",
     "SyntheticSpec",
     "TransactionRecord",
-    "UnionFind",
     "__version__",
     "adjusted_rand_index",
     "assign_new_points",
     "attach_forest_root",
-    "benchmark_manifest",
     "brute_force_knn",
     "build_feature_matrix",
     "cluster_points",
@@ -69,7 +64,6 @@ __all__ = [
     "core_distances",
     "dedup_rules",
     "extract_clusters",
-    "extract_session_features",
     "fit_rules",
     "fraud_metrics",
     "fraud_stream",

@@ -21,7 +21,8 @@ from .datagen import SyntheticSpec, generate
 from .explain import ExplainConfig, fit_rules, render_rule, rules_to_json
 from .metrics import adjusted_rand_index
 from .model import (
-    MAGIC, ClusterAssignment, PointSet, load_points, load_transactions)
+    MAGIC, ClusterAssignment, load_points, load_transactions,
+    reject_unknown_keys)
 from .pipeline import ExperimentSpec, run_experiment
 from .predict import InductiveModel, assign_new_points
 
@@ -67,6 +68,9 @@ def _load_label_column(path):
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: non-numeric label {cell!r}") from None
+            except OverflowError:
+                raise ValueError(
+                    f"line {lineno}: non-finite label {cell!r}") from None
     if not labels:
         raise ValueError(f"no labels in {path}")
     return np.asarray(labels, dtype=np.int64)
@@ -140,6 +144,8 @@ def cmd_predict(args):
         if key not in model_obj:
             raise ValueError(f"model file lacks {key!r}")
     src = model_obj["input"]
+    if not isinstance(src, dict) or not {"path", "format"} <= src.keys():
+        raise ValueError("model file input needs 'path' and 'format'")
     train = load_points(
         src["path"], fmt=src["format"], header=src.get("header", False))
     assignment = ClusterAssignment(
@@ -262,7 +268,9 @@ def cmd_explain(args):
     config = ExplainConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExplainConfig(**json.load(fh))
+            overrides = json.load(fh)
+        reject_unknown_keys(ExplainConfig, overrides, "explain config")
+        config = ExplainConfig(**overrides)
     _print_header("explain", args.seed, {
         "n_tree_estimators": config.n_tree_estimators,
         "max_depth": config.max_depth,

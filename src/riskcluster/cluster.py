@@ -7,7 +7,8 @@ import numpy as np
 
 from .hierarchy import condense_tree, extract_clusters, single_linkage
 from .knn import (
-    brute_force_knn, default_nlist, default_nprobe, ivf_build, ivf_search)
+    _KERNELS, brute_force_knn, default_nlist, default_nprobe, ivf_build,
+    ivf_search)
 from .mst import attach_forest_root, kruskal_forest
 from .parallel import resolve_threads
 from .reach import EdgeList, core_distances, mutual_reach_edges
@@ -33,6 +34,8 @@ class ClusterParams:
             raise ValueError("min_cluster_size must be >= 2")
         if self.mode not in ("exact", "ivf"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.kernel not in _KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
         min_samples = self.min_samples
         if min_samples is None:
             min_samples = self.min_cluster_size

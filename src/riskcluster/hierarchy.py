@@ -4,6 +4,10 @@ lambda = 1/distance is the density scale: zero-length merges are capped at
 MAX_LAMBDA, synthetic infinite edges map to lambda 0. Condensation walks the
 dendrogram with an explicit stack; recursion would die on degenerate chains
 (a merge chain can be as deep as the dataset).
+
+Each dendrogram node, points 0..n-1 and merges n..2n-2, owns one parent
+slot, and a merge points both its children at itself: a component's root is
+its newest merge node.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ClusterAssignment
-from .mst import UnionFind
 
 MAX_LAMBDA = 1e300
 
@@ -81,43 +84,46 @@ class StabilityScores:
 
 
 def single_linkage(edges, n):
-    """One merge per edge in ascending weight order via union-find."""
+    """One merge per edge in ascending weight order.
+
+    A merge's children are the roots of its edge's u and v ends, found with
+    path compression over the node parent slots.
+    """
     m = len(edges)
-    if n == 1:
-        if m != 0:
-            raise ValueError("edge set not a spanning tree")
-        empty_i = np.empty(0, dtype=np.int64)
-        return SingleLinkageTree(
-            n=1, left=empty_i, right=empty_i,
-            dist=np.empty(0, dtype=np.float64), size=empty_i)
     if m != n - 1:
         raise ValueError(
             f"edge set not a spanning tree: {m} edges for {n} vertices")
     w = edges.w
     if w.size > 1 and np.any(w[1:] < w[:-1]):
         raise ValueError("edges must arrive in ascending weight order")
-    uf = UnionFind(n)
-    node_of = np.arange(n, dtype=np.int64)
-    comp_size = np.ones(n, dtype=np.int64)
-    left = np.empty(n - 1, dtype=np.int64)
-    right = np.empty(n - 1, dtype=np.int64)
-    size = np.empty(n - 1, dtype=np.int64)
-    eu = edges.u.tolist()
-    ev = edges.v.tolist()
-    for i in range(n - 1):
-        ru = uf.find(eu[i])
-        rv = uf.find(ev[i])
-        if ru == rv:
+    # an id past n - 1 would alias a merge node's slot; EdgeList keeps u < v
+    if m and (edges.u.min() < 0 or edges.v.max() >= n):
+        raise ValueError(f"vertex ids must lie in [0, {n})")
+    parent = list(range(2 * n - 1))
+    size = [1] * (2 * n - 1)
+    left, right = [], []
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for node, a, b in zip(
+            range(n, 2 * n - 1), edges.u.tolist(), edges.v.tolist()):
+        ra, rb = find(a), find(b)
+        if ra == rb:
             raise ValueError("edge set not a spanning tree: cycle found")
-        left[i] = node_of[ru]
-        right[i] = node_of[rv]
-        merged = comp_size[ru] + comp_size[rv]
-        size[i] = merged
-        root = uf.union(ru, rv)
-        node_of[root] = n + i
-        comp_size[root] = merged
+        left.append(ra)
+        right.append(rb)
+        parent[ra] = parent[rb] = node
+        size[node] = size[ra] + size[rb]
     return SingleLinkageTree(
-        n=n, left=left, right=right, dist=w.astype(np.float64), size=size)
+        n=n, left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64), dist=w.astype(np.float64),
+        size=np.array(size[n:], dtype=np.int64))
 
 
 def _lambda_of(distance):

@@ -170,13 +170,12 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
-def _assign_nearest(x, centroids, chunk=None):
+def _assign_nearest(x, centroids):
     """Nearest-centroid index and squared distance per point (fast kernel)."""
     n = x.shape[0]
-    ncent = centroids.shape[0]
     assign = np.empty(n, dtype=np.int64)
     dmin = np.empty(n, dtype=np.float64)
-    step = chunk or max(1, _BLOCK_CELLS // max(ncent, 1))
+    step = max(1, _BLOCK_CELLS // max(centroids.shape[0], 1))
     for start in range(0, n, step):
         stop = min(start + step, n)
         d2 = sqdist_fast(x[start:stop], centroids)

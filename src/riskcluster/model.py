@@ -10,7 +10,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,10 +21,9 @@ RISK_SEEDS = ("confirmed_fraud", "declined", "legit", "unknown")
 
 @dataclass(frozen=True)
 class PointSet:
-    """Dense n x dim float32 matrix, optionally with external row ids."""
+    """Dense n x dim float32 matrix."""
 
     data: np.ndarray
-    ids: tuple | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -35,11 +34,6 @@ class PointSet:
         if not np.isfinite(arr).all():
             raise ValueError("point matrix contains non-finite values")
         object.__setattr__(self, "data", arr)
-        if self.ids is not None:
-            ids = tuple(self.ids)
-            if len(ids) != arr.shape[0]:
-                raise ValueError("ids length does not match point count")
-            object.__setattr__(self, "ids", ids)
 
     @property
     def n(self):
@@ -127,6 +121,13 @@ class ClusterAssignment:
             return 0
         top = int(self.labels.max())
         return top + 1 if top >= 0 else 0
+
+
+def reject_unknown_keys(cls, obj, what):
+    """ValueError naming the keys of a config mapping cls has no field for."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def _parse_csv_points(text, header):

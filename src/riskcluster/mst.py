@@ -28,40 +28,8 @@ class SpanningForest:
     component_count: int
     labels: np.ndarray
 
-    def total_weight(self):
-        return float(self.w.sum())
-
     def __len__(self):
         return self.u.shape[0]
-
-
-class UnionFind:
-    """Array-backed disjoint sets, path compression plus union by rank."""
-
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int64)
-
-    def find(self, a):
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return int(root)
-
-    def union(self, a, b):
-        """Join the sets of a and b; returns the new root, or -1 if same."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return -1
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return ra
 
 
 def sorted_edge_order(u, v, w):

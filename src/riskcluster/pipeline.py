@@ -8,18 +8,21 @@ and transductive evaluation protocols.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import ClusterParams, cluster_points
 from .metrics import fraud_metrics
-from .model import ClusterAssignment, PointSet
+from .model import ClusterAssignment, PointSet, reject_unknown_keys
 from .predict import InductiveModel, assign_new_points
 
 PAGE_TYPES = ("view", "search", "cart", "checkout", "account", "other")
 
-# fixed column order for SessionFeatures.to_vector()
+# session feature columns: unknown page types count as "other", the variance
+# is the population variance, the duration equals the total dwell (events
+# carry no gaps), the ratio is 0 without views, and search_count repeats
+# count_search under the conventional reporting name
 SESSION_FEATURE_NAMES = (
     "count_view",
     "count_search",
@@ -38,40 +41,6 @@ SESSION_FEATURE_NAMES = (
     "checkout_to_view_ratio",
     "search_count",
 )
-
-
-@dataclass(frozen=True)
-class SessionFeatures:
-    """Handcrafted session statistics in the SESSION_FEATURE_NAMES order.
-
-    count_* are per-page-type event counts (unknown page types fold into
-    count_other). dwell_variance is the population variance of dwell times.
-    session_duration_ms equals total dwell since events carry no gaps.
-    checkout_to_view_ratio is 0 when the session has no views. search_count
-    repeats count_search under the conventional reporting name.
-    """
-
-    count_view: int
-    count_search: int
-    count_cart: int
-    count_checkout: int
-    count_account: int
-    count_other: int
-    total_events: int
-    distinct_page_types: int
-    total_dwell_ms: int
-    mean_dwell_ms: float
-    max_dwell_ms: int
-    min_dwell_ms: int
-    dwell_variance: float
-    session_duration_ms: int
-    checkout_to_view_ratio: float
-    search_count: int
-
-    def to_vector(self):
-        return np.array(
-            [getattr(self, name) for name in SESSION_FEATURE_NAMES],
-            dtype=np.float64)
 
 
 _PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
@@ -132,15 +101,6 @@ def _session_block(sessions):
     return np.column_stack([columns[name] for name in SESSION_FEATURE_NAMES])
 
 
-def extract_session_features(session):
-    """Deterministic SessionFeatures for a nonempty ClickSession."""
-    if session is None or not session.events:
-        raise ValueError("cannot featurize an empty session")
-    row = dict(zip(SESSION_FEATURE_NAMES, _session_block([session])[0]))
-    return SessionFeatures(
-        **{f.name: f.type(row[f.name]) for f in fields(SessionFeatures)})
-
-
 FEATURE_SETS = ("embedding", "session", "hybrid")
 
 
@@ -151,9 +111,9 @@ def build_feature_matrix(records, feature_set="hybrid"):
     sorted key name and required to be uniform across the batch. Session
     columns carry a session_ prefix and are built for the whole batch in
     one columnar pass (see _session_block). Hybrid concatenates embedding
-    then session columns. Every session row is bit for bit the vector
-    extract_session_features(session).to_vector() gives, and the matrix
-    equals the one a per-record loop builds.
+    then session columns. Every session row is bit for bit the row a
+    one-record batch gives, and the matrix equals the one a per-record loop
+    builds.
 
     Checks run in this order: empty batch, no embedding keys, the first
     record whose keys differ from the batch, then the first record without
@@ -283,6 +243,7 @@ class ExperimentSpec:
             raise ValueError("snapshot_ms must be >= 1")
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
+        reject_unknown_keys(ClusterParams, self.clustering, "clustering")
         object.__setattr__(
             self, "train_snapshots",
             tuple(int(s) for s in self.train_snapshots))
@@ -306,13 +267,12 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text) if isinstance(text, str) else dict(text)
-        if "sampling" in obj and not isinstance(obj["sampling"], SamplingSpec):
-            obj["sampling"] = SamplingSpec(**obj["sampling"])
-        if "risky" in obj and not isinstance(obj["risky"], RiskyClusterConfig):
-            obj["risky"] = RiskyClusterConfig(**obj["risky"])
-        if "windows" in obj and obj["windows"] is not None:
-            obj["windows"] = tuple(
-                (tuple(w[0]), w[1]) for w in obj["windows"])
+        reject_unknown_keys(cls, obj, "experiment")
+        for key, sub in (("sampling", SamplingSpec),
+                         ("risky", RiskyClusterConfig)):
+            if key in obj and not isinstance(obj[key], sub):
+                reject_unknown_keys(sub, obj[key], key)
+                obj[key] = sub(**obj[key])
         return cls(**obj)
 
 

@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 
 import test_properties
+from manifest import benchmark_manifest, spec_from_manifest
 from oracle import dense_mutual_reachability, prim_canonical, reference_cluster
 
 from riskcluster.cli import main
 from riskcluster.cluster import ClusterParams, cluster_points
-from riskcluster.datagen import (
-    SyntheticSpec, benchmark_manifest, fraud_stream, generate,
-    spec_from_manifest)
+from riskcluster.datagen import SyntheticSpec, fraud_stream, generate
 from riskcluster.explain import fit_rules
 from riskcluster.knn import brute_force_knn
 from riskcluster.metrics import adjusted_rand_index, fraud_metrics

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,30 @@ class TestClusterPredictAri:
         assert code == 4
         assert "line 2" in err
 
+    def test_ari_infinite_label_is_contract_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0\ninf\n")
+        code, _, err = run(capsys, "ari", "--a", str(a), "--b", str(a))
+        assert code == 4
+        assert "error: line 2: non-finite label 'inf'" in err
+
+    @pytest.mark.parametrize("source, missing", [
+        ({"format": "csv"}, "path"),
+        ({"path": "train.csv"}, "format"),
+        ("train.csv", "path"),
+    ])
+    def test_model_input_without_path_or_format(
+            self, tmp_path, capsys, source, missing):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"input": source, "labels": [0], "strengths": [1.0]}))
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "error: model file input needs 'path'" in err
+
 
 @pytest.fixture(scope="module")
 def stream_files(tmp_path_factory):
@@ -241,6 +266,28 @@ class TestExperiment:
         assert code == 4
         assert "mode" in err
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "windowz"),
+        ("clustering", "min_cluster_sise"),
+        ("sampling", "max_trian"),
+        ("risky", "min_density"),
+    ])
+    def test_unknown_config_key_is_contract_error(
+            self, stream_files, tmp_path, capsys, section, key):
+        data, config, _ = stream_files
+        obj = json.loads(Path(config).read_text())
+        if section is None:
+            obj[key] = 1
+        else:
+            obj[section] = {**obj.get(section, {}), key: 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "experiment", "--config", str(bad), "--data", data,
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert f"error: unknown {section or 'experiment'} keys: {key}" in err
+
 
 class TestExplain:
     @pytest.fixture()
@@ -286,6 +333,17 @@ class TestExplain:
             "--out", str(tmp_path / "r.json"))
         assert code == 4
         assert "target length" in err
+
+    def test_unknown_config_key_is_contract_error(
+            self, planted, tmp_path, capsys):
+        feats, target = planted
+        config = tmp_path / "explain.json"
+        config.write_text(json.dumps({"max_depth": 3, "max_dept": 2}))
+        code, _, err = run(
+            capsys, "explain", "--features", feats, "--target", target,
+            "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert "error: unknown explain config keys: max_dept" in err
 
 
 class TestSankey:

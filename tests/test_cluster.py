@@ -40,6 +40,12 @@ class TestParamsResolve:
         with pytest.raises(ValueError, match="mode"):
             ClusterParams(min_cluster_size=5, mode="annoy").resolve(10)
 
+    def test_rejects_unknown_kernel(self):
+        pts, _ = generate(SyntheticSpec(shape="blobs", n=30, seed=0))
+        with pytest.raises(ValueError, match="kernel"):
+            cluster_points(
+                pts, ClusterParams(min_cluster_size=5, kernel="gpu"))
+
     def test_rejects_k_below_min_samples(self):
         with pytest.raises(ValueError, match="min_samples"):
             ClusterParams(min_cluster_size=5, min_samples=10, k=4).resolve(50)

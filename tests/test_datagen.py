@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from riskcluster.datagen import (
-    SHAPES, SyntheticSpec, benchmark_manifest, fraud_stream, generate,
-    spec_from_manifest)
+from riskcluster.datagen import SHAPES, SyntheticSpec, fraud_stream, generate
+
+from manifest import benchmark_manifest, spec_from_manifest
 
 
 class TestSyntheticSpec:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,28 @@ class TestSingleLinkage:
         with pytest.raises(ValueError, match="ascending"):
             single_linkage(
                 _edges([(0, 1, 2.0), (1, 2, 1.0)]), 3)
+
+    def test_rejects_vertex_ids_out_of_range(self):
+        # id 3 of 3 vertices would alias the first merge node's slot
+        with pytest.raises(ValueError, match="vertex ids"):
+            single_linkage(_edges([(0, 1, 1.0), (1, 3, 2.0)]), 3)
+        with pytest.raises(ValueError, match="vertex ids"):
+            single_linkage(_edges([(-1, 1, 1.0), (1, 2, 2.0)]), 3)
+
+    def test_hub_star_finds_roots_in_constant_steps(self):
+        # every edge touches vertex 0, whose root sits one merge higher each
+        # time: path compression keeps each walk at two steps, a walk
+        # without it grows by one per merge (about 10**9 steps here)
+        n = 50_000
+        spokes = np.arange(1, n, dtype=np.int64)
+        edges = EdgeList(
+            u=np.zeros(n - 1, dtype=np.int64), v=spokes,
+            w=np.linspace(1.0, 2.0, n - 1))
+        t0 = time.perf_counter()
+        slt = single_linkage(edges, n)
+        assert time.perf_counter() - t0 < 2.0
+        assert slt.left.tolist() == [0] + list(range(n, 2 * n - 2))
+        assert slt.right.tolist() == spokes.tolist()
 
 
 class TestCondense:

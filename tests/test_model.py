@@ -25,10 +25,6 @@ class TestPointSet:
         with pytest.raises(ValueError, match="non-finite"):
             PointSet(np.array([[1.0, np.nan]]))
 
-    def test_ids_must_align(self):
-        with pytest.raises(ValueError, match="ids length"):
-            PointSet(np.zeros((2, 2)), ids=("a",))
-
 
 class TestClickSession:
     def test_normalizes_events(self):

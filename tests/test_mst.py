@@ -5,7 +5,7 @@ from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.mst import (
-    UnionFind, attach_forest_root, kruskal_forest, sorted_edge_order)
+    attach_forest_root, kruskal_forest, sorted_edge_order)
 from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
 from oracle import (
@@ -17,35 +17,6 @@ def _reach_edges(pts, min_samples, k=None):
     g = brute_force_knn(pts, k)
     core = core_distances(g, min_samples)
     return core, mutual_reach_edges(g, core)
-
-
-class TestUnionFind:
-    def test_union_semantics(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1) >= 0
-        assert uf.find(0) == uf.find(1)
-        assert uf.union(0, 1) == -1
-        assert uf.find(2) != uf.find(0)
-
-    def test_root_count_decreases_once_per_effective_union(self):
-        uf = UnionFind(10)
-        roots = lambda: len({uf.find(i) for i in range(10)})
-        assert roots() == 10
-        uf.union(0, 1)
-        uf.union(2, 3)
-        assert roots() == 8
-        uf.union(1, 3)
-        assert roots() == 7
-        uf.union(0, 2)
-        assert roots() == 7
-
-    def test_find_idempotent(self):
-        uf = UnionFind(6)
-        uf.union(1, 2)
-        uf.union(2, 3)
-        r = uf.find(3)
-        assert uf.find(3) == r
-        assert uf.find(uf.find(3)) == r
 
 
 class TestKruskal:

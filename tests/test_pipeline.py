@@ -6,8 +6,7 @@ from riskcluster.model import ClickSession, ClusterAssignment, PointSet, \
     TransactionRecord
 from riskcluster.pipeline import (
     SESSION_FEATURE_NAMES, ExperimentSpec, RiskyClusterConfig, SamplingSpec,
-    build_feature_matrix, extract_session_features, run_experiment,
-    select_risky_clusters, snapshot_of)
+    build_feature_matrix, run_experiment, select_risky_clusters, snapshot_of)
 
 from oracle import session_features_reference
 
@@ -24,61 +23,66 @@ def _record(i, ts=1000, amount=100.0, risk="legit", features=None,
         session=_session(("view", 1000)) if session is None else session)
 
 
+def _session_row(*events):
+    """One-record session feature row, keyed by SESSION_FEATURE_NAMES."""
+    mat, _ = build_feature_matrix(
+        [_record(0, session=_session(*events))], "session")
+    return dict(zip(SESSION_FEATURE_NAMES, mat[0]))
+
+
 class TestSessionFeatures:
     def test_hand_case(self):
-        fs = extract_session_features(_session(
-            ("view", 1000), ("view", 2000), ("checkout", 500)))
-        assert fs.count_view == 2
-        assert fs.count_checkout == 1
-        assert fs.count_search == 0
-        assert fs.total_events == 3
-        assert fs.distinct_page_types == 2
-        assert fs.total_dwell_ms == 3500
-        assert fs.mean_dwell_ms == pytest.approx(3500 / 3)
-        assert fs.max_dwell_ms == 2000
-        assert fs.min_dwell_ms == 500
-        assert fs.dwell_variance == pytest.approx(
+        fs = _session_row(("view", 1000), ("view", 2000), ("checkout", 500))
+        assert fs["count_view"] == 2
+        assert fs["count_checkout"] == 1
+        assert fs["count_search"] == 0
+        assert fs["total_events"] == 3
+        assert fs["distinct_page_types"] == 2
+        assert fs["total_dwell_ms"] == 3500
+        assert fs["mean_dwell_ms"] == pytest.approx(3500 / 3)
+        assert fs["max_dwell_ms"] == 2000
+        assert fs["min_dwell_ms"] == 500
+        assert fs["dwell_variance"] == pytest.approx(
             np.var([1000.0, 2000.0, 500.0]))
-        assert fs.session_duration_ms == 3500
-        assert fs.checkout_to_view_ratio == pytest.approx(0.5)
-        assert fs.search_count == 0
+        assert fs["session_duration_ms"] == 3500
+        assert fs["checkout_to_view_ratio"] == pytest.approx(0.5)
+        assert fs["search_count"] == 0
 
     def test_single_event_variance_zero(self):
-        fs = extract_session_features(_session(("cart", 700)))
-        assert fs.dwell_variance == 0.0
-        assert fs.mean_dwell_ms == 700.0
-        assert fs.max_dwell_ms == fs.min_dwell_ms == 700
+        fs = _session_row(("cart", 700))
+        assert fs["dwell_variance"] == 0.0
+        assert fs["mean_dwell_ms"] == 700.0
+        assert fs["max_dwell_ms"] == fs["min_dwell_ms"] == 700
 
     def test_unknown_pages_fold_into_other(self):
-        fs = extract_session_features(_session(
-            ("promo", 100), ("view", 200), ("weird", 300)))
-        assert fs.count_other == 2
-        assert fs.count_view == 1
-        assert fs.distinct_page_types == 2
+        fs = _session_row(("promo", 100), ("view", 200), ("weird", 300))
+        assert fs["count_other"] == 2
+        assert fs["count_view"] == 1
+        assert fs["distinct_page_types"] == 2
 
     def test_no_views_ratio_zero(self):
-        fs = extract_session_features(_session(("checkout", 100)))
-        assert fs.checkout_to_view_ratio == 0.0
+        fs = _session_row(("checkout", 100))
+        assert fs["checkout_to_view_ratio"] == 0.0
 
     def test_order_invariance(self):
-        a = extract_session_features(_session(
-            ("view", 100), ("search", 200), ("cart", 300)))
-        b = extract_session_features(_session(
-            ("cart", 300), ("view", 100), ("search", 200)))
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        a = _session_row(("view", 100), ("search", 200), ("cart", 300))
+        b = _session_row(("cart", 300), ("view", 100), ("search", 200))
+        assert a == b
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError, match="no events"):
             _session()  # ClickSession refuses empty event lists outright
-        with pytest.raises(ValueError, match="empty session"):
-            extract_session_features(None)
+        bare = TransactionRecord(
+            id="bare", timestamp=1, amount=1.0, features={"f0": 0.0})
+        with pytest.raises(ValueError, match="no session"):
+            build_feature_matrix([bare], "session")
 
     def test_vector_matches_name_order(self):
-        fs = extract_session_features(_session(("search", 400)))
-        vec = fs.to_vector()
-        assert vec.shape == (len(SESSION_FEATURE_NAMES),)
-        assert vec[SESSION_FEATURE_NAMES.index("count_search")] == 1.0
-        assert vec[SESSION_FEATURE_NAMES.index("search_count")] == 1.0
+        mat, _ = build_feature_matrix(
+            [_record(0, session=_session(("search", 400)))], "session")
+        assert mat.shape == (1, len(SESSION_FEATURE_NAMES))
+        assert mat[0, SESSION_FEATURE_NAMES.index("count_search")] == 1.0
+        assert mat[0, SESSION_FEATURE_NAMES.index("search_count")] == 1.0
 
 
 class TestFeatureMatrix:
@@ -174,8 +178,8 @@ class TestColumnarSessionBlock:
             [session_features_reference(s.events) for s in sessions])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for s, row in zip(sessions, want):
-            vec = extract_session_features(s).to_vector()
-            assert np.array_equal(vec.view(np.int64), row.view(np.int64))
+            one, _ = build_feature_matrix([_record(0, session=s)], "session")
+            assert np.array_equal(one[0].view(np.int64), row.view(np.int64))
         return want
 
     def test_mixed_lengths_in_one_batch(self):
@@ -195,9 +199,10 @@ class TestColumnarSessionBlock:
         huge = _session(("view", 10**308), ("cart", 10**308))
         with np.errstate(over="ignore"):
             with pytest.raises(OverflowError):
-                extract_session_features(huge)
-            with pytest.raises(OverflowError):
                 build_feature_matrix([_record(0, session=huge)], "session")
+            with pytest.raises(OverflowError):
+                build_feature_matrix(
+                    [_record(0), _record(1, session=huge)], "session")
 
 
 def _assignment(labels, strengths=None):

@@ -1,12 +1,13 @@
 """Property-based invariant tests.
 
-Three invariant families run at high example counts: union-find vs a naive
-partition model, condensation bookkeeping vs the reference checker, and
-deduplication's pairwise-overlap bound. The noise-monotonicity family is
-expected to fail: excess-of-mass selection can fall back to a coarser
-ancestor at a larger min_cluster_size and reclaim points that were noise at
-a smaller one. That test is marked strict-xfail and the counterexample is
-pinned separately so the behavior stays documented.
+Three invariant families run at high example counts: the single-linkage
+dendrogram vs the oracle's merge list, condensation bookkeeping vs the
+reference checker, and deduplication's pairwise-overlap bound. The
+noise-monotonicity family is expected to fail: excess-of-mass selection can
+fall back to a coarser ancestor at a larger min_cluster_size and reclaim
+points that were noise at a smaller one. That test is marked strict-xfail
+and the counterexample is pinned separately so the behavior stays
+documented.
 """
 
 import numpy as np
@@ -18,38 +19,48 @@ from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.explain import Rule, dedup_rules
 from riskcluster.hierarchy import condense_tree, single_linkage
-from riskcluster.mst import UnionFind
 from riskcluster.reach import EdgeList
 
-from oracle import condensed_invariants
+from oracle import condensed_invariants, single_linkage_from_edges
 
 BULK = settings(max_examples=1000, derandomize=True, deadline=None)
 
 
+def _tree_triples(data, n):
+    """Random spanning tree as ascending-weight (u, v, w) triples, u < v.
+
+    Vertex labels are shuffled and weights tie, hit 0.0, and include +inf:
+    the +inf edges sort last and join the finite forest's components, the
+    way attach_forest_root's root edges do.
+    """
+    label = data.draw(st.permutations(range(n)))
+    weight = st.one_of(
+        st.floats(0.0, 10.0, allow_nan=False),
+        st.sampled_from([0.0, 1.0, 1.0, 2.0, np.inf]))
+    triples = []
+    for child in range(1, n):
+        a = label[data.draw(st.integers(0, child - 1))]
+        b = label[child]
+        triples.append((min(a, b), max(a, b), data.draw(weight)))
+    triples.sort(key=lambda t: t[2])
+    return triples
+
+
 @BULK
 @given(data=st.data())
-def test_union_find_matches_naive_partition(data):
-    n = data.draw(st.integers(2, 24))
-    n_ops = data.draw(st.integers(0, 40))
-    uf = UnionFind(n)
-    naive = list(range(n))
-    for _ in range(n_ops):
-        a = data.draw(st.integers(0, n - 1))
-        b = data.draw(st.integers(0, n - 1))
-        already_joined = naive[a] == naive[b]
-        ret = uf.union(a, b)
-        if already_joined:
-            assert ret == -1
-        else:
-            old = naive[b]
-            naive = [naive[a] if group == old else group for group in naive]
-            assert ret == uf.find(a)
-            assert ret == uf.find(b)
-    roots = [uf.find(i) for i in range(n)]
-    for i in range(n):
-        assert uf.find(roots[i]) == roots[i]  # roots are fixed points
-        for j in range(i + 1, n):
-            assert (roots[i] == roots[j]) == (naive[i] == naive[j])
+def test_single_linkage_matches_oracle_merge_for_merge(data):
+    n = data.draw(st.integers(1, 40))
+    triples = _tree_triples(data, n)
+    cols = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    slt = single_linkage(EdgeList(
+        u=cols[:, 0].astype(np.int64), v=cols[:, 1].astype(np.int64),
+        w=cols[:, 2]), n)
+    want = single_linkage_from_edges(triples, n)
+    assert slt.left.tolist() == [m[0] for m in want]
+    assert slt.right.tolist() == [m[1] for m in want]
+    assert slt.size.tolist() == [m[3] for m in want]
+    want_dist = np.array([m[2] for m in want], dtype=np.float64)
+    assert np.array_equal(slt.dist.view(np.int64), want_dist.view(np.int64))
 
 
 def _spanning_edges(data, n):
