@@ -64,13 +64,18 @@ def _load_label_column(path):
             if not cell:
                 continue
             try:
-                labels.append(int(float(cell)))
+                value = float(cell)
+                label = int(value)
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: non-numeric label {cell!r}") from None
             except OverflowError:
                 raise ValueError(
                     f"line {lineno}: non-finite label {cell!r}") from None
+            if label != value:
+                raise ValueError(
+                    f"line {lineno}: non-integral label {cell!r}")
+            labels.append(label)
     if not labels:
         raise ValueError(f"no labels in {path}")
     return np.asarray(labels, dtype=np.int64)

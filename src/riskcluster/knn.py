@@ -115,14 +115,37 @@ _KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 def _topk_rows(d2, k):
     """k smallest entries per row by (value, column), rows returned sorted.
 
-    Rows must contain at least k non-inf entries unless k equals the width.
-    A stable sort on value over columns in ascending order resolves equal
-    values toward the smaller column.
+    Equal values resolve toward the smaller column. For k of a quarter of
+    the width or more, whole rows are sorted, faster than a partition plus
+    a sort of k; the sort is unstable, so only its tied positions are
+    re-sorted, by (run, column). Smaller k partitions row tiles, and rows
+    must then hold at least k non-inf entries.
     """
     m, width = d2.shape
-    if k >= width:
-        cols = np.argsort(d2, axis=1, kind="stable")
-        return np.take_along_axis(d2, cols, axis=1), cols
+    if 4 * k >= width:
+        cols = np.argsort(d2, axis=1)
+        # a flat take gathers faster than take_along_axis
+        vals = d2.reshape(-1).take(cols + (np.arange(m) * width)[:, None])
+        tie = vals[:, 1:] == vals[:, :-1]
+        if np.isnan(vals[:, -1]).any():
+            # NaN sorts last and equals nothing; its run is repaired too
+            nan = np.isnan(vals)
+            tie |= nan[:, 1:] & nan[:, :-1]
+        if tie.any():
+            tied = np.zeros((m, width), dtype=bool)
+            tied[:, 1:] = tie
+            tied[:, :-1] |= tie
+            # a run starts wherever a value differs from its left neighbor
+            starts = np.ones((m, width), dtype=bool)
+            starts[:, 1:] = ~tie
+            pos = np.flatnonzero(tied)
+            run = np.cumsum(starts.ravel())[pos]
+            flat = cols.reshape(-1)
+            seg = flat[pos]
+            flat[pos] = seg = seg[np.argsort(run * width + seg)]
+            # equal values may still differ in bits (-0.0 and 0.0)
+            vals.reshape(-1)[pos] = d2[pos // width, seg]
+        return vals[:, :k], cols[:, :k]
     # partition row tiles and keep only the k picked columns of each, so
     # no index block as large as d2 is ever alive
     cols = np.empty((m, k), dtype=np.int64)
@@ -158,13 +181,18 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _BLOCK_CELLS // n)
+    if kernel == "exact":
+        # exact values do not depend on the rows batched with them, so one
+        # block still gives every thread rows; fast values do, so fast
+        # chunks stay independent of the thread count
+        chunk = min(chunk, -(-n // threads))
 
     def work(start, stop):
         d2 = sq(base[start:stop], base)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         v, c = _topk_rows(d2, k)
         ids[start:stop] = c
-        dists[start:stop] = np.sqrt(v)
+        np.sqrt(v, out=dists[start:stop])
 
     run_chunked(work, n, threads, chunk)
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)

@@ -243,6 +243,8 @@ class ExperimentSpec:
             raise ValueError("snapshot_ms must be >= 1")
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
+        if not isinstance(self.clustering, dict):
+            raise ValueError("clustering must be an object")
         reject_unknown_keys(ClusterParams, self.clustering, "clustering")
         object.__setattr__(
             self, "train_snapshots",
@@ -267,13 +269,23 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text) if isinstance(text, str) else dict(text)
+        if not isinstance(obj, dict):
+            raise ValueError("experiment config must be an object")
         reject_unknown_keys(cls, obj, "experiment")
+        if "mode" not in obj:
+            raise ValueError("experiment needs mode")
         for key, sub in (("sampling", SamplingSpec),
                          ("risky", RiskyClusterConfig)):
             if key in obj and not isinstance(obj[key], sub):
+                if not isinstance(obj[key], dict):
+                    raise ValueError(f"{key} must be an object")
                 reject_unknown_keys(sub, obj[key], key)
                 obj[key] = sub(**obj[key])
-        return cls(**obj)
+        spec = cls(**obj)
+        # a config file must say how to cluster
+        if "min_cluster_size" not in spec.clustering:
+            raise ValueError("clustering needs min_cluster_size")
+        return spec
 
 
 def snapshot_of(timestamp, snapshot_ms):

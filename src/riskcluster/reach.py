@@ -2,8 +2,12 @@
 
 Core distance is the distance to the min_samples-th nearest OTHER point (self
 never counts). Mutual reachability of a kNN pair (i, j) is
-max(core_i, core_j, d_ij); both directions of a pair carry bitwise-identical
-weights, so deduplication keeps an arbitrary representative.
+max(core_i, core_j, d_ij). Deduplication keeps the pair's copy in the row of
+its smaller end u: the fast kernel's BLAS rounding may give d_ij != d_ji.
+When k = n - 1 every row holds every other point, so the row-u copies are
+the entries with src < dst and no sort is needed. Shorter rows may hold a
+pair once, so they take one unstable sort of the distinct keys
+2 * (u * n + v) + (src > dst), which puts any row-u copy first.
 """
 
 from dataclasses import dataclass
@@ -56,11 +60,23 @@ def mutual_reach_edges(knn, core):
         raise ValueError("core distances not aligned with the kNN graph")
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = knn.neighbor_ids.ravel().astype(np.int64)
-    d = knn.neighbor_dists.ravel()
+    if k == n - 1:
+        keep = np.flatnonzero(src < dst)
+    else:
+        # keys are distinct (a row names each neighbor once), so the
+        # unstable order is unique; n < 2^31 keeps them in range
+        key = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst))
+        key += src > dst
+        keep = np.argsort(key)
+        pair = key[keep] >> 1
+        first = np.ones(keep.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        keep = keep[first]
+    src, dst = src[keep], dst[keep]
     c = core.values
-    w = np.maximum(d, np.maximum(c[src], c[dst]))
-    u = np.minimum(src, dst)
-    v = np.maximum(src, dst)
-    # first occurrence per undirected pair; weights agree across directions
-    _, first = np.unique(u * n + v, return_index=True)
-    return EdgeList(u=u[first], v=v[first], w=w[first])
+    # np.maximum returns its second operand on equal values, so -0.0 and
+    # 0.0 make it order-sensitive: keep the kept copy's (src, dst) order
+    w = np.maximum(knn.neighbor_dists.ravel()[keep],
+                   np.maximum(c[src], c[dst]))
+    return EdgeList(
+        u=np.minimum(src, dst), v=np.maximum(src, dst), w=w)

@@ -139,6 +139,26 @@ def dense_mutual_reachability(points, min_samples):
     return w
 
 
+def mutual_reach_reference(neighbor_ids, neighbor_dists, core):
+    """Mutual reachability edges of a kNN graph, deduplicated by np.unique.
+
+    Every directed entry src -> dst of the graph is weighted
+    max(d, max(core[src], core[dst])); np.unique over the undirected keys
+    u * n + v keeps each pair's first entry in row-major order, which is
+    the copy in row u whenever row u holds the pair. Returns (u, v, w) in
+    ascending (u, v) order.
+    """
+    n, k = neighbor_ids.shape
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = neighbor_ids.ravel().astype(np.int64)
+    d = neighbor_dists.ravel()
+    w = np.maximum(d, np.maximum(core[src], core[dst]))
+    u = np.minimum(src, dst)
+    v = np.maximum(src, dst)
+    _, first = np.unique(u * n + v, return_index=True)
+    return u[first], v[first], w[first]
+
+
 def prim_canonical(weights):
     """MST of a dense symmetric weight matrix by Prim's algorithm.
 

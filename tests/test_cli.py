@@ -186,6 +186,25 @@ class TestClusterPredictAri:
         assert code == 4
         assert "error: line 2: non-finite label 'inf'" in err
 
+    def test_ari_fractional_label_is_contract_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("0\n1.7\n1\n")
+        b = tmp_path / "b.csv"
+        b.write_text("0\n1\n1\n")
+        code, out, err = run(capsys, "ari", "--a", str(a), "--b", str(b))
+        assert code == 4
+        assert "error: line 2: non-integral label '1.7'" in err
+        assert "1.0" not in out
+
+    def test_ari_integral_spellings_accepted(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("1\n1.0\n-1\n-1.0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("1\n1\n-1\n-1\n")
+        code, out, _ = run(capsys, "ari", "--a", str(a), "--b", str(b))
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "1.0"
+
     @pytest.mark.parametrize("source, missing", [
         ({"format": "csv"}, "path"),
         ({"path": "train.csv"}, "format"),
@@ -287,6 +306,33 @@ class TestExperiment:
             "--out-prefix", str(tmp_path / "e"))
         assert code == 4
         assert f"error: unknown {section or 'experiment'} keys: {key}" in err
+
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"clustering": None}, "clustering needs min_cluster_size"),
+        ({"clustering": {"min_samples": 10}},
+         "clustering needs min_cluster_size"),
+        ({"sampling": 5}, "sampling must be an object"),
+        ({"risky": [0.5]}, "risky must be an object"),
+    ])
+    def test_malformed_config_fails_before_loading_data(
+            self, stream_files, tmp_path, capsys, edit, message):
+        _, config, _ = stream_files
+        obj = json.loads(Path(config).read_text())
+        for key, value in edit.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        # the data path does not exist: the config must fail first
+        code, _, err = run(
+            capsys, "experiment", "--config", str(bad),
+            "--data", str(tmp_path / "missing.ndjson"),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert f"error: {message}" in err
 
 
 class TestExplain:

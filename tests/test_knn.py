@@ -9,6 +9,7 @@ from riskcluster.knn import (
     _topk_rows, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search, kmeans_fit, sqdist_exact, sqdist_fast)
 from riskcluster.model import PointSet
+from riskcluster.parallel import run_chunked
 
 from oracle import dense_knn, dense_sqdist
 
@@ -133,6 +134,32 @@ class TestTopkRows:
                         straddled += row[want[-1]] in row[order[k:]]
             assert straddled > 100
 
+    def test_whole_row_sort_matches_per_row_lexsort(self):
+        # width 1500 puts more rows in the block than one partition tile
+        # holds; rows tie heavily, all-equal rows, -0.0 against 0.0 and runs
+        # of inf and NaN included; k from a quarter of the width (the
+        # smallest k sorted whole) to the full width
+        width = 1500
+        m = 3 * (knn._TILE_CELLS // width) + 5
+        rng = np.random.Generator(np.random.PCG64(23))
+        d2 = rng.integers(0, 6, size=(m, width)).astype(np.float64)
+        d2[rng.random(d2.shape) < 0.2] = -0.0
+        d2[rng.random(d2.shape) < 0.1] = np.inf
+        d2[1] = 2.0
+        d2[2] = np.inf
+        d2[3] = rng.choice([0.0, -0.0], size=width)
+        d2[4, ::7] = np.nan
+        d2[5] = rng.random(width)
+        col = np.arange(width)
+        for k in (width // 4, width - 1, width):
+            vals, cols = _topk_rows(d2, k)
+            assert vals.shape == cols.shape == (m, k)
+            for r, row in enumerate(d2):
+                want = np.lexsort((col, row))[:k]
+                assert np.array_equal(cols[r], want)
+                assert np.array_equal(
+                    vals[r].view(np.int64), row[want].view(np.int64))
+
     def test_peak_memory_is_d2_plus_tiles(self):
         # the partition's index block is one tile, not one as large as d2
         rng = np.random.Generator(np.random.PCG64(45))
@@ -202,6 +229,29 @@ class TestBruteForce:
         g4 = brute_force_knn(pts, 15, threads=4)
         assert np.array_equal(g1.neighbor_ids, g4.neighbor_ids)
         assert np.array_equal(g1.neighbor_dists, g4.neighbor_dists)
+
+
+    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    def test_thread_count_splits_exact_blocks_only(self, monkeypatch, kernel):
+        # n = 601 fits one block, so the exact kernel splits it per thread
+        # (uneven chunks for 2 and 3 threads); the graphs keep every bit
+        chunks = []
+
+        def recording(fn, n, threads, chunk):
+            chunks.append(-(-n // chunk))
+            return run_chunked(fn, n, threads, chunk)
+
+        monkeypatch.setattr(knn, "run_chunked", recording)
+        pts = _points(shape="blobs", n=601, seed=6, dim=5)
+        graphs = [brute_force_knn(pts, k, threads=t, kernel=kernel)
+                  for k in (9, 600) for t in (1, 2, 3)]
+        want = [1, 2, 3] * 2 if kernel == "exact" else [1] * 6
+        assert chunks[-6:] == want
+        for a, b in ((0, 1), (0, 2), (3, 4), (3, 5)):
+            assert np.array_equal(
+                graphs[a].neighbor_ids, graphs[b].neighbor_ids)
+            assert np.array_equal(graphs[a].neighbor_dists.view(np.int64),
+                                  graphs[b].neighbor_dists.view(np.int64))
 
 
 class TestKMeans:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskcluster import mst
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
@@ -200,20 +201,21 @@ class TestSortedEdgeOrderIdGuard:
             sorted_edge_order(ok, wrong, w)
 
 
+def _assert_same_forest(edges, n):
+    forest = kruskal_forest(edges, n)
+    want, lowest = kruskal_reference(edges.u, edges.v, edges.w, n)
+    got = list(zip(forest.u.tolist(), forest.v.tolist(), forest.w.tolist()))
+    assert got == want
+    assert forest.component_count == len(set(lowest))
+    # labels partition the vertices exactly like the reference trees
+    _, by_label = np.unique(forest.labels, return_inverse=True)
+    _, by_lowest = np.unique(lowest, return_inverse=True)
+    pairs = set(zip(by_label.tolist(), by_lowest.tolist()))
+    assert len(pairs) == forest.component_count
+    return forest, lowest
+
+
 class TestBoruvkaMatchesKruskalReference:
-    def _assert_same_forest(self, edges, n):
-        forest = kruskal_forest(edges, n)
-        want, lowest = kruskal_reference(edges.u, edges.v, edges.w, n)
-        got = list(zip(forest.u.tolist(), forest.v.tolist(),
-                       forest.w.tolist()))
-        assert got == want
-        assert forest.component_count == len(set(lowest))
-        # labels partition the vertices exactly like the reference trees
-        _, by_label = np.unique(forest.labels, return_inverse=True)
-        _, by_lowest = np.unique(lowest, return_inverse=True)
-        pairs = set(zip(by_label.tolist(), by_lowest.tolist()))
-        assert len(pairs) == forest.component_count
-        return forest, lowest
 
     def test_tie_heavy_ivf_graph_with_many_components(self):
         pts, _ = generate(SyntheticSpec(
@@ -221,7 +223,7 @@ class TestBoruvkaMatchesKruskalReference:
         g = ivf_search(ivf_build(pts, 64, seed=0), pts, 16, 2)
         edges = mutual_reach_edges(g, core_distances(g, 16))
         assert np.unique(edges.w).size < 0.2 * len(edges)
-        forest, lowest = self._assert_same_forest(edges, pts.n)
+        forest, lowest = _assert_same_forest(edges, pts.n)
         assert forest.component_count >= 32
         full = attach_forest_root(forest)
         synth = np.isinf(full.w)
@@ -238,4 +240,102 @@ class TestBoruvkaMatchesKruskalReference:
             rng.shuffle(pairs)
             w = rng.integers(0, 4, len(pairs)).astype(np.float64)
             edges = EdgeList(u=pairs[:, 0].copy(), v=pairs[:, 1].copy(), w=w)
-            self._assert_same_forest(edges, n)
+            _assert_same_forest(edges, n)
+
+
+class TestRankPrefixBlocks:
+    """Dense graphs go through the MST in rank-prefix blocks."""
+
+    @staticmethod
+    def _record_blocks(monkeypatch, cap):
+        """Check each block as it arrives, so a loop that makes no progress
+        fails at once: every block but the last holds all ties at its
+        threshold, so it has more than cap edges, and it is lighter than
+        every later block."""
+        blocks = []
+
+        def recording(u, v, w):
+            assert u.size > 0
+            if blocks:
+                assert blocks[-1].size > cap
+                assert blocks[-1].max() < w.min()
+            blocks.append(w.copy())
+            return sorted_edge_order(u, v, w)
+
+        monkeypatch.setattr(mst, "sorted_edge_order", recording)
+        return blocks
+
+    @staticmethod
+    def _cliques(rng, sizes, cross):
+        """Dense cliques, each lighter than the next, with integer weights
+        in eight values per clique, plus `cross` heavy random links."""
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        pairs, weights = [], []
+        for c, size in enumerate(sizes):
+            a, b = np.triu_indices(size, 1)
+            pairs.append(np.column_stack([a, b]) + offsets[c])
+            weights.append(10.0 * c + rng.integers(0, 8, a.size))
+        n = int(offsets[-1])
+        links = np.unique(np.sort(rng.integers(0, n, (cross, 2)), axis=1),
+                          axis=0)
+        links = links[links[:, 0] < links[:, 1]]
+        pairs.append(links)
+        weights.append(100.0 + rng.integers(0, 3, len(links)))
+        pairs = np.concatenate(pairs)
+        weights = np.concatenate(weights)
+        # one copy per pair (a link may repeat a clique pair), then shuffle
+        _, first = np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)
+        pick = rng.permutation(first)
+        return EdgeList(u=pairs[pick, 0].copy(), v=pairs[pick, 1].copy(),
+                        w=weights[pick]), n
+
+    @pytest.mark.parametrize("cross", [0, 40])
+    def test_cliques_take_three_or_more_blocks(self, monkeypatch, cross):
+        # the two larger cliques hold more than 16n edges each, so each
+        # fills a block of its own and leaves its heaviest edges to the
+        # filter, and the third makes the last block; without cross links
+        # the forest has one tree per clique, plus the isolated vertices 0
+        # and n-1
+        rng = np.random.Generator(np.random.PCG64(31 + cross))
+        edges, n = self._cliques(rng, [1, 110, 105, 100, 1], cross)
+        blocks = self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * n)
+        forest, _ = _assert_same_forest(edges, n)
+        assert len(blocks) >= 3
+        if cross == 0:
+            assert forest.component_count == 5
+
+    def test_complete_graphs_with_tied_thresholds(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(32))
+        for n in (40, 75):
+            a, b = np.triu_indices(n, 1)
+            pick = rng.permutation(a.size)
+            for levels in (1, 3, 50):
+                w = rng.integers(0, levels, a.size).astype(np.float64)
+                edges = EdgeList(u=a[pick], v=b[pick], w=w)
+                self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * n)
+                _assert_same_forest(edges, n)
+
+    def test_sparse_graphs_take_one_block(self, monkeypatch):
+        pts, _ = generate(SyntheticSpec(shape="blobs", n=400, seed=4))
+        g = brute_force_knn(pts, mst._PREFIX_DEGREE)
+        edges = mutual_reach_edges(g, core_distances(g, 5))
+        blocks = self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * pts.n)
+        _assert_same_forest(edges, pts.n)
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_seeded_random_graphs_in_small_blocks(self, monkeypatch, degree):
+        # a small block size puts many blocks, disconnected parts and tie
+        # runs across thresholds into small graphs
+        monkeypatch.setattr(mst, "_PREFIX_DEGREE", degree)
+        rng = np.random.Generator(np.random.PCG64(40 + degree))
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            pairs = np.unique(rng.integers(0, n, size=(int(rng.integers(
+                0, 6 * n)), 2)), axis=0)
+            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+            rng.shuffle(pairs)
+            w = rng.integers(0, 4, len(pairs)).astype(np.float64)
+            edges = EdgeList(u=pairs[:, 0].copy(), v=pairs[:, 1].copy(), w=w)
+            self._record_blocks(monkeypatch, degree * n)
+            _assert_same_forest(edges, n)

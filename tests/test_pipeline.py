@@ -317,6 +317,18 @@ class TestExperimentSpec:
             ExperimentSpec(
                 mode="transductive", windows=(((0, 1), 1),))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "must be an object"),
+        ('{"clustering": {"min_cluster_size": 10}}', "needs mode"),
+        ('{"mode": "inductive", "test_snapshot": 1,'
+         ' "train_snapshots": [0]}', "min_cluster_size"),
+        ('{"mode": "inductive", "test_snapshot": 1, "train_snapshots": [0],'
+         ' "clustering": 7}', "clustering must be an object"),
+    ])
+    def test_from_json_rejects_malformed_config(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_json(text)
+
     def test_from_json_coerces_nested(self):
         spec = ExperimentSpec.from_json("""
         {

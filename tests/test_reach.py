@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from riskcluster import knn
 from riskcluster.datagen import SyntheticSpec, generate
-from riskcluster.knn import brute_force_knn
+from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
-from oracle import dense_core_distances, dense_mutual_reachability
+from oracle import (
+    dense_core_distances, dense_mutual_reachability, mutual_reach_reference)
 
 
 def _line_points():
@@ -108,6 +110,82 @@ class TestMutualReachEdges:
         for a, b, w in zip(edges.u, edges.v, edges.w):
             assert w == dense[int(a), int(b)]
         assert len(edges) == n * (n - 1) // 2
+
+
+class TestDedupeMatchesUniqueReference:
+    """The sort-free and unstable-sort dedupes keep np.unique's edges.
+
+    Edge order is free, so both sides are compared in (u, v) order; weights
+    are compared as int64 views, so every bit counts.
+    """
+
+    def _assert_matches_reference(self, g, min_samples=4):
+        core = core_distances(g, min_samples)
+        edges = mutual_reach_edges(g, core)
+        u, v, w = mutual_reach_reference(
+            g.neighbor_ids, g.neighbor_dists, core.values)
+        order = np.lexsort((edges.v, edges.u))
+        assert np.array_equal(edges.u[order], u)
+        assert np.array_equal(edges.v[order], v)
+        assert np.array_equal(edges.w[order].view(np.int64), w.view(np.int64))
+
+    @staticmethod
+    def _points(n, seed, dim=2):
+        # a few exact duplicates and a shared grid give tied distances
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = np.round(rng.normal(size=(n, dim)) * 4.0) / 4.0
+        x[: n // 10] = x[n // 10 : 2 * (n // 10)]
+        return PointSet(x)
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 301])
+    def test_exact_full_rows(self, n):
+        g = brute_force_knn(self._points(n, seed=n), n - 1)
+        self._assert_matches_reference(g, min_samples=min(4, n - 1))
+
+    @pytest.mark.parametrize("k", [1, 7, 150, 299])
+    def test_exact_short_rows(self, k):
+        g = brute_force_knn(self._points(301, seed=k, dim=3), k)
+        self._assert_matches_reference(g, min_samples=1)
+
+    def test_ivf_full_probe_full_rows(self):
+        pts = self._points(257, seed=5, dim=3)
+        g = ivf_search(ivf_build(pts, 8, seed=1), pts, pts.n - 1, 8)
+        self._assert_matches_reference(g)
+
+    @pytest.mark.parametrize("k", [5, 256])
+    def test_fast_kernel_graphs(self, monkeypatch, k):
+        # 37-row fast-kernel blocks may round a pair differently in its two
+        # rows (on OpenBLAS 0.3 Haswell, 82 pairs of this full graph differ)
+        monkeypatch.setattr(knn, "_BLOCK_CELLS", 257 * 37)
+        rng = np.random.Generator(np.random.PCG64(9))
+        pts = PointSet(rng.normal(size=(257, 28)) + 3.0)
+        self._assert_matches_reference(
+            brute_force_knn(pts, k, kernel="fast"))
+        self._assert_matches_reference(
+            ivf_search(ivf_build(pts, 8, seed=1), pts, k, 3, kernel="fast"))
+
+    @pytest.mark.parametrize("k", [6, 120])
+    def test_asymmetric_rows_keep_row_u_copy(self, k):
+        # one ulp more on every copy in the row of the larger end: only the
+        # row-u copies give the reference's weights
+        n = 121
+        g = brute_force_knn(self._points(n, seed=k, dim=3), k)
+        src = np.repeat(np.arange(n), k).reshape(n, k)
+        dists = np.where(src > g.neighbor_ids,
+                         np.nextafter(g.neighbor_dists, np.inf),
+                         g.neighbor_dists)
+        nudged = type(g)(k=k, neighbor_ids=g.neighbor_ids,
+                         neighbor_dists=dists)
+        core = core_distances(g, 1)
+        # pairs held in both rows whose weight is the nudged distance
+        both = np.zeros((n, n), dtype=bool)
+        both[src, g.neighbor_ids] = True
+        both &= both.T
+        seen = both[src, g.neighbor_ids] & (src > g.neighbor_ids) & (
+            dists > np.maximum(core.values[src],
+                               core.values[g.neighbor_ids]))
+        assert seen.sum() > 0
+        self._assert_matches_reference(nudged, min_samples=1)
 
 
 class TestEdgeList:
