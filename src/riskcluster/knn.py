@@ -115,14 +115,14 @@ _KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 def _topk_rows(d2, k):
     """k smallest entries per row by (value, column), rows returned sorted.
 
-    Equal values resolve toward the smaller column. For k of a quarter of
-    the width or more, whole rows are sorted, faster than a partition plus
-    a sort of k; the sort is unstable, so only its tied positions are
+    Equal values resolve toward the smaller column. When k leaves out at
+    most one column (a full kNN row, whose self column is inf), whole rows
+    are sorted; the sort is unstable, so only its tied positions are
     re-sorted, by (run, column). Smaller k partitions row tiles, and rows
     must then hold at least k non-inf entries.
     """
     m, width = d2.shape
-    if 4 * k >= width:
+    if k + 1 >= width:
         cols = np.argsort(d2, axis=1)
         # a flat take gathers faster than take_along_axis
         vals = d2.reshape(-1).take(cols + (np.arange(m) * width)[:, None])
@@ -182,9 +182,10 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _BLOCK_CELLS // n)
     if kernel == "exact":
-        # exact values do not depend on the rows batched with them, so one
-        # block still gives every thread rows; fast values do, so fast
-        # chunks stay independent of the thread count
+        # each exact row is computed apart from the rows batched with it,
+        # so chunks may follow the thread count and one block still gives
+        # every thread rows; fast values depend on the batch, so fast
+        # chunks must stay fixed
         chunk = min(chunk, -(-n // threads))
 
     def work(start, stop):

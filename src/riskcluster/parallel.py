@@ -1,8 +1,10 @@
 """Worker-count resolution and deterministic data-parallel helpers.
 
-Work is always split into the same chunks regardless of the worker count, and
-every task writes into its own disjoint output slice, so results are identical
-whether a job runs on 1 thread or 16.
+Every task writes into its own disjoint output slice. Chunks may depend on the
+worker count only where each row's result is independent of the rows batched
+with it; a caller whose kernel is batch-sensitive, such as sqdist_fast, must
+keep fixed chunks. Either way results are identical whether a job runs on 1
+thread or 16.
 """
 
 import os

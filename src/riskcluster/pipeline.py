@@ -260,6 +260,8 @@ class ExperimentSpec:
             if max(train) >= test:
                 raise ValueError(
                     "train window must strictly precede test snapshot")
+        if "min_cluster_size" not in self.clustering:
+            raise ValueError("clustering needs min_cluster_size")
 
     def iter_windows(self):
         if self.windows is not None:
@@ -281,11 +283,7 @@ class ExperimentSpec:
                     raise ValueError(f"{key} must be an object")
                 reject_unknown_keys(sub, obj[key], key)
                 obj[key] = sub(**obj[key])
-        spec = cls(**obj)
-        # a config file must say how to cluster
-        if "min_cluster_size" not in spec.clustering:
-            raise ValueError("clustering needs min_cluster_size")
-        return spec
+        return cls(**obj)
 
 
 def snapshot_of(timestamp, snapshot_ms):

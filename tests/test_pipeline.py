@@ -312,6 +312,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="train"):
             ExperimentSpec(mode="inductive", test_snapshot=1)
 
+    def test_spec_built_in_code_needs_min_cluster_size(self):
+        # the rule holds for every spec, not only those read from JSON
+        with pytest.raises(ValueError, match="needs min_cluster_size"):
+            ExperimentSpec(
+                mode="inductive", train_snapshots=(0,), test_snapshot=1,
+                clustering={"min_samples": 5})
+
     def test_windows_validated_too(self):
         with pytest.raises(ValueError, match="precede"):
             ExperimentSpec(
@@ -441,7 +448,8 @@ class TestRunExperiment:
 
     def test_rejects_empty_stream(self):
         spec = ExperimentSpec(
-            mode="inductive", train_snapshots=(0,), test_snapshot=1)
+            mode="inductive", train_snapshots=(0,), test_snapshot=1,
+            clustering={"min_cluster_size": 10})
         with pytest.raises(ValueError, match="no records"):
             run_experiment(spec, [])
 
