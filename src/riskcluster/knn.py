@@ -15,6 +15,14 @@ sqdist_fast uses the Gram-matrix identity, which is faster but
 rounds differently depending on BLAS blocking; it only feeds decisions with
 no bitwise contract (k-means assignment, coarse cell probing, and optional
 quality-equivalent searches at large scale).
+
+Exact searches (brute-force fit, IVF candidate blocks and inductive
+assignment) filter and refine through _exact_topk: a Gram block on centred
+data, with a proven bound on its gap to sqdist_exact, keeps every column
+that can reach the top k, and only those are scored in sqdist_exact's
+per-pair order. The top k by (value, column) then has the bits that
+_topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
+searches whose k spans the row, take that full path itself.
 """
 
 import math
@@ -31,6 +39,11 @@ _BLOCK_CELLS = 4_000_000
 # the output tile and its one scratch tile (about 1 MB) stay in L2 across all
 # dimensions, and a partition's index block stays one tile
 _TILE_CELLS = 1 << 16
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+# rows whose centred norms pass this take the full path: below it no Gram
+# value or exact value can overflow
+_HUGE = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -171,27 +184,167 @@ def _topk_rows(d2, k):
             np.take_along_axis(cols, order, axis=1))
 
 
+def _exclude(block, rows, self_cols, allowed):
+    """Set the excluded entries of the query rows `rows` of a block to inf.
+
+    self_cols holds each query's own column (-1 for none); allowed pairs a
+    query-by-cell mask with the cell of every base column.
+    """
+    if allowed is not None:
+        cell_mask, cells = allowed
+        block[~cell_mask[rows][:, cells]] = np.inf
+    if self_cols is not None:
+        own = self_cols[rows]
+        r = np.flatnonzero(own >= 0)
+        block[r, own[r]] = np.inf
+
+
+def _block_topk(queries, base, k, kernel, self_cols=None, allowed=None,
+                rows=slice(None)):
+    """_topk_rows of kernel(queries[rows], base), excluded entries inf."""
+    d2 = kernel(queries[rows], base)
+    _exclude(d2, rows, self_cols, allowed)
+    return _topk_rows(d2, k)
+
+
+def _gram_slack(qq, bb_max, dim):
+    """Per-row bound on |Gram value - exact value|; see _exact_topk."""
+    return (6 * dim + 16) * _EPS * (qq + bb_max) + dim * _TINY
+
+
+def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
+    """_block_topk's (vals, cols) bit for bit, without a queries x base block.
+
+    Filter: both sides are centred on the base mean, one matmul gives the
+    Gram values f = qq + bb - 2 qc.bc of a row tile, and column j survives
+    when f_ij <= F_i + 2 s_i, with F_i the k-th smallest f_ij and s_i a
+    bound on |f_ij - e_ij| over all j, e being the exact kernel's value.
+    With u = eps / 2, gamma_n = n u / (1 - n u) bounds the error of an
+    n-term sum or inner product in any order, FMA included (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1). Let D be the true
+    distance, Dc that of the rounded centred rows, Q_i and B_j their
+    squared norms, and A, C the norms before the centring rounds:
+      - Gram evaluation: the norms err by at most gamma_d (Q_i + B_j), and
+        f, one (d + 2)-term inner product of [qc, 1, qq] with
+        [-2 bc, bb, 1], by gamma_{d+2} (qq + bb + 2 |qc|.|bc|), so
+        |f - Dc| <= (gamma_d + 2 gamma_{d+2}) (Q_i + B_j) to first order;
+      - centring: each centred coordinate is off by at most u of itself, so
+        each difference by u (|a| + |c|), and |Dc - D| <= 2 gamma_2 (A + C);
+      - the exact kernel: a rounded difference, a rounded square and up to
+        d - 1 rounded additions per pair give |e - D| <= gamma_{d+2} D, with
+        D <= 2 (A + C).
+    So |f - e| <= (2.5 d + 6) eps (Q_i + B_j) to first order. The slack
+    s_i = (6 d + 16) eps (Q_i + max_j B_j) + d tiny is over twice that,
+    which covers the second-order terms and the slack's own rounding;
+    d tiny covers products and squares that underflow (each off by at most
+    2^-1075). A top-k column has e_ij <= T_i, the k-th exact value, and
+    T_i <= F_i + s_i, as the k columns at or under F_i have exact values at
+    most F_i + s_i; so f_ij <= e_ij + s_i <= F_i + 2 s_i, and every top-k
+    column survives, ties at T_i included. The threshold is taken one ulp
+    up, as its addition may round down.
+
+    Refine: survivors are scored in the kernel's per-pair order on the
+    uncentred data and each row is ordered by (value, column).
+
+    Rows whose norms are not finite or exceed _HUGE, or whose threshold is
+    not finite, and calls whose k spans the row (k + 1 >= width), take
+    _block_topk with `kernel` instead.
+    """
+    m, n = queries.shape[0], base.shape[0]
+    if k + 1 >= n:
+        return _block_topk(queries, base, k, kernel, self_cols, allowed)
+    dim = queries.shape[1]
+    # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
+    # where it overflows, the rows take the full path, which warns itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = base.mean(axis=0)
+        qa = np.empty((m, dim + 2), dtype=np.float64)
+        qc = np.subtract(queries, mean, out=qa[:, :dim])
+        qq = np.einsum("ij,ij->i", qc, qc)
+        qa[:, dim] = 1.0
+        qa[:, dim + 1] = qq
+        bc = base - mean
+        bb = np.einsum("ij,ij->i", bc, bc)
+        ba = np.empty((dim + 2, n), dtype=np.float64)
+        np.multiply(bc.T, -2.0, out=ba[:dim])
+        ba[dim] = bb
+        ba[dim + 1] = 1.0
+        bb_max = bb.max()
+        covered = qq + bb_max <= _HUGE
+        slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
+    qt = np.ascontiguousarray(queries.T)
+    bt = np.ascontiguousarray(base.T)
+    vals = np.empty((m, k), dtype=np.float64)
+    cols = np.empty((m, k), dtype=np.int64)
+    pending = []
+
+    def refine():
+        r = np.concatenate([p[0] for p in pending])
+        j = np.concatenate([p[1] for p in pending])
+        pending.clear()
+        e = qt[0][r] - bt[0][j]
+        e *= e
+        for d in range(1, qt.shape[0]):
+            t = qt[d][r] - bt[d][j]
+            t *= t
+            e += t
+        # survivors come in (row, column) order and lexsort is stable, so
+        # equal values keep the smaller column first
+        order = np.lexsort((e, r))
+        r = r[order]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        pick = order[starts[:, None] + np.arange(k)]
+        vals[r[starts]] = e[pick]
+        cols[r[starts]] = j[pick]
+
+    step = max(1, _TILE_CELLS // n)
+    held = 0
+    for r0 in range(0, m, step):
+        tile = slice(r0, min(r0 + step, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = qa[tile] @ ba
+        _exclude(f, tile, self_cols, allowed)
+        kth = np.partition(f, k - 1, axis=1)[:, k - 1]
+        thr = np.nextafter(kth + slack2[tile], np.inf)
+        ok = covered[tile] & np.isfinite(thr)
+        # NaN compares false, so rows left to the full path keep nothing
+        thr[~ok] = np.nan
+        r, j = np.divmod(np.flatnonzero(f <= thr[:, None]), n)
+        pending.append((r + r0, j))
+        held += r.size
+        if held >= _TILE_CELLS:
+            refine()
+            held = 0
+        if not ok.all():
+            bad = r0 + np.flatnonzero(~ok)
+            vals[bad], cols[bad] = _block_topk(
+                queries, base, k, kernel, self_cols, allowed, bad)
+    if held:
+        refine()
+    return vals, cols
+
+
 def brute_force_knn(points, k, threads=1, kernel="exact"):
     """Exact k nearest neighbors for every point, self excluded."""
     n = points.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")
     sq = _KERNELS[kernel]
+    topk = _exact_topk if kernel == "exact" else _block_topk
     base = points.data.astype(np.float64)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _BLOCK_CELLS // n)
     if kernel == "exact":
-        # each exact row is computed apart from the rows batched with it,
-        # so chunks may follow the thread count and one block still gives
-        # every thread rows; fast values depend on the batch, so fast
-        # chunks must stay fixed
-        chunk = min(chunk, -(-n // threads))
+        # each exact row is computed apart from the rows batched with it, so
+        # chunks may follow the thread count; only full rows hold a rows x n
+        # block. Fast values depend on the batch, so fast chunks stay fixed
+        threads_chunk = -(-n // threads)
+        chunk = min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
 
     def work(start, stop):
-        d2 = sq(base[start:stop], base)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        v, c = _topk_rows(d2, k)
+        v, c = topk(base[start:stop], base, k, sq,
+                    self_cols=np.arange(start, stop))
         ids[start:stop] = c
         np.sqrt(v, out=dists[start:stop])
 
@@ -334,6 +487,7 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, nlist], got {nprobe}")
     sq = _KERNELS[kernel]
+    topk = _exact_topk if kernel == "exact" else _block_topk
     x = points.data.astype(np.float64)
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
     ids = np.empty((n, k), dtype=np.int64)
@@ -357,11 +511,10 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
         union_cells = np.flatnonzero(allowed_cells.any(axis=0))
         cand = np.sort(np.concatenate(
             [index.postings[c] for c in union_cells]))
-        d2 = sq(x[qidx], x[cand])
-        allowed = allowed_cells[:, index.assignments[cand]]
-        allowed &= cand[None, :] != qidx[:, None]
-        d2[~allowed] = np.inf
-        v, c = _topk_rows(d2, k)
+        own = np.minimum(np.searchsorted(cand, qidx), cand.size - 1)
+        own[cand[own] != qidx] = -1
+        v, c = topk(x[qidx], x[cand], k, sq, self_cols=own,
+                    allowed=(allowed_cells, index.assignments[cand]))
         ids[qidx] = cand[c]
         dists[qidx] = np.sqrt(v)
 

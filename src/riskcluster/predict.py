@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import _BLOCK_CELLS, _topk_rows, sqdist_exact
+from .knn import _BLOCK_CELLS, _exact_topk, sqdist_exact
 from .model import ClusterAssignment
 from .parallel import resolve_threads, run_chunked
 
@@ -46,12 +46,13 @@ def assign_new_points(model, queries, threads=None):
     # labels shifted by +1 so noise (-1) lands in vote bucket 0
     shifted = (train_labels + 1).astype(np.int64)
     nbuckets = int(shifted.max()) + 1 if shifted.size else 1
-    # a chunk's distance block is rows x n and its vote block rows x nbuckets
-    chunk = max(1, _BLOCK_CELLS // max(train.n, nbuckets))
+    # a chunk's vote block is rows x nbuckets; the filtered search holds no
+    # rows x n block unless k spans the row
+    cells = max(nbuckets, train.n if k + 1 >= train.n else 0)
+    chunk = min(-(-nq // threads), max(1, _BLOCK_CELLS // cells))
 
     def work(start, stop):
-        d2 = sqdist_exact(qdata[start:stop], base)
-        vals, cols = _topk_rows(d2, k)
+        vals, cols = _exact_topk(qdata[start:stop], base, k, sqdist_exact)
         dists = np.sqrt(vals)
         rows = np.arange(stop - start)
         # exact match: cols are (distance, id)-ordered, so column 0 is the

@@ -173,6 +173,135 @@ class TestTopkRows:
         assert peak < d2.nbytes + 4 * 1024 * 1024
 
 
+def _full_path(q, b, k, own=None, allowed=None):
+    """The unfiltered search: sqdist_exact, excluded entries inf, _topk_rows."""
+    d2 = sqdist_exact(q, b)
+    if allowed is not None:
+        cell_mask, cells = allowed
+        d2[~cell_mask[:, cells]] = np.inf
+    if own is not None:
+        r = np.flatnonzero(own >= 0)
+        d2[r, own[r]] = np.inf
+    return _topk_rows(d2, k)
+
+
+class TestExactTopk:
+    """_exact_topk filters by Gram value; results keep the full path's bits."""
+
+    def _bases(self, rng, dim):
+        n = 300
+        grid = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+        f32 = np.finfo(np.float32)
+        # duplicates and exact ties at the k-th value
+        yield grid, 7
+        # large offsets with unit spread, continuous and tied
+        yield 1e8 + rng.normal(size=(n, dim)), 5
+        yield 1e8 + grid, 5
+        # float32 extremes, near its max and down to its subnormals
+        yield rng.uniform(-1.0, 1.0, size=(n, dim)) * float(f32.max), 6
+        yield rng.uniform(-1.0, 1.0, size=(n, dim)) * float(f32.tiny), 6
+        yield rng.integers(-40, 40, size=(n, dim)) * float(
+            f32.smallest_subnormal), 6
+        # squares that underflow float64
+        yield rng.normal(size=(n, dim)) * 1e-160, 6
+
+    def _cases(self):
+        """(queries, base, k, own, allowed): queries apart from the base,
+        queries taken from it with self excluded, and IVF-masked blocks."""
+        rng = np.random.Generator(np.random.PCG64(47))
+        for dim in (1, 2, 16, 28):
+            for base, k in self._bases(rng, dim):
+                n = base.shape[0]
+                pick = rng.permutation(n)[:70]
+                queries = base[pick] + rng.integers(-1, 2, size=(70, dim)) * (
+                    base.std() / 4)
+                yield queries, base, k, None, None
+                rows = np.sort(pick)
+                yield base[rows], base, k, rows, None
+                cells = rng.integers(0, 6, size=n)
+                cell_mask = rng.random((70, 6)) < 0.4
+                cell_mask[np.arange(70), cells[rows]] = True
+                yield base[rows], base, k, rows, (cell_mask, cells)
+
+    def _assert_full_path_bits(self, case):
+        q, b, k, own, allowed = case
+        got = knn._exact_topk(q, b, k, sqdist_exact, own, allowed)
+        want = _full_path(q, b, k, own, allowed)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+
+    def test_matches_full_path_bitwise(self):
+        cases = list(self._cases())
+        assert len(cases) == 4 * 7 * 3
+        for case in cases:
+            self._assert_full_path_bits(case)
+
+    def test_small_tiles_and_flushes(self, monkeypatch):
+        # a 97-cell tile gives one row per tile, ends in a partial tile and
+        # refines survivors every tile
+        monkeypatch.setattr(knn, "_TILE_CELLS", 97)
+        for case in list(self._cases())[::5]:
+            self._assert_full_path_bits(case)
+
+    def test_zero_slack_loses_columns(self, monkeypatch):
+        # without the slack the filter drops tied and rounded columns, so
+        # the cases above must catch a bound that is too tight
+        monkeypatch.setattr(
+            knn, "_gram_slack", lambda qq, bb_max, dim: np.zeros_like(qq))
+        differ = 0
+        for q, b, k, own, allowed in self._cases():
+            got = knn._exact_topk(q, b, k, sqdist_exact, own, allowed)
+            want = _full_path(q, b, k, own, allowed)
+            differ += not np.array_equal(got[1], want[1])
+        assert differ > 0
+
+    def test_uncovered_rows_take_the_full_path(self):
+        rng = np.random.Generator(np.random.PCG64(48))
+        base = rng.normal(size=(200, 4))
+        queries = rng.normal(size=(50, 4))
+        queries[3, 1] = 1e200
+        queries[7, 0] = np.inf
+        # a finite norm past _HUGE, where a Gram sum could overflow
+        queries[11, 2] = 1e154
+        kernel_rows = []
+
+        def kernel(q, b):
+            kernel_rows.append(q.shape[0])
+            return sqdist_exact(q, b)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = knn._exact_topk(queries, base, 5, kernel)
+            want = _full_path(queries, base, 5)
+            assert sum(kernel_rows) == 3
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(
+                got[0].view(np.int64), want[0].view(np.int64))
+            # a base row that breaks the bound sends every row; so does
+            # k + 1 reaching the width
+            kernel_rows.clear()
+            base[10] = 1e160
+            got = knn._exact_topk(queries[:3], base, 5, kernel)
+            assert kernel_rows == [3]
+            assert np.array_equal(
+                got[1], _full_path(queries[:3], base, 5)[1])
+            kernel_rows.clear()
+            knn._exact_topk(queries[:3], base[:6], 5, kernel)
+            assert kernel_rows == [3]
+
+    def test_brute_force_holds_no_block(self):
+        # one 3400 x 3400 float64 block is 92 MB, and one of the 1176-row
+        # chunks the unfiltered fit used 32 MB
+        rng = np.random.Generator(np.random.PCG64(46))
+        pts = PointSet(rng.normal(size=(3400, 28)))
+        tracemalloc.start()
+        try:
+            brute_force_knn(pts, 10, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
+
+
 class TestBruteForce:
     def test_collinear_hand_case(self):
         pts = PointSet(np.array([[0.0], [1.0], [3.0]]))
@@ -231,6 +360,18 @@ class TestBruteForce:
         assert np.array_equal(g1.neighbor_dists, g4.neighbor_dists)
 
 
+    def test_thread_counts_keep_bits_on_ties(self):
+        # a tied integer grid away from the origin (exact in float32), where
+        # the Gram filter keeps extra columns
+        rng = np.random.Generator(np.random.PCG64(49))
+        pts = PointSet(1e4 + rng.integers(0, 4, size=(500, 3)))
+        graphs = [brute_force_knn(pts, 8, threads=t) for t in (1, 2, 3)]
+        ids, dists = dense_knn(pts.data, 8)
+        for g in graphs:
+            assert np.array_equal(g.neighbor_ids, ids)
+            assert np.array_equal(
+                g.neighbor_dists.view(np.int64), dists.view(np.int64))
+
     @pytest.mark.parametrize("kernel", ["exact", "fast"])
     def test_thread_count_splits_exact_blocks_only(self, monkeypatch, kernel):
         # n = 601 fits one block, so the exact kernel splits it per thread
@@ -252,6 +393,23 @@ class TestBruteForce:
                 graphs[a].neighbor_ids, graphs[b].neighbor_ids)
             assert np.array_equal(graphs[a].neighbor_dists.view(np.int64),
                                   graphs[b].neighbor_dists.view(np.int64))
+
+    def test_block_cap_binds_full_rows_only(self, monkeypatch):
+        # under a 250-row block cap, filtered rows still split one chunk per
+        # thread; full rows (k = n - 1) hold a rows x n block and stay capped
+        monkeypatch.setattr(knn, "_BLOCK_CELLS", 601 * 250)
+        chunks = []
+
+        def recording(fn, n, threads, chunk):
+            chunks.append(-(-n // chunk))
+            return run_chunked(fn, n, threads, chunk)
+
+        monkeypatch.setattr(knn, "run_chunked", recording)
+        pts = _points(shape="blobs", n=601, seed=6, dim=5)
+        for k in (9, 600):
+            for t in (1, 2, 3):
+                brute_force_knn(pts, k, threads=t)
+        assert chunks == [1, 2, 3, 3, 3, 3]
 
 
 class TestKMeans:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from riskcluster import predict
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.model import ClusterAssignment, PointSet
+from riskcluster.parallel import run_chunked
 from riskcluster.predict import InductiveModel, assign_new_points
 
 from oracle import vote_reference
@@ -132,6 +134,32 @@ class TestEndToEnd:
         many = assign_new_points(model, test, threads=8)
         assert np.array_equal(one.labels, many.labels)
         assert np.array_equal(one.strengths, many.strengths)
+
+    def test_thread_counts_split_rows_evenly(self, monkeypatch):
+        # 301 queries split into one chunk per thread, uneven for 2 and 3;
+        # a tied grid away from the origin (exact in float32) keeps the
+        # Gram filter honest
+        chunks = []
+
+        def recording(fn, n, threads, chunk):
+            chunks.append(-(-n // chunk))
+            return run_chunked(fn, n, threads, chunk)
+
+        monkeypatch.setattr(predict, "run_chunked", recording)
+        rng = np.random.Generator(np.random.PCG64(50))
+        train = 1e4 + rng.integers(0, 6, size=(400, 3))
+        labels = rng.integers(-1, 4, size=400)
+        queries = PointSet(1e4 + rng.integers(-1, 7, size=(301, 3)) / 2.0)
+        model = _model(train, labels, k_assign=6)
+        outs = [assign_new_points(model, queries, threads=t)
+                for t in (1, 2, 3)]
+        assert chunks == [1, 2, 3]
+        want_labels, want_strengths = vote_reference(
+            train, labels, queries.data, 6)
+        for out in outs:
+            assert np.array_equal(out.labels, want_labels)
+            assert np.array_equal(out.strengths.view(np.int64),
+                                  want_strengths.view(np.int64))
 
 
 class TestAgainstReference:
