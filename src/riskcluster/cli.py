@@ -82,14 +82,16 @@ def _load_label_column(path):
 
 
 def _load_feature_csv(path):
-    """Header row of names, then float rows."""
+    """Header row of names, then float rows; blank lines are skipped but
+    still counted in the line numbers of errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(lineno, ln.strip())
+                 for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header row and data rows")
-    names = tuple(cell.strip() for cell in lines[0].split(","))
+    names = tuple(cell.strip() for cell in lines[0][1].split(","))
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(names):
             raise ValueError(
@@ -145,6 +147,8 @@ def cmd_cluster(args):
 def cmd_predict(args):
     with open(args.model, "r", encoding="utf-8") as fh:
         model_obj = json.load(fh)
+    if not isinstance(model_obj, dict):
+        raise ValueError("model file must be an object")
     for key in ("input", "labels", "strengths"):
         if key not in model_obj:
             raise ValueError(f"model file lacks {key!r}")
@@ -302,8 +306,8 @@ def cmd_sankey(args):
     records = load_transactions(args.data)
     with open(args.labels, "r", encoding="utf-8") as fh:
         labels_obj = json.load(fh)
-    labels = labels_obj.get("labels")
-    if labels is None:
+    labels = labels_obj.get("labels") if isinstance(labels_obj, dict) else None
+    if not isinstance(labels, list):
         raise ValueError("labels file lacks a labels list")
     if len(labels) != len(records):
         raise ValueError(

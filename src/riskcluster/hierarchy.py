@@ -29,12 +29,6 @@ class SingleLinkageTree:
     dist: np.ndarray
     size: np.ndarray
 
-    @property
-    def merges(self):
-        return list(zip(
-            self.left.tolist(), self.right.tolist(),
-            self.dist.tolist(), self.size.tolist()))
-
 
 @dataclass(frozen=True)
 class CondensedTree:
@@ -57,24 +51,6 @@ class CondensedTree:
     @property
     def num_clusters(self):
         return self.cluster_id.shape[0]
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "min_cluster_size": self.min_cluster_size,
-            "nodes": [
-                {"id": int(i), "parent": int(p), "lambda_birth": float(b),
-                 "size": int(s)}
-                for i, p, b, s in zip(
-                    self.cluster_id, self.cluster_parent,
-                    self.cluster_birth, self.cluster_size)
-            ],
-            "fallouts": [
-                {"cluster": int(c), "point": int(p), "lambda": float(lam)}
-                for c, p, lam in zip(
-                    self.fall_cluster, self.fall_point, self.fall_lambda)
-            ],
-        }
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,13 @@ that can reach the top k, and only those are scored in sqdist_exact's
 per-pair order. The top k by (value, column) then has the bits that
 _topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
 searches whose k spans the row, take that full path itself.
+
+Every search selects its top k by (value, column), NaN last, through one of
+two routines: a whole-row sort with its ties re-sorted by column (full kNN
+rows and the IVF probe order), or _first_k, one stable lexsort of
+candidates given in (row, column) order (the refine step, and _topk_rows
+for smaller k, which keeps the entries at or under each row's k-th value,
+or every entry of a row whose k-th value is NaN).
 """
 
 import math
@@ -37,7 +44,7 @@ from .parallel import run_chunked
 _BLOCK_CELLS = 4_000_000
 # cells per sqdist_exact and _topk_rows tile: 512 KB per float64 array, so
 # the output tile and its one scratch tile (about 1 MB) stay in L2 across all
-# dimensions, and a partition's index block stays one tile
+# dimensions, and a partition's copy stays one tile
 _TILE_CELLS = 1 << 16
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
@@ -125,14 +132,31 @@ def sqdist_fast(queries, base):
 _KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 
 
+def _first_k(r, j, e, k):
+    """The k smallest candidates by (value, column) of each row they name.
+
+    Candidates come in (row, column) order with at least k per named row;
+    lexsort is stable, so equal values keep the smaller column first, and it
+    sorts NaN last. Returns the named rows ascending, with their k values
+    and columns.
+    """
+    order = np.lexsort((e, r))
+    r = r[order]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    pick = order[starts[:, None] + np.arange(k)]
+    return r[starts], e[pick], j[pick]
+
+
 def _topk_rows(d2, k):
     """k smallest entries per row by (value, column), rows returned sorted.
 
-    Equal values resolve toward the smaller column. When k leaves out at
-    most one column (a full kNN row, whose self column is inf), whole rows
-    are sorted; the sort is unstable, so only its tied positions are
-    re-sorted, by (run, column). Smaller k partitions row tiles, and rows
-    must then hold at least k non-inf entries.
+    Equal values resolve toward the smaller column and NaN sorts last. When
+    k leaves out at most one column (a full kNN row, whose self column is
+    inf), whole rows are sorted; the sort is unstable, so only its tied
+    positions are re-sorted, by (run, column). Smaller k takes each row
+    tile's k-th value with a partition and hands the entries at or under it
+    to _first_k; a row whose k-th value is NaN (fewer than k non-NaN
+    entries) hands over all of its columns.
     """
     m, width = d2.shape
     if k + 1 >= width:
@@ -159,29 +183,20 @@ def _topk_rows(d2, k):
             # equal values may still differ in bits (-0.0 and 0.0)
             vals.reshape(-1)[pos] = d2[pos // width, seg]
         return vals[:, :k], cols[:, :k]
-    # partition row tiles and keep only the k picked columns of each, so
-    # no index block as large as d2 is ever alive
+    # the partition copy, mask and candidates of one row tile are alive at
+    # a time, so no index block as large as d2 is
+    vals = np.empty((m, k), dtype=np.float64)
     cols = np.empty((m, k), dtype=np.int64)
     rows = max(1, _TILE_CELLS // width)
     for r0 in range(0, m, rows):
-        cols[r0 : r0 + rows] = np.argpartition(
-            d2[r0 : r0 + rows], k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(d2, cols, axis=1)
-    # a partition is value-correct but may pick arbitrary ids among entries
-    # equal to the k-th smallest value; repair those rows explicitly
-    edge = vals.max(axis=1)
-    inside = (vals == edge[:, None]).sum(axis=1)
-    total = (d2 == edge[:, None]).sum(axis=1)
-    for r in np.flatnonzero(inside != total):
-        row = d2[r]
-        less = np.flatnonzero(row < edge[r])
-        ties = np.flatnonzero(row == edge[r])[: k - less.size]
-        cols[r] = np.concatenate([less, ties])
-    cols.sort(axis=1)
-    vals = np.take_along_axis(d2, cols, axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return (np.take_along_axis(vals, order, axis=1),
-            np.take_along_axis(cols, order, axis=1))
+        t = d2[r0 : r0 + rows]
+        kth = np.partition(t, k - 1, axis=1)[:, k - 1 : k]
+        keep = t <= kth
+        keep[np.isnan(kth[:, 0])] = True
+        r, j = np.divmod(np.flatnonzero(keep), width)
+        _, vals[r0 : r0 + rows], cols[r0 : r0 + rows] = _first_k(
+            r, j, t[keep], k)
+    return vals, cols
 
 
 def _exclude(block, rows, self_cols, allowed):
@@ -244,7 +259,7 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
     up, as its addition may round down.
 
     Refine: survivors are scored in the kernel's per-pair order on the
-    uncentred data and each row is ordered by (value, column).
+    uncentred data and _first_k orders each row by (value, column).
 
     Rows whose norms are not finite or exceed _HUGE, or whose threshold is
     not finite, and calls whose k spans the row (k + 1 >= width), take
@@ -288,14 +303,10 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
             t = qt[d][r] - bt[d][j]
             t *= t
             e += t
-        # survivors come in (row, column) order and lexsort is stable, so
-        # equal values keep the smaller column first
-        order = np.lexsort((e, r))
-        r = r[order]
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        pick = order[starts[:, None] + np.arange(k)]
-        vals[r[starts]] = e[pick]
-        cols[r[starts]] = j[pick]
+        # survivors come in (row, column) order
+        rows, v, c = _first_k(r, j, e, k)
+        vals[rows] = v
+        cols[rows] = c
 
     step = max(1, _TILE_CELLS // n)
     held = 0
@@ -495,8 +506,8 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
 
     def _search_block(qidx):
         # cells by ascending (distance, cell id) per query
-        probe = np.argsort(
-            sqdist_fast(x[qidx], index.centroids), axis=1, kind="stable")
+        _, probe = _topk_rows(
+            sqdist_fast(x[qidx], index.centroids), index.nlist)
         home = index.assignments[qidx]
         # candidates available after c+1 probed cells, self excluded
         avail = np.cumsum(

@@ -1,6 +1,5 @@
 """Clustering and fraud-business metrics."""
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,9 +74,6 @@ class FraudReport:
             "true_negatives": self.true_negatives,
         }
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self):
         rows = [

@@ -124,7 +124,10 @@ class ClusterAssignment:
 
 
 def reject_unknown_keys(cls, obj, what):
-    """ValueError naming the keys of a config mapping cls has no field for."""
+    """ValueError naming the keys of a config mapping cls has no field for,
+    or saying that obj is no mapping at all."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")

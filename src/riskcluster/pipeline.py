@@ -243,17 +243,25 @@ class ExperimentSpec:
             raise ValueError("snapshot_ms must be >= 1")
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
-        if not isinstance(self.clustering, dict):
-            raise ValueError("clustering must be an object")
         reject_unknown_keys(ClusterParams, self.clustering, "clustering")
-        object.__setattr__(
-            self, "train_snapshots",
-            tuple(int(s) for s in self.train_snapshots))
-        if self.windows is not None:
-            object.__setattr__(
-                self, "windows",
-                tuple((tuple(int(s) for s in tr), int(te))
-                      for tr, te in self.windows))
+        try:
+            train = tuple(int(s) for s in self.train_snapshots)
+            test = int(self.test_snapshot)
+        except (TypeError, ValueError):
+            raise ValueError(
+                "train_snapshots must be a list of snapshot numbers"
+                " and test_snapshot a number") from None
+        try:
+            windows = None if self.windows is None else tuple(
+                (tuple(int(s) for s in tr), int(te))
+                for tr, te in self.windows)
+        except (TypeError, ValueError):
+            raise ValueError(
+                "windows must be a list of [train_snapshots, test_snapshot]"
+                " pairs") from None
+        object.__setattr__(self, "train_snapshots", train)
+        object.__setattr__(self, "test_snapshot", test)
+        object.__setattr__(self, "windows", windows)
         for train, test in self.iter_windows():
             if not train:
                 raise ValueError("window has no train snapshots")
@@ -266,21 +274,17 @@ class ExperimentSpec:
     def iter_windows(self):
         if self.windows is not None:
             return list(self.windows)
-        return [(self.train_snapshots, int(self.test_snapshot))]
+        return [(self.train_snapshots, self.test_snapshot)]
 
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text) if isinstance(text, str) else dict(text)
-        if not isinstance(obj, dict):
-            raise ValueError("experiment config must be an object")
         reject_unknown_keys(cls, obj, "experiment")
         if "mode" not in obj:
             raise ValueError("experiment needs mode")
         for key, sub in (("sampling", SamplingSpec),
                          ("risky", RiskyClusterConfig)):
             if key in obj and not isinstance(obj[key], sub):
-                if not isinstance(obj[key], dict):
-                    raise ValueError(f"{key} must be an object")
                 reject_unknown_keys(sub, obj[key], key)
                 obj[key] = sub(**obj[key])
         return cls(**obj)

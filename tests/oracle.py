@@ -52,6 +52,50 @@ def dense_knn(points, k):
     return ids, dists
 
 
+def _sqdist_to(q, base):
+    """Squared distances from one point to each base row, accumulated one
+    dimension at a time in index order, as dense_sqdist does."""
+    d2 = np.zeros(base.shape[0], dtype=np.float64)
+    for d in range(base.shape[1]):
+        diff = q[d] - base[:, d]
+        d2 += diff * diff
+    return d2
+
+
+def ivf_search_reference(points, centroids, assignments, k, nprobe):
+    """IVF k nearest neighbors, one query at a time, self excluded.
+
+    Cells are ordered by (centroid distance, cell id) and probed in that
+    order until at least nprobe cells are probed and they hold k points
+    besides the query; the top k of their union by (distance, id) is kept.
+    Returns (ids, dists) with euclidean distances. Centroid distances are
+    _sqdist_to values, so they match the package's coarse kernel only where
+    both are exact (integer coordinates of moderate size).
+    """
+    x = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centroids, dtype=np.float64)
+    cell = np.asarray(assignments, dtype=np.int64)
+    n = x.shape[0]
+    cell_ids = np.arange(c.shape[0])
+    ids = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k), dtype=np.float64)
+    for i in range(n):
+        probed = []
+        held = 0
+        for c_id in np.lexsort((cell_ids, _sqdist_to(x[i], c))):
+            probed.append(c_id)
+            held += int(np.sum(cell == c_id)) - int(c_id == cell[i])
+            if len(probed) >= nprobe and held >= k:
+                break
+        cand = np.flatnonzero(np.isin(cell, probed))
+        cand = cand[cand != i]
+        d2 = _sqdist_to(x[i], x[cand])
+        order = np.lexsort((cand, d2))[:k]
+        ids[i] = cand[order]
+        dists[i] = np.sqrt(d2[order])
+    return ids, dists
+
+
 def vote_reference(train, train_labels, queries, k):
     """Distance-weighted kNN vote, one query at a time.
 
@@ -70,10 +114,7 @@ def vote_reference(train, train_labels, queries, k):
     labels = np.empty(q.shape[0], dtype=np.int64)
     strengths = np.empty(q.shape[0], dtype=np.float64)
     for r in range(q.shape[0]):
-        d2 = np.zeros(t.shape[0], dtype=np.float64)
-        for d in range(t.shape[1]):
-            diff = q[r, d] - t[:, d]
-            d2 += diff * diff
+        d2 = _sqdist_to(q[r], t)
         row_i = np.lexsort((col, d2))[:k]
         row_d = np.sqrt(d2[row_i])
         if row_d[0] == 0.0:

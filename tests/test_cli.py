@@ -223,6 +223,17 @@ class TestClusterPredictAri:
         assert "error: model file input needs 'path'" in err
 
 
+    def test_model_file_not_an_object(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(["input", "labels", "strengths"]))
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "error: model file must be an object" in err
+
+
 @pytest.fixture(scope="module")
 def stream_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("stream")
@@ -314,6 +325,8 @@ class TestExperiment:
          "clustering needs min_cluster_size"),
         ({"sampling": 5}, "sampling must be an object"),
         ({"risky": [0.5]}, "risky must be an object"),
+        ({"windows": 5}, "windows must be a list"),
+        ({"train_snapshots": 5}, "train_snapshots must be a list"),
     ])
     def test_malformed_config_fails_before_loading_data(
             self, stream_files, tmp_path, capsys, edit, message):
@@ -392,6 +405,28 @@ class TestExplain:
         assert "error: unknown explain config keys: max_dept" in err
 
 
+    def test_config_not_an_object(self, planted, tmp_path, capsys):
+        feats, target = planted
+        config = tmp_path / "explain.json"
+        config.write_text(json.dumps([1, 2]))
+        code, _, err = run(
+            capsys, "explain", "--features", feats, "--target", target,
+            "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert "error: explain config must be an object" in err
+
+    def test_bad_cell_line_counts_blank_lines(self, tmp_path, capsys):
+        feats = tmp_path / "features.csv"
+        feats.write_text("f1,f2\n1,2\n\n3,x\n")
+        target = tmp_path / "target.csv"
+        target.write_text("0\n1\n")
+        code, _, err = run(
+            capsys, "explain", "--features", str(feats),
+            "--target", str(target), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert "error: line 4: non-numeric cell" in err
+
+
 class TestSankey:
     def test_single_path_flow(self, tmp_path, capsys):
         from riskcluster.model import ClickSession, TransactionRecord
@@ -441,3 +476,21 @@ class TestSankey:
             "--cluster", "0", "--out", str(tmp_path / "f.json"))
         assert code == 4
         assert "labels length" in err
+
+    @pytest.mark.parametrize("labels", [[0], {"labels": 5}])
+    def test_labels_file_without_a_labels_list(
+            self, tmp_path, capsys, labels):
+        from riskcluster.model import ClickSession, TransactionRecord
+        recs = [TransactionRecord(
+            id="a", timestamp=10, amount=5.0, risk_seed="legit",
+            features={"f0": 0.0},
+            session=ClickSession((("view", 100),)))]
+        data = tmp_path / "recs.ndjson"
+        save_transactions(str(data), recs)
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(labels))
+        code, _, err = run(
+            capsys, "sankey", "--data", str(data), "--labels", str(path),
+            "--cluster", "0", "--out", str(tmp_path / "f.json"))
+        assert code == 4
+        assert "error: labels file lacks a labels list" in err

@@ -52,13 +52,17 @@ def _oracle_rows(ct):
 class TestSingleLinkage:
     def test_hand_case(self):
         slt = single_linkage(_edges([(0, 1, 1.0), (1, 2, 2.0)]), 3)
-        assert slt.merges == [(0, 1, 1.0, 2), (3, 2, 2.0, 3)]
+        assert slt.left.tolist() == [0, 3]
+        assert slt.right.tolist() == [1, 2]
+        assert slt.dist.tolist() == [1.0, 2.0]
+        assert slt.size.tolist() == [2, 3]
 
     def test_single_point(self):
         slt = single_linkage(
             EdgeList(u=np.empty(0, dtype=np.int64),
                      v=np.empty(0, dtype=np.int64), w=np.empty(0)), 1)
-        assert slt.merges == []
+        for column in (slt.left, slt.right, slt.dist, slt.size):
+            assert column.size == 0
 
     def test_merge_distances_are_sorted_weights(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -166,19 +170,6 @@ class TestCondense:
             problems = condensed_invariants(
                 _oracle_rows(res.condensed), pts.n, 8)
             assert problems == []
-
-    def test_to_json_shape(self):
-        pts = _two_blob_points()
-        ct = _cluster_tree(pts, 10, 5).condensed
-        doc = ct.to_json()
-        assert doc["n"] == 100
-        assert doc["min_cluster_size"] == 10
-        assert len(doc["nodes"]) == ct.num_clusters
-        assert {k for node in doc["nodes"] for k in node} == {
-            "id", "parent", "lambda_birth", "size"}
-        assert len(doc["fallouts"]) == 100
-        assert {k for f in doc["fallouts"] for k in f} == {
-            "cluster", "point", "lambda"}
 
 
 class TestExtract:

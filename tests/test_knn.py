@@ -11,7 +11,7 @@ from riskcluster.knn import (
 from riskcluster.model import PointSet
 from riskcluster.parallel import run_chunked
 
-from oracle import dense_knn, dense_sqdist
+from oracle import dense_knn, dense_sqdist, ivf_search_reference
 
 
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
@@ -106,16 +106,32 @@ class TestTiledExactKernel:
             sqdist_exact(np.ones((3, 3)), np.zeros((2, 2)))
 
 
+def _lexsort_topk(d2, k):
+    """Per-row np.lexsort((cols, row))[:k] and its values: the top-k oracle."""
+    col = np.arange(d2.shape[1])
+    cols = np.array(
+        [np.lexsort((col, row))[:k] for row in d2], dtype=np.int64)
+    cols = cols.reshape(d2.shape[0], k)
+    return np.take_along_axis(d2, cols, axis=1), cols
+
+
+def _assert_same_topk(got, want):
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+
+
 class TestTopkRows:
     def test_matches_per_row_lexsort(self, monkeypatch):
         # small integer values tie heavily; inf entries are capped so every
-        # row keeps k finite ones unless k is the full width; a 120-cell
-        # tile partitions 3 rows at a time and ends in a partial tile
+        # row keeps k non-inf ones unless k is the full width; every third
+        # row takes NaN entries, often more than width - k of them, so its
+        # k-th value is NaN; a 120-cell tile holds 3 rows and ends in a
+        # partial tile
         width = 40
         for tile in (knn._TILE_CELLS, 120):
             monkeypatch.setattr(knn, "_TILE_CELLS", tile)
             rng = np.random.Generator(np.random.PCG64(21))
-            straddled = 0
+            straddled = short = 0
             for k in (1, width // 2, width - 1, width):
                 for trial in range(6):
                     d2 = rng.integers(0, 3 + trial, size=(50, width)).astype(
@@ -123,16 +139,18 @@ class TestTopkRows:
                     for row in d2:
                         n_inf = rng.integers(0, width - k + 1)
                         row[rng.permutation(width)[:n_inf]] = np.inf
-                    vals, cols = _topk_rows(d2, k)
-                    for r, row in enumerate(d2):
-                        order = np.lexsort((np.arange(width), row))
-                        want = order[:k]
-                        assert cols[r].tolist() == want.tolist()
-                        assert np.array_equal(vals[r], row[want])
-                        # the k-th value also sits past the cut: the rows
-                        # _topk_rows must repair after its partition
-                        straddled += row[want[-1]] in row[order[k:]]
+                    for row in d2[::3]:
+                        n_nan = rng.integers(1, width)
+                        row[rng.permutation(width)[:n_nan]] = np.nan
+                    want = _lexsort_topk(d2, k)
+                    _assert_same_topk(_topk_rows(d2, k), want)
+                    short += np.isnan(want[0][:, -1]).sum()
+                    # the k-th value also sits past the cut: a partition
+                    # alone could pick either tied column
+                    for row, cols in zip(d2, want[1]):
+                        straddled += row[cols[-1]] in np.delete(row, cols)
             assert straddled > 100
+            assert short > 50
 
     def test_whole_row_sort_matches_per_row_lexsort(self):
         # width 1500 puts more rows in the block than one partition tile
@@ -150,18 +168,14 @@ class TestTopkRows:
         d2[3] = rng.choice([0.0, -0.0], size=width)
         d2[4, ::7] = np.nan
         d2[5] = rng.random(width)
-        col = np.arange(width)
         for k in (width - 1, width):
             vals, cols = _topk_rows(d2, k)
             assert vals.shape == cols.shape == (m, k)
-            for r, row in enumerate(d2):
-                want = np.lexsort((col, row))[:k]
-                assert np.array_equal(cols[r], want)
-                assert np.array_equal(
-                    vals[r].view(np.int64), row[want].view(np.int64))
+            _assert_same_topk((vals, cols), _lexsort_topk(d2, k))
 
     def test_peak_memory_is_d2_plus_tiles(self):
-        # the partition's index block is one tile, not one as large as d2
+        # the partition's copy and candidates are one tile, not a block as
+        # large as d2
         rng = np.random.Generator(np.random.PCG64(45))
         tracemalloc.start()
         try:
@@ -174,7 +188,8 @@ class TestTopkRows:
 
 
 def _full_path(q, b, k, own=None, allowed=None):
-    """The unfiltered search: sqdist_exact, excluded entries inf, _topk_rows."""
+    """The unfiltered search: sqdist_exact, excluded entries inf, and each
+    row's top k by a per-row lexsort."""
     d2 = sqdist_exact(q, b)
     if allowed is not None:
         cell_mask, cells = allowed
@@ -182,7 +197,7 @@ def _full_path(q, b, k, own=None, allowed=None):
     if own is not None:
         r = np.flatnonzero(own >= 0)
         d2[r, own[r]] = np.inf
-    return _topk_rows(d2, k)
+    return _lexsort_topk(d2, k)
 
 
 class TestExactTopk:
@@ -225,10 +240,9 @@ class TestExactTopk:
 
     def _assert_full_path_bits(self, case):
         q, b, k, own, allowed = case
-        got = knn._exact_topk(q, b, k, sqdist_exact, own, allowed)
-        want = _full_path(q, b, k, own, allowed)
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+        _assert_same_topk(
+            knn._exact_topk(q, b, k, sqdist_exact, own, allowed),
+            _full_path(q, b, k, own, allowed))
 
     def test_matches_full_path_bitwise(self):
         cases = list(self._cases())
@@ -515,6 +529,37 @@ class TestIvf:
         assert g.neighbor_ids.shape == (65, 10)
         assert np.all(g.neighbor_ids >= 0)
         assert np.all(np.isfinite(g.neighbor_dists))
+
+    def test_tied_probe_order_matches_reference(self):
+        # integer grid points and centroids make every Gram sum exact, so
+        # centroid distances tie exactly in any batch: (2, 2) is equally near
+        # four centroids, and nprobe < nlist makes the cell id decide which
+        # of them are probed. The points at (30, 30) and (31, 30) hold a cell
+        # of their own, and the next one is empty, so their rows probe past
+        # nprobe to find k candidates
+        g = np.arange(0, 9, dtype=np.float64)
+        grid = np.array([(a, b) for a in g for b in g])
+        data = np.vstack([grid, grid[::5], [[30.0, 30.0], [31.0, 30.0]]])
+        centroids = np.array(
+            [(a, b) for a in (0.0, 4.0, 8.0) for b in (0.0, 4.0, 8.0)]
+            + [(15.0, 15.0), (30.0, 30.0)])
+        assign = np.argmin(dense_sqdist(np.vstack([data, centroids]))[
+            : data.shape[0], data.shape[0]:], axis=1)
+        index = knn.IvfIndex(
+            nlist=centroids.shape[0], centroids=centroids,
+            postings=tuple(np.flatnonzero(assign == c)
+                           for c in range(centroids.shape[0])),
+            assignments=assign)
+        assert index.postings[9].size == 0
+        pts = PointSet(data)
+        for k, nprobe in ((1, 1), (6, 1), (6, 2), (10, 3), (25, 5)):
+            ids, dists = ivf_search_reference(
+                data, centroids, assign, k, nprobe)
+            for threads in (1, 2):
+                got = ivf_search(index, pts, k, nprobe, threads=threads)
+                assert np.array_equal(got.neighbor_ids, ids)
+                assert np.array_equal(
+                    got.neighbor_dists.view(np.int64), dists.view(np.int64))
 
     def test_thread_count_does_not_change_result(self):
         pts = _points(shape="varied_variance", n=800, seed=17, dim=5)
