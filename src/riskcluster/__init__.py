@@ -20,8 +20,9 @@ from .knn import (
     kmeans_fit, sqdist_exact, sqdist_fast)
 from .metrics import FraudReport, adjusted_rand_index, fraud_metrics
 from .model import (
-    ClickSession, ClusterAssignment, PointSet, TransactionRecord,
-    load_points, load_transactions, save_points, save_transactions)
+    ClickSession, ClusterAssignment, PointSet, TransactionBatch,
+    TransactionRecord, load_points, load_transactions, save_points,
+    save_transactions)
 from .mst import SpanningForest, attach_forest_root, kruskal_forest
 from .pipeline import (
     ExperimentSpec, RiskyClusterConfig, build_feature_matrix, run_experiment,
@@ -52,6 +53,7 @@ __all__ = [
     "SpanningForest",
     "StabilityScores",
     "SyntheticSpec",
+    "TransactionBatch",
     "TransactionRecord",
     "__version__",
     "adjusted_rand_index",

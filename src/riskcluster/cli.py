@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 contract violation.
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -303,25 +304,28 @@ def cmd_explain(args):
 
 
 def cmd_sankey(args):
-    records = load_transactions(args.data)
+    batch = load_transactions(args.data)
     with open(args.labels, "r", encoding="utf-8") as fh:
         labels_obj = json.load(fh)
     labels = labels_obj.get("labels") if isinstance(labels_obj, dict) else None
     if not isinstance(labels, list):
         raise ValueError("labels file lacks a labels list")
-    if len(labels) != len(records):
+    if len(labels) != len(batch):
         raise ValueError(
             f"labels length {len(labels)} does not match"
-            f" {len(records)} records")
+            f" {len(batch)} records")
+    # the rule of _load_label_column: integral numbers only
+    for i, label in enumerate(labels):
+        if not (type(label) is int
+                or type(label) is float and label.is_integer()):
+            raise ValueError(f"labels[{i}]: non-integral label {label!r}")
     _print_header("sankey", 0, {
         "cluster": args.cluster, "data": args.data, "labels": args.labels})
-    flows = {}
-    for rec, label in zip(records, labels):
-        if int(label) != args.cluster or rec.session is None:
-            continue
-        events = rec.session.events
-        for (page_a, _), (page_b, _) in zip(events, events[1:]):
-            flows[(page_a, page_b)] = flows.get((page_a, page_b), 0) + 1
+    member = np.array([label == args.cluster for label in labels], dtype=bool)
+    rows = batch.event_rows()
+    # events j and j + 1 of one session of the cluster
+    j = np.flatnonzero((rows[:-1] == rows[1:]) & member[rows[:-1]])
+    flows = Counter(zip(batch.pages[j].tolist(), batch.pages[j + 1].tolist()))
     links = [
         {"source": a, "target": b, "value": flows[(a, b)]}
         for a, b in sorted(flows)]

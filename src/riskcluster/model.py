@@ -2,7 +2,10 @@
 
 Points live in a single contiguous float32 row-major matrix; every distance
 accumulation downstream runs in float64. Transactions arrive as
-newline-delimited JSON, one object per line.
+newline-delimited JSON, one object per line, and load into one
+TransactionBatch: a column per field, decoded and checked once. A
+TransactionRecord is the per-record form: what code builds a transaction
+from, and the view that indexing a batch returns.
 """
 
 import csv
@@ -10,13 +13,23 @@ import io
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
 MAGIC = b"RCPT"
 
+# sorted, so risk seed codes order as the names do
 RISK_SEEDS = ("confirmed_fraud", "declined", "legit", "unknown")
+PAGE_TYPES = ("view", "search", "cart", "checkout", "account", "other")
+_SEED_CODES = {seed: code for code, seed in enumerate(RISK_SEEDS)}
+_PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
+_INT64_END = 2**63
+_CHUNK_LINES = 256
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,12 @@ class TransactionRecord:
         for name, value in self.features.items():
             if not isinstance(value, (int, float)) or not _finite(value):
                 raise ValueError(f"feature {name!r} is not a finite number")
+        # the limits of the batch's column dtypes come last, so a record
+        # that also breaks another check reports that one
+        if self.timestamp >= _INT64_END:
+            raise ValueError("timestamp must fit in a signed 64-bit integer")
+        if not _finite(self.amount):
+            raise ValueError("amount must be a finite number")
 
 
 def _finite(value):
@@ -87,6 +106,199 @@ def _finite(value):
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+@dataclass(frozen=True, eq=False)
+class TransactionBatch(Sequence):
+    """Transactions as columns; indexing and iteration give TransactionRecord
+    views of the rows.
+
+    Row i has ids[i] (str, in an object array), timestamps[i] (int64 epoch
+    ms), amounts[i] (float64) and seeds[i] (int8 index into RISK_SEEDS).
+    Its features are cells feature_offsets[i] to feature_offsets[i + 1] of
+    feature_columns (indices into feature_names, the sorted names of every
+    key in the batch) and feature_values (float64), in the row's own key
+    order. Its session is events event_offsets[i] to event_offsets[i + 1]
+    of pages (names), page_codes (indices into PAGE_TYPES, unknown names as
+    "other") and dwells (int64, or Python ints once one passes int64); an
+    empty range means no session.
+    """
+
+    ids: np.ndarray
+    timestamps: np.ndarray
+    amounts: np.ndarray
+    seeds: np.ndarray
+    feature_names: tuple
+    feature_columns: np.ndarray
+    feature_values: np.ndarray
+    feature_offsets: np.ndarray
+    pages: np.ndarray
+    page_codes: np.ndarray
+    dwells: np.ndarray
+    event_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, records):
+        """records itself if it is a batch, else the batch of a sequence of
+        TransactionRecord."""
+        if isinstance(records, cls):
+            return records
+        rows = list(map(_row_of, records))
+        return _batch_of_rows(*(zip(*rows) if rows else [()] * 6))[0]
+
+    def __len__(self):
+        return self.timestamps.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        f, g = self.feature_offsets[i], self.feature_offsets[i + 1]
+        e, h = self.event_offsets[i], self.event_offsets[i + 1]
+        return TransactionRecord(
+            id=self.ids[i],
+            timestamp=int(self.timestamps[i]),
+            amount=float(self.amounts[i]),
+            risk_seed=RISK_SEEDS[self.seeds[i]],
+            features={
+                self.feature_names[c]: v for c, v in zip(
+                    self.feature_columns[f:g].tolist(),
+                    self.feature_values[f:g].tolist())},
+            session=ClickSession(tuple(zip(
+                self.pages[e:h], self.dwells[e:h]))) if h > e else None)
+
+    def take(self, rows):
+        """The batch of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        feature_offsets, cells = _ranges(self.feature_offsets, rows)
+        event_offsets, events = _ranges(self.event_offsets, rows)
+        return TransactionBatch(
+            ids=self.ids[rows], timestamps=self.timestamps[rows],
+            amounts=self.amounts[rows], seeds=self.seeds[rows],
+            feature_names=self.feature_names,
+            feature_columns=self.feature_columns[cells],
+            feature_values=self.feature_values[cells],
+            feature_offsets=feature_offsets, pages=self.pages[events],
+            page_codes=self.page_codes[events], dwells=self.dwells[events],
+            event_offsets=event_offsets)
+
+    def event_rows(self):
+        """The row of each event."""
+        return _rows_of(self.event_offsets)
+
+
+def _row_of(rec):
+    """A record's values in the column order of _batch_of_rows."""
+    return (rec.id, rec.timestamp, rec.amount, rec.risk_seed, rec.features,
+            () if rec.session is None else rec.session.events)
+
+
+def _offsets(lengths):
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def _rows_of(offsets):
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _ranges(offsets, rows):
+    """The offsets of the given rows' ranges packed in row order, and the
+    flat positions those ranges cover."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    packed = _offsets(lengths)
+    return packed, np.repeat(starts - packed[:-1], lengths) \
+        + np.arange(packed[-1])
+
+
+def _name_order(name):
+    """Sort key of feature names: str names sort as str; names of another
+    kind, which only a list of pairs gives, sort apart by kind."""
+    return type(name).__name__, name
+
+
+def _concat(parts):
+    """One batch of the rows of the parts, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    names = sorted(set().union(*(p.feature_names for p in parts)),
+                   key=_name_order)
+    column = {name: j for j, name in enumerate(names)}
+    columns = [np.array([column[name] for name in p.feature_names],
+                        dtype=np.int64)[p.feature_columns] for p in parts]
+    return TransactionBatch(
+        **{key: np.concatenate([getattr(p, key) for p in parts]) for key in (
+            "ids", "timestamps", "amounts", "seeds", "feature_values",
+            "pages", "page_codes", "dwells")},
+        feature_names=tuple(names), feature_columns=np.concatenate(columns),
+        **{key: _offsets(np.concatenate([np.diff(getattr(p, key))
+                                         for p in parts]))
+           for key in ("feature_offsets", "event_offsets")})
+
+
+def _ints(values):
+    """int64 array of ints; one past int64 reads 0, which fails the
+    timestamp check."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(
+            [v if -_INT64_END <= v < _INT64_END else 0 for v in values],
+            dtype=np.int64)
+
+
+def _floats(values):
+    """float64 array of numbers; an int past float64 reads inf."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([v if _finite(v) else math.inf for v in values],
+                        dtype=np.float64)
+
+
+def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
+    """The batch of per-row values of the plain kinds, and the mask of the
+    rows that a TransactionRecord check rejects.
+
+    Rows hold a str id, an int timestamp, a number amount, a str seed, a
+    dict of number features and a sequence of (str page, int dwell) events,
+    () for no session.
+    """
+    n = len(ids)
+    ts = _ints(timestamps)
+    amount = _floats(amounts)
+    seed = np.fromiter(map(_SEED_CODES.get, seeds, repeat(-1)), np.int8, n)
+    keys = list(chain.from_iterable(features))
+    names = sorted(set(keys), key=_name_order)
+    column = {name: j for j, name in enumerate(names)}.__getitem__
+    # when every row lists every key in one order, one row maps them all
+    first = keys[:len(names)]
+    columns = np.tile(np.fromiter(map(column, first), np.int64), n) \
+        if keys == first * n \
+        else np.fromiter(map(column, keys), np.int64, len(keys))
+    values = _floats(list(chain.from_iterable(map(dict.values, features))))
+    flat = list(chain.from_iterable(events))
+    pages = list(map(itemgetter(0), flat))
+    dwells = list(map(itemgetter(1), flat))
+    try:
+        dwell = np.array(dwells, dtype=np.int64)
+    except OverflowError:
+        dwell = np.array(dwells, dtype=object)
+    batch = TransactionBatch(
+        ids=np.array(ids, dtype=object), timestamps=ts, amounts=amount,
+        seeds=seed, feature_names=tuple(names), feature_columns=columns,
+        feature_values=values,
+        feature_offsets=_offsets(np.fromiter(map(len, features), np.int64, n)),
+        pages=np.array(pages, dtype=object),
+        page_codes=np.fromiter(
+            map(_PAGE_CODES.get, pages, repeat(_PAGE_CODES["other"])),
+            np.int64, len(pages)),
+        dwells=dwell,
+        event_offsets=_offsets(np.fromiter(map(len, events), np.int64, n)))
+    bad = (ts <= 0) | (amount < 0) | ~np.isfinite(amount) | (seed < 0)
+    bad[_rows_of(batch.feature_offsets)[~np.isfinite(values)]] = True
+    bad[batch.event_rows()[dwell < 0]] = True
+    return batch, bad
 
 
 @dataclass(frozen=True)
@@ -213,28 +425,160 @@ def _session_from_json(obj):
     return ClickSession(tuple(parsed))
 
 
-def load_transactions(path):
-    """Read newline-delimited JSON transactions, preserving file order."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
+def _coerce(obj, lineno):
+    """The TransactionRecord of one decoded line, or ValueError "line N: ..."
+    for the first value that breaks the record contract."""
+    try:
+        return TransactionRecord(
+            id=str(obj["id"]),
+            timestamp=int(obj["timestamp"]),
+            amount=float(obj["amount"]),
+            risk_seed=obj.get("risk_seed", "unknown"),
+            features=dict(obj.get("features", {})),
+            session=_session_from_json(obj.get("session")),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def _json_line(line):
+    """json.loads of a stripped line, without the whitespace scans: only a
+    line that raw_decode rejects or leaves unfinished goes to json.loads,
+    which raises its own error for it."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        end = None
+    return obj if end == len(line) else json.loads(line)
+
+
+def _decoded_chunks(fh):
+    """(objects, line numbers, error) of the nonblank lines of a file, up to
+    _CHUNK_LINES lines at a time. The chunk of the first line that cannot
+    be read or holds no JSON object ends before it, with its error, and
+    reading stops there; every other error is None."""
+    objs, linenos = [], []
+    try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = TransactionRecord(
-                    id=str(obj["id"]),
-                    timestamp=int(obj["timestamp"]),
-                    amount=float(obj["amount"]),
-                    risk_seed=obj.get("risk_seed", "unknown"),
-                    features=dict(obj.get("features", {})),
-                    session=_session_from_json(obj.get("session")),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            records.append(record)
-    return records
+            if line:
+                try:
+                    obj = _json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if type(obj) is not dict:
+                    _coerce(obj, lineno)  # raises: only objects have fields
+                objs.append(obj)
+                linenos.append(lineno)
+            if lineno % _CHUNK_LINES == 0:
+                yield objs, linenos, None
+                objs, linenos = [], []
+    except ValueError as exc:
+        yield objs, linenos, exc
+        return
+    yield objs, linenos, None
+
+
+# the plain kinds of the id, timestamp, amount, risk_seed, features and
+# session columns; () stands for no session
+_PLAIN = ({str}, {int}, {int, float}, {str}, {dict}, {list, tuple})
+_NUMBERS = {int, float, bool}
+
+
+def _off_kind(values, kinds):
+    """Positions of the values whose type is not one of kinds."""
+    if set(map(type, values)) <= kinds:
+        return []
+    return [i for i, v in enumerate(values) if type(v) not in kinds]
+
+
+def _odd_events(flat):
+    """Positions of the events that are no [str, int] pair."""
+    if set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2} \
+            and set(map(type, map(itemgetter(0), flat))) <= {str} \
+            and set(map(type, map(itemgetter(1), flat))) <= {int}:
+        return []
+    return [i for i, e in enumerate(flat) if not (
+        type(e) is list and len(e) == 2 and type(e[0]) is str
+        and type(e[1]) is int)]
+
+
+def _odd_rows(columns):
+    """Sorted rows holding a value of no plain kind, or an empty event list:
+    the rows that go through the record constructor."""
+    odd = set()
+    for column, kinds in zip(columns, _PLAIN):
+        odd.update(_off_kind(column, kinds))
+    features, events = columns[4:]
+    if odd:
+        features = [{} if r in odd else f for r, f in enumerate(features)]
+        events = [() if r in odd else e for r, e in enumerate(events)]
+    ends = np.cumsum(list(map(len, features)))
+    values = list(chain.from_iterable(map(dict.values, features)))
+    odd.update(np.searchsorted(
+        ends, _off_kind(values, _NUMBERS), side="right").tolist())
+    lengths = np.fromiter(map(len, events), np.int64, len(events))
+    odd.update(np.searchsorted(
+        np.cumsum(lengths), _odd_events(list(chain.from_iterable(events))),
+        side="right").tolist())
+    odd.update(r for r in np.flatnonzero(lengths == 0).tolist()
+               if type(events[r]) is list)
+    return sorted(odd)
+
+
+def _rows_to_batch(objs, linenos):
+    """The batch of the decoded objects before the first bad one, and that
+    object's error (None when none is bad).
+
+    Values of the plain kinds fill the columns as they are; the record
+    constructor coerces every other row, or raises its error.
+    """
+    columns = [list(map(dict.get, objs, repeat(key), repeat(default)))
+               for key, default in (
+                   ("id", None), ("timestamp", None), ("amount", None),
+                   ("risk_seed", "unknown"), ("features", {}),
+                   ("session", None))]
+    # a session's event list, () for no session; a session of another kind,
+    # or one without events, stays for the record constructor to judge
+    columns[5] = [() if s is None else s.get("events") if type(s) is dict
+                  else s for s in columns[5]]
+    error = None
+    for r in _odd_rows(columns):
+        try:
+            rec = _coerce(objs[r], linenos[r])
+        except ValueError as exc:
+            columns = [column[:r] for column in columns]
+            error = exc
+            break
+        for column, value in zip(columns, _row_of(rec)):
+            column[r] = value
+    batch, bad = _batch_of_rows(*columns)
+    if bad.any():
+        r = int(np.argmax(bad))
+        _coerce(objs[r], linenos[r])
+        raise AssertionError(f"line {linenos[r]} passed the record checks"
+                             " but failed the column checks")
+    return batch, error
+
+
+def load_transactions(path):
+    """Read newline-delimited JSON transactions into a TransactionBatch,
+    preserving file order.
+
+    Lines are decoded and checked a column at a time, in chunks of
+    _CHUNK_LINES lines, so that only one chunk of decoded JSON is held at
+    once. The first bad line in file order raises ValueError "line N: ...",
+    with the message its TransactionRecord constructor gives.
+    """
+    parts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for objs, linenos, fault in _decoded_chunks(fh):
+            batch, error = _rows_to_batch(objs, linenos)
+            error = error or fault
+            if error is not None:
+                raise error
+            parts.append(batch)
+    return _concat(parts)
 
 
 def save_transactions(path, records):

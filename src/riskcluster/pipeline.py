@@ -3,21 +3,27 @@
 Click-stream sessions become fixed-order handcrafted feature vectors,
 cluster assignments become risky-cluster flags, and the experiment runners
 wire clustering, risky-cluster selection, and scoring into the inductive
-and transductive evaluation protocols.
+and transductive evaluation protocols. Every stage reads the columns of one
+TransactionBatch: run_experiment turns a sequence of records into a batch
+once, and no stage walks the records one by one.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import ClusterParams, cluster_points
 from .metrics import fraud_metrics
-from .model import ClusterAssignment, PointSet, reject_unknown_keys
+from .model import (
+    PAGE_TYPES, RISK_SEEDS, ClusterAssignment, PointSet, TransactionBatch,
+    reject_unknown_keys)
 from .predict import InductiveModel, assign_new_points
 
-PAGE_TYPES = ("view", "search", "cart", "checkout", "account", "other")
+_CONFIRMED, _DECLINED = (
+    RISK_SEEDS.index("confirmed_fraud"), RISK_SEEDS.index("declined"))
 
 # session feature columns: unknown page types count as "other", the variance
 # is the population variance, the duration equals the total dwell (events
@@ -43,13 +49,10 @@ SESSION_FEATURE_NAMES = (
 )
 
 
-_PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
+def _session_block(batch):
+    """Session feature rows of a batch, SESSION_FEATURE_NAMES order, float64.
 
-
-def _session_block(sessions):
-    """Session feature rows, SESSION_FEATURE_NAMES order, float64.
-
-    One columnar pass over every session's events. Counts come from one
+    One columnar pass over the batch's flat events. Counts come from one
     bincount over (row, page code). Dwell statistics come from one (m, L)
     block per distinct session length L, reduced along its rows: numpy
     reduces each row as it reduces a 1-d array of L values, so each value
@@ -57,18 +60,13 @@ def _session_block(sessions):
     are truncated with np.trunc, not cast: a cast to int64 overflows once a
     total passes 2**63.
     """
-    lengths = np.array([len(s.events) for s in sessions], dtype=np.int64)
-    other = _PAGE_CODES["other"]
-    codes = np.array(
-        [_PAGE_CODES.get(p, other) for s in sessions for p, _ in s.events],
-        dtype=np.int64)
-    dwell = np.array(
-        [d for s in sessions for _, d in s.events], dtype=np.float64)
+    lengths = np.diff(batch.event_offsets)
+    dwell = np.asarray(batch.dwells, dtype=np.float64)
     n, npages = lengths.size, len(PAGE_TYPES)
-    rows = np.repeat(np.arange(n), lengths)
     counts = np.bincount(
-        rows * npages + codes, minlength=n * npages).reshape(n, npages)
-    starts = np.cumsum(lengths) - lengths
+        batch.event_rows() * npages + batch.page_codes,
+        minlength=n * npages).reshape(n, npages)
+    starts = batch.event_offsets[:-1]
     total, mean, hi, lo, var = np.empty((5, n), dtype=np.float64)
     order = np.argsort(lengths, kind="stable")
     sizes, first = np.unique(lengths[order], return_index=True)
@@ -105,7 +103,8 @@ FEATURE_SETS = ("embedding", "session", "hybrid")
 
 
 def build_feature_matrix(records, feature_set="hybrid"):
-    """Aligned (matrix, column_names) for a transaction batch.
+    """Aligned (matrix, column_names) for a transaction batch, or a sequence
+    of records.
 
     Embedding columns are the records' opaque numeric features, ordered by
     sorted key name and required to be uniform across the batch. Session
@@ -123,26 +122,34 @@ def build_feature_matrix(records, feature_set="hybrid"):
         raise ValueError(f"unknown feature_set {feature_set!r}")
     if not records:
         raise ValueError("no records to featurize")
+    batch = TransactionBatch.of(records)
     blocks = []
     names = []
     if feature_set in ("embedding", "hybrid"):
-        keys = sorted(records[0].features.keys())
-        if not keys:
+        offsets = batch.feature_offsets
+        width = offsets[1] - offsets[0]
+        if width == 0:
             raise ValueError("records carry no embedding features")
-        keyset = set(keys)
-        for rec in records:
-            if rec.features.keys() != keyset:
-                raise ValueError(
-                    f"record {rec.id}: feature keys differ from batch")
-        blocks.append(np.array(
-            [[rec.features[k] for k in keys] for rec in records],
-            dtype=np.float64))
-        names.extend(keys)
+        # the cells of the rows as wide as the first, in name order
+        wide = np.flatnonzero(np.diff(offsets) == width)
+        cells = offsets[wide, None] + np.arange(width)
+        columns = batch.feature_columns[cells]
+        order = np.argsort(columns, axis=1)
+        keys = np.take_along_axis(columns, order, 1)
+        differ = np.ones(len(batch), dtype=bool)
+        differ[wide] = (keys != keys[0]).any(axis=1)
+        if differ.any():
+            raise ValueError(f"record {batch.ids[np.argmax(differ)]}:"
+                             " feature keys differ from batch")
+        blocks.append(np.take_along_axis(
+            batch.feature_values[cells], order, 1))
+        names.extend(batch.feature_names[c] for c in keys[0].tolist())
     if feature_set in ("session", "hybrid"):
-        for rec in records:
-            if rec.session is None:
-                raise ValueError(f"record {rec.id}: no session to featurize")
-        blocks.append(_session_block([rec.session for rec in records]))
+        bare = np.diff(batch.event_offsets) == 0
+        if bare.any():
+            raise ValueError(
+                f"record {batch.ids[np.argmax(bare)]}: no session to featurize")
+        blocks.append(_session_block(batch))
         names.extend("session_" + n for n in SESSION_FEATURE_NAMES)
     return np.concatenate(blocks, axis=1), tuple(names)
 
@@ -169,7 +176,8 @@ def select_risky_clusters(assignment, records, config):
     size. Noise (-1) is never flagged. Returns (risky ids, per-cluster
     stats) with stats for every real cluster, flagged or not.
     """
-    if assignment.n != len(records):
+    seeds = TransactionBatch.of(records).seeds
+    if assignment.n != seeds.size:
         raise ValueError("assignment not aligned with records")
     labels = assignment.labels
     stats = {}
@@ -180,9 +188,8 @@ def select_risky_clusters(assignment, records, config):
             continue
         mask = labels == cid
         size = int(mask.sum())
-        seeds = [records[i].risk_seed for i in np.flatnonzero(mask)]
-        confirmed = sum(1 for s in seeds if s == "confirmed_fraud")
-        declined = sum(1 for s in seeds if s == "declined")
+        count = np.bincount(seeds[mask], minlength=len(RISK_SEEDS))
+        confirmed, declined = int(count[_CONFIRMED]), int(count[_DECLINED])
         density = (confirmed + declined) / size
         mean_strength = float(assignment.strengths[mask].mean())
         flagged = (
@@ -239,6 +246,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("inductive", "transductive"):
             raise ValueError(f"unknown experiment mode {self.mode!r}")
+        for name in ("snapshot_ms", "k_assign", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.snapshot_ms < 1:
             raise ValueError("snapshot_ms must be >= 1")
         if self.feature_set not in FEATURE_SETS:
@@ -294,57 +306,57 @@ def snapshot_of(timestamp, snapshot_ms):
     return int(timestamp) // int(snapshot_ms)
 
 
-def _group_by_snapshot(records, snapshot_ms):
-    groups = {}
-    for idx, rec in enumerate(records):
-        groups.setdefault(snapshot_of(rec.timestamp, snapshot_ms), []).append(idx)
-    return groups
+def _group_by_snapshot(batch, snapshot_ms):
+    """Row indices of a batch by snapshot number, in row order."""
+    # every timestamp is below 2**63, so a longer snapshot holds them all
+    snaps = batch.timestamps // snapshot_ms if snapshot_ms < 2**63 \
+        else np.zeros(len(batch), dtype=np.int64)
+    keys, inverse = np.unique(snaps, return_inverse=True)
+    rows = np.argsort(inverse, kind="stable")
+    return dict(zip(keys.tolist(), np.split(
+        rows, np.cumsum(np.bincount(inverse))[:-1])))
 
 
 def _stratified_sample(records, indices, sampling, rng):
     """Downsample indices preserving risk_seed proportions with recency bias."""
     if sampling.max_train is None or len(indices) <= sampling.max_train:
         return list(indices)
-    by_seed = {}
-    for idx in indices:
-        by_seed.setdefault(records[idx].risk_seed, []).append(idx)
-    total = len(indices)
-    strata = sorted(by_seed.keys())
+    batch = TransactionBatch.of(records)
+    indices = np.asarray(indices)
+    seeds = batch.seeds[indices]
+    # codes sort as the seed names do
+    strata = np.unique(seeds).tolist()
+    pools = [indices[seeds == s] for s in strata]
     # largest-remainder quotas so Σ quota == max_train exactly
-    raw = [sampling.max_train * len(by_seed[s]) / total for s in strata]
+    raw = [sampling.max_train * len(pool) / indices.size for pool in pools]
     quotas = [math.floor(q) for q in raw]
     short = sampling.max_train - sum(quotas)
     order = sorted(
         range(len(strata)), key=lambda i: (-(raw[i] - quotas[i]), strata[i]))
     for i in order[:short]:
         quotas[i] += 1
-    newest = max(records[idx].timestamp for idx in indices)
+    newest = batch.timestamps[indices].max()
     picked = []
-    for s, quota in zip(strata, quotas):
-        pool = by_seed[s]
+    for pool, quota in zip(pools, quotas):
         quota = min(quota, len(pool))
         if quota == 0:
             continue
         if sampling.half_life_ms is None:
             probs = None
         else:
-            ages = np.array(
-                [newest - records[idx].timestamp for idx in pool],
-                dtype=np.float64)
+            ages = (newest - batch.timestamps[pool]).astype(np.float64)
             weights = np.exp2(-ages / sampling.half_life_ms)
             probs = weights / weights.sum()
         chosen = rng.choice(len(pool), size=quota, replace=False, p=probs)
-        picked.extend(pool[int(c)] for c in chosen)
-    return sorted(picked)
+        picked.append(pool[chosen])
+    return np.sort(np.concatenate(picked)).tolist()
 
 
 def _indices_for(groups, snapshots, what):
-    indices = []
-    for snap in snapshots:
-        indices.extend(groups.get(int(snap), ()))
+    indices = [groups[int(s)] for s in snapshots if int(s) in groups]
     if not indices:
         raise ValueError(f"{what} window matched no records")
-    return sorted(indices)
+    return np.sort(np.concatenate(indices))
 
 
 def run_experiment(spec, records):
@@ -358,8 +370,9 @@ def run_experiment(spec, records):
     """
     if not records:
         raise ValueError("no records")
-    features, feature_names = build_feature_matrix(records, spec.feature_set)
-    groups = _group_by_snapshot(records, spec.snapshot_ms)
+    batch = TransactionBatch.of(records)
+    features, feature_names = build_feature_matrix(batch, spec.feature_set)
+    groups = _group_by_snapshot(batch, spec.snapshot_ms)
     params = ClusterParams(**spec.clustering)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     all_pred = []
@@ -369,16 +382,14 @@ def run_experiment(spec, records):
     for train_snaps, test_snap in spec.iter_windows():
         train_idx = _indices_for(groups, train_snaps, "train")
         test_idx = _indices_for(groups, [test_snap], "test")
-        overlap = set(train_idx) & set(test_idx)
-        if overlap:
+        if np.isin(test_idx, train_idx).any():
             raise ValueError("train and test windows share records")
-        test_records = [records[i] for i in test_idx]
         if spec.mode == "inductive":
-            train_records = [records[i] for i in train_idx]
+            n_train = len(train_idx)
             train_points = PointSet(features[train_idx])
             result = cluster_points(train_points, params)
             risky, stats = select_risky_clusters(
-                result.assignment, train_records, spec.risky)
+                result.assignment, batch.take(train_idx), spec.risky)
             model = InductiveModel(
                 train_points=train_points,
                 train_labels=result.assignment,
@@ -387,25 +398,23 @@ def run_experiment(spec, records):
                 model, PointSet(features[test_idx]))
         else:
             sampled = _stratified_sample(
-                records, train_idx, spec.sampling, rng)
-            train_records = [records[i] for i in sampled]
-            joint_idx = sampled + test_idx
-            joint_points = PointSet(features[joint_idx])
+                batch, train_idx, spec.sampling, rng)
+            joint_points = PointSet(
+                features[np.concatenate([sampled, test_idx])])
             result = cluster_points(joint_points, params)
             n_train = len(sampled)
             train_assign = ClusterAssignment(
                 labels=result.labels[:n_train],
                 strengths=result.strengths[:n_train])
             risky, stats = select_risky_clusters(
-                train_assign, train_records, spec.risky)
+                train_assign, batch.take(sampled), spec.risky)
             test_assign = ClusterAssignment(
                 labels=result.labels[n_train:],
                 strengths=result.strengths[n_train:])
         risky_arr = np.array(sorted(risky), dtype=np.int64)
         predicted = np.isin(test_assign.labels, risky_arr)
-        actual = np.array(
-            [r.risk_seed == "confirmed_fraud" for r in test_records])
-        amounts = np.array([r.amount for r in test_records])
+        actual = batch.seeds[test_idx] == _CONFIRMED
+        amounts = batch.amounts[test_idx]
         all_pred.append(predicted)
         all_act.append(actual)
         all_amt.append(amounts)
@@ -413,11 +422,11 @@ def run_experiment(spec, records):
         windows_out.append({
             "train_snapshots": [int(s) for s in train_snaps],
             "test_snapshot": int(test_snap),
-            "n_train": len(train_records),
-            "n_test": len(test_records),
+            "n_train": n_train,
+            "n_test": len(test_idx),
             "risky_clusters": [int(c) for c in sorted(risky)],
             "cluster_stats": {str(k): v for k, v in stats.items()},
-            "test_ids": [r.id for r in test_records],
+            "test_ids": batch.ids[test_idx].tolist(),
             "test_labels": [int(v) for v in test_assign.labels],
             "test_strengths": [float(v) for v in test_assign.strengths],
             "predicted_fraud": [bool(v) for v in predicted],

@@ -327,6 +327,11 @@ class TestExperiment:
         ({"risky": [0.5]}, "risky must be an object"),
         ({"windows": 5}, "windows must be a list"),
         ({"train_snapshots": 5}, "train_snapshots must be a list"),
+        ({"snapshot_ms": "x"}, "snapshot_ms must be an integer"),
+        ({"snapshot_ms": 1.5}, "snapshot_ms must be an integer"),
+        ({"k_assign": "5"}, "k_assign must be an integer"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
     ])
     def test_malformed_config_fails_before_loading_data(
             self, stream_files, tmp_path, capsys, edit, message):
@@ -346,6 +351,30 @@ class TestExperiment:
             "--out-prefix", str(tmp_path / "e"))
         assert code == 4
         assert f"error: {message}" in err
+
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"timestamp": 5, "amount": 1' + "0" * 400,
+         "int too large to convert to float"),
+        ('"timestamp": 5, "amount": NaN', "amount must be a finite number"),
+        ('"timestamp": 5, "amount": Infinity',
+         "amount must be a finite number"),
+        ('"timestamp": 100000000000000000000000, "amount": 1',
+         "timestamp must fit in a signed 64-bit integer"),
+        ('"timestamp": Infinity, "amount": 1',
+         "cannot convert float infinity to integer"),
+    ])
+    def test_values_past_the_columns_are_contract_errors(
+            self, stream_files, tmp_path, capsys, fields, message):
+        _, config, _ = stream_files
+        data = tmp_path / "edge.ndjson"
+        data.write_text('{"id": "a", "timestamp": 5, "amount": 1}\n'
+                        '{"id": "b", ' + fields + '}\n')
+        code, _, err = run(
+            capsys, "experiment", "--config", config, "--data", str(data),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert f"error: line 2: {message}" in err
 
 
 class TestExplain:
@@ -494,3 +523,50 @@ class TestSankey:
             "--cluster", "0", "--out", str(tmp_path / "f.json"))
         assert code == 4
         assert "error: labels file lacks a labels list" in err
+
+    @pytest.fixture()
+    def mixed_stream(self, tmp_path):
+        """Four records: one without a session, one with an unknown page."""
+        data = tmp_path / "mixed.ndjson"
+        data.write_text("\n".join(json.dumps(obj) for obj in (
+            {"id": "a", "timestamp": 10, "amount": 5,
+             "session": [["view", 1], ["promo", 2], ["view", 3]]},
+            {"id": "b", "timestamp": 20, "amount": 5},
+            {"id": "c", "timestamp": 30, "amount": 5,
+             "session": {"events": [{"page_type": "view", "dwell_ms": 1},
+                                    ["promo", 2.5]]}},
+            {"id": "d", "timestamp": 40, "amount": 5,
+             "session": [["promo", 1], ["view", 2]]})) + "\n")
+        return str(data)
+
+    @pytest.mark.parametrize("labels", [
+        [-1, 0, 2.0, 0], [-1.0, 0.0, 2, 0.0]])
+    def test_integral_labels_of_either_kind(
+            self, mixed_stream, tmp_path, capsys, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"labels": labels}))
+        flows = {}
+        for cluster in (-1, 0, 2):
+            out = tmp_path / f"flow{cluster}.json"
+            code, _, _ = run(
+                capsys, "sankey", "--data", mixed_stream, "--labels",
+                str(path), "--cluster", str(cluster), "--out", str(out))
+            assert code == 0
+            flows[cluster] = json.loads(out.read_text())["links"]
+        assert flows == {
+            -1: [{"source": "promo", "target": "view", "value": 1},
+                 {"source": "view", "target": "promo", "value": 1}],
+            0: [{"source": "promo", "target": "view", "value": 1}],
+            2: [{"source": "view", "target": "promo", "value": 1}],
+        }
+
+    @pytest.mark.parametrize("label", [None, 1.7, "0", True, float("nan")])
+    def test_non_integral_label_is_contract_error(
+            self, mixed_stream, tmp_path, capsys, label):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"labels": [0, 0, label, 0]}))
+        code, _, err = run(
+            capsys, "sankey", "--data", mixed_stream, "--labels", str(path),
+            "--cluster", "0", "--out", str(tmp_path / "f.json"))
+        assert code == 4
+        assert f"error: labels[2]: non-integral label {label!r}" in err

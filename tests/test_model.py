@@ -1,9 +1,17 @@
+import json
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskcluster import model
 from riskcluster.model import (
-    ClickSession, ClusterAssignment, PointSet, TransactionRecord,
-    load_points, load_transactions, save_points, save_transactions)
+    ClickSession, ClusterAssignment, PointSet, TransactionBatch,
+    TransactionRecord, load_points, load_transactions, save_points,
+    save_transactions)
 
 
 class TestPointSet:
@@ -150,7 +158,7 @@ class TestTransactionIO:
         path = tmp_path / "t.ndjson"
         save_transactions(path, recs)
         back = load_transactions(path)
-        assert back == recs
+        assert list(back) == recs
 
     def test_bad_line_numbered(self, tmp_path):
         path = tmp_path / "bad.ndjson"
@@ -174,3 +182,210 @@ class TestTransactionIO:
         path = tmp_path / "ok.ndjson"
         path.write_text('{"id":"a","timestamp":1,"amount":2}\n\n')
         assert len(load_transactions(path)) == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"timestamp": 1, "amount": 1' + "0" * 400,
+         "int too large to convert to float"),
+        ('"timestamp": 1, "amount": NaN', "amount must be a finite number"),
+        ('"timestamp": 1, "amount": -Infinity', "amount must be nonnegative"),
+        ('"timestamp": 100000000000000000000000, "amount": 1',
+         "timestamp must fit in a signed 64-bit integer"),
+        ('"timestamp": 9223372036854775808, "amount": NaN,'
+         ' "risk_seed": "bad"', "unknown risk_seed 'bad'"),
+    ])
+    def test_values_past_the_columns_line_numbered(
+            self, tmp_path, fields, message):
+        path = tmp_path / "edge.ndjson"
+        path.write_text('{"id":"a","timestamp":1,"amount":2}\n'
+                        '{"id": "b", ' + fields + '}\n')
+        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+            load_transactions(path)
+
+    def test_first_bad_line_in_file_order(self, tmp_path):
+        # a column check on line 2 comes before a decode error on line 5
+        path = tmp_path / "mixed.ndjson"
+        path.write_text(
+            '{"id":"a","timestamp":1,"amount":2}\n'
+            '{"id":"b","timestamp":1,"amount":2,"risk_seed":"bad"}\n'
+            '{"id":"c","timestamp":1,"amount":"3"}\n\n'
+            '{"id":"d",\n')
+        for chunk in (1, 2, 1024):
+            with mock.patch.object(model, "_CHUNK_LINES", chunk):
+                with pytest.raises(
+                        ValueError, match="^line 2: unknown risk_seed 'bad'$"):
+                    load_transactions(path)
+
+
+def _session_reference(obj):
+    """A decoded session value as a ClickSession, the way one line at a time
+    reads it: a dict holds its events under "events", and an event is a
+    [page, dwell] pair or a {"page_type", "dwell_ms"} dict."""
+    if obj is None:
+        return None
+    events = obj.get("events") if isinstance(obj, dict) else obj
+    if events is None:
+        raise ValueError("session object lacks events")
+    return ClickSession(tuple(
+        (ev["page_type"], ev["dwell_ms"]) if isinstance(ev, dict)
+        else tuple(ev) for ev in events))
+
+
+def load_reference(path):
+    """The records of a transactions file built one line at a time through
+    the TransactionRecord constructor, or the ValueError of its first bad
+    line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                records.append(TransactionRecord(
+                    id=str(obj["id"]), timestamp=int(obj["timestamp"]),
+                    amount=float(obj["amount"]),
+                    risk_seed=obj.get("risk_seed", "unknown"),
+                    features=dict(obj.get("features", {})),
+                    session=_session_reference(obj.get("session"))))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return records
+
+
+_PAGES = st.sampled_from(
+    ["view", "search", "cart", "checkout", "account", "other", "promo", ""])
+_DWELLS = st.one_of(st.integers(0, 10**6), st.integers(0, 10**30),
+                    st.floats(0, 1e6), st.sampled_from([True, "17", 1e30]))
+_EVENT = st.one_of(
+    st.tuples(_PAGES, _DWELLS).map(list),
+    st.builds(lambda p, d: {"page_type": p, "dwell_ms": d}, _PAGES, _DWELLS))
+_SESSION = st.one_of(
+    st.none(), st.lists(_EVENT, min_size=1, max_size=5),
+    st.lists(_EVENT, min_size=1, max_size=5).map(lambda e: {"events": e}))
+_FEATURE = st.one_of(st.floats(-1e6, 1e6), st.integers(-2**53, 2**53),
+                     st.booleans())
+# valid but unusual rows: int amounts, bool and int features, string
+# timestamps and amounts, dict-form events, float dwells, unknown pages,
+# rows without sessions and non-uniform feature keys
+_VALID_ROW = st.fixed_dictionaries(
+    {"id": st.one_of(st.text(max_size=4), st.integers(0, 99)),
+     "timestamp": st.one_of(st.integers(1, 2**63 - 1),
+                            st.integers(1, 10**12).map(str)),
+     "amount": st.one_of(st.integers(0, 10**6), st.floats(0, 1e9),
+                         st.sampled_from(["12.5", True]))},
+    optional={
+        "risk_seed": st.sampled_from(model.RISK_SEEDS),
+        "features": st.dictionaries(
+            st.sampled_from(["f0", "f1", "f2", "z"]), _FEATURE, max_size=4),
+        "session": _SESSION,
+    })
+# faults of every check the columns and the constructor make
+_BAD_ROWS = [
+    {"id": "x", "timestamp": 0, "amount": 1},
+    {"id": "x", "timestamp": -5, "amount": 1},
+    {"id": "x", "timestamp": 2**63, "amount": 1},
+    {"id": "x", "timestamp": 1, "amount": -1},
+    {"id": "x", "timestamp": 1, "amount": float("nan")},
+    {"id": "x", "timestamp": 1, "amount": float("inf")},
+    {"id": "x", "timestamp": 1, "amount": 10**400},
+    {"id": "x", "timestamp": 1, "amount": 1, "risk_seed": "bad"},
+    {"id": "x", "timestamp": 1, "amount": 1, "risk_seed": 3},
+    {"id": "x", "timestamp": 1, "amount": 1, "features": {"f": "1"}},
+    {"id": "x", "timestamp": 1, "amount": 1, "features": {"f": float("nan")}},
+    {"id": "x", "timestamp": 1, "amount": 1, "features": {"f": 10**400}},
+    {"id": "x", "timestamp": 1, "amount": 1, "features": None},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": []},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": {"events": []}},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": {"events": None}},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", -1]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view"]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", "x"]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": 5},
+    {"id": "x", "amount": 1},
+    {"timestamp": 1, "amount": 1},
+    {"id": "x", "timestamp": "soon", "amount": 1},
+]
+_BAD_ROW = st.sampled_from(_BAD_ROWS)
+_BAD_LINES = ["{", "[1, 2]", "7", "null", '{"id": 1} 2']
+_BAD_LINE = st.sampled_from(_BAD_LINES)
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestTransactionBatch:
+    def test_views_index_like_a_list(self, tmp_path):
+        recs = [TransactionRecord(
+            id=f"r{i}", timestamp=i + 1, amount=float(i),
+            features={"f0": i * 0.5},
+            session=ClickSession((("view", i),)) if i % 2 else None)
+            for i in range(5)]
+        batch = TransactionBatch.of(recs)
+        assert len(batch) == 5 and TransactionBatch.of(batch) is batch
+        assert batch[-1] == recs[-1] and batch[1] == recs[1]
+        assert list(batch[1:4]) == recs[1:4]
+        assert list(batch.take([3, 0, 3])) == [recs[3], recs[0], recs[3]]
+        assert list(batch) == recs
+        with pytest.raises(IndexError):
+            batch[5]
+
+    def test_own_keys_per_row_take_memory_per_cell(self, tmp_path):
+        # a rows x distinct-keys matrix of this stream would be 72 MB
+        path = tmp_path / "sparse.ndjson"
+        _write_lines(path, [json.dumps(
+            {"id": f"r{i}", "timestamp": i + 1, "amount": 1,
+             "features": {f"k{i:04d}": i}}) for i in range(3000)])
+        tracemalloc.start()
+        try:
+            batch = load_transactions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert batch[2999].features == {"k2999": 2999.0}
+        assert len(batch.feature_names) == 3000
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rows=st.lists(_VALID_ROW, max_size=12),
+           chunk=st.sampled_from([1, 2, 5, 1024]))
+    def test_valid_rows_load_as_the_constructor_builds_them(
+            self, tmp_path_factory, rows, chunk):
+        path = tmp_path_factory.getbasetemp() / "valid.ndjson"
+        _write_lines(path, [json.dumps(row) for row in rows])
+        with mock.patch.object(model, "_CHUNK_LINES", chunk):
+            batch = load_transactions(path)
+        assert list(batch) == load_reference(path)
+
+    @pytest.mark.parametrize(
+        "line", [json.dumps(row) for row in _BAD_ROWS] + _BAD_LINES)
+    def test_each_fault_raises_the_constructor_error(self, tmp_path, line):
+        path = tmp_path / "fault.ndjson"
+        _write_lines(path, ['{"id": "a", "timestamp": 1, "amount": 1}', line])
+        with pytest.raises(ValueError, match="^line 2: ") as want:
+            load_reference(path)
+        with pytest.raises(ValueError) as got:
+            load_transactions(path)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(lines=st.lists(st.one_of(
+               _VALID_ROW.map(json.dumps), _VALID_ROW.map(json.dumps),
+               _BAD_ROW.map(json.dumps), _BAD_LINE, st.just("")),
+               max_size=10),
+           chunk=st.sampled_from([1, 2, 5, 1024]))
+    def test_faults_raise_the_constructor_error_of_the_first_bad_line(
+            self, tmp_path_factory, lines, chunk):
+        path = tmp_path_factory.getbasetemp() / "mixed.ndjson"
+        _write_lines(path, lines)
+        try:
+            want = load_reference(path)
+        except ValueError as exc:
+            want = str(exc)
+        with mock.patch.object(model, "_CHUNK_LINES", chunk):
+            try:
+                got = list(load_transactions(path))
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want

@@ -50,3 +50,23 @@ def test_every_wrapper_installs_and_restores(perfbench):
         tracer.restore()
     for owner, attr, original in installed:
         assert _get(owner, attr) is original, attr
+
+
+def test_traced_fraud_op_counts_loaded_records(perfbench, tmp_path):
+    # a layer figure the tracer cannot see reads 0, not an error
+    tracing, workloads = perfbench
+    wl = workloads.FraudInductive()
+    wl.setup(1, tmp_path)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        root = tracer.start_op(0)
+        wl.op(0)
+        tracer.end_op(root)
+    finally:
+        tracer.restore()
+    layers = tracing.op_layer_metrics(tracer.spans)
+    (span,) = [s for s in tracer.spans if s.name == "model.load_transactions"]
+    assert span.attrs["records"] == 5100
+    assert layers["model.load_transactions.records_per_s"] > 0
+    assert layers["pipeline.build_feature_matrix.s"] > 0

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from riskcluster.datagen import fraud_stream
 from riskcluster.model import ClickSession, ClusterAssignment, PointSet, \
-    TransactionRecord
+    TransactionRecord, load_transactions, save_transactions
 from riskcluster.pipeline import (
     SESSION_FEATURE_NAMES, ExperimentSpec, RiskyClusterConfig, SamplingSpec,
     build_feature_matrix, run_experiment, select_risky_clusters, snapshot_of)
@@ -143,6 +145,20 @@ class TestFeatureMatrix:
             id="second", timestamp=1, amount=1.0, features={})
         with pytest.raises(ValueError, match="record bare: no session"):
             build_feature_matrix([_record(0), bare, second], "session")
+
+    def test_loaded_non_uniform_keys(self, tmp_path):
+        recs = [_record(0), _record(1, features={"f1": 2.0, "g": 1.0}),
+                _record(2, features={})]
+        path = tmp_path / "keys.ndjson"
+        save_transactions(path, recs)
+        batch = load_transactions(path)
+        assert batch.feature_names == ("f0", "f1", "g")
+        mat, _ = build_feature_matrix(batch, "session")
+        assert np.array_equal(mat, build_feature_matrix(recs, "session")[0])
+        for feature_set in ("embedding", "hybrid"):
+            with pytest.raises(
+                    ValueError, match="^record r0001: feature keys differ"):
+                build_feature_matrix(batch, feature_set)
 
     def test_embedding_values_convert_as_per_record_rows(self):
         # ints past 2**53 and 2**64 round to float64 like a row assignment
@@ -452,6 +468,21 @@ class TestRunExperiment:
             clustering={"min_cluster_size": 10})
         with pytest.raises(ValueError, match="no records"):
             run_experiment(spec, [])
+
+
+@pytest.mark.parametrize("feature_set", ["embedding", "session", "hybrid"])
+@pytest.mark.parametrize("mode", ["inductive", "transductive"])
+def test_loaded_batch_and_record_list_give_equal_artifacts(
+        stream, tmp_path, feature_set, mode):
+    records, truth = stream
+    path = tmp_path / "stream.ndjson"
+    save_transactions(path, records)
+    spec = _stream_spec(
+        mode, truth["snapshots"], feature_set=feature_set,
+        sampling=SamplingSpec(max_train=800, half_life_ms=1_800_000.0))
+    want = run_experiment(spec, records)[1]
+    got = run_experiment(spec, load_transactions(path))[1]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestStratifiedSampling:
