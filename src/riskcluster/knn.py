@@ -14,7 +14,13 @@ result's sign is left to numpy's loops, as IEEE 754 leaves it open).
 sqdist_fast uses the Gram-matrix identity, which is faster but
 rounds differently depending on BLAS blocking; it only feeds decisions with
 no bitwise contract (k-means assignment, coarse cell probing, and optional
-quality-equivalent searches at large scale).
+quality-equivalent searches at large scale). Those decisions still repeat
+bit for bit, so its product keeps one shape per call: the quantizer makes
+one call per _BLOCK_CELLS block of rows (a product of fewer rows can round
+differently). Only the elementwise tail (the norms added, twice the product
+subtracted, the clamp) runs in L2-sized row tiles, each entry taking the
+same operations in the same order, and the points' norms are computed once
+per k-means fit.
 
 Exact searches (brute-force fit, IVF candidate blocks and inductive
 assignment) filter and refine through _exact_topk: a Gram block on centred
@@ -22,14 +28,22 @@ data, with a proven bound on its gap to sqdist_exact, keeps every column
 that can reach the top k, and only those are scored in sqdist_exact's
 per-pair order. The top k by (value, column) then has the bits that
 _topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
-searches whose k spans the row, take that full path itself.
+searches whose k spans the row, take that full path itself. The centred
+base operands are built once per search and shared by its blocks.
 
 Every search selects its top k by (value, column), NaN last, through one of
 two routines: a whole-row sort with its ties re-sorted by column (full kNN
-rows and the IVF probe order), or _first_k, one stable lexsort of
-candidates given in (row, column) order (the refine step, and _topk_rows
-for smaller k, which keeps the entries at or under each row's k-th value,
-or every entry of a row whose k-th value is NaN).
+rows), or _first_k, one stable sort of candidates given in (row, column)
+order (the refine step, and _topk_rows for smaller k, which keeps the
+entries at or under each row's k-th value, or every entry of a row whose
+k-th value is NaN).
+
+An IVF query probes its cells in (centroid distance, cell id) order. Each
+block orders only the first nprobe + _PROBE_SLACK cells of every row; a
+row whose prefix holds fewer than k points besides itself takes its whole
+order. A prefix of the (distance, id) order is the same whichever of the
+two routines selects it, so every probed cell is the one the whole order
+gives.
 """
 
 import math
@@ -42,12 +56,20 @@ from .parallel import run_chunked
 
 # cells per distance block: a chunk's float64 d2 block stays near 32 MB
 _BLOCK_CELLS = 4_000_000
-# cells per sqdist_exact and _topk_rows tile: 512 KB per float64 array, so
-# the output tile and its one scratch tile (about 1 MB) stay in L2 across all
-# dimensions, and a partition's copy stays one tile
+# cells per sqdist_exact, sqdist_fast tail and _topk_rows tile: 512 KB per
+# float64 array, so the output tile and its one scratch tile (about 1 MB)
+# stay in L2 across all dimensions, and a partition's copy stays one tile.
+# On a 2-core Xeon VM, _assign_nearest of 6400 x 16 points to 256 centroids
+# took 6.9 ms with tail tiles of this size or half of it, 8.2 ms at twice
+# it, and 12.3 ms with the tail untiled
 _TILE_CELLS = 1 << 16
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
+# cells ordered past nprobe per IVF query before the whole order is taken:
+# no row went past nprobe on ivf_blobs (seeds 1 and 1009) or the 100k x 16
+# criterion-3 input; with nprobe 1 and k 100 (twice ivf_blobs' mean cell),
+# 2 of 12800 rows needed more than 1 + 4 cells
+_PROBE_SLACK = 4
 # rows whose centred norms pass this take the full path: below it no Gram
 # value or exact value can overflow
 _HUGE = np.finfo(np.float64).max / 8
@@ -118,14 +140,35 @@ def sqdist_exact(queries, base):
     return out
 
 
-def sqdist_fast(queries, base):
-    """Squared distances via the Gram identity, clamped at zero."""
+def _sqnorms(x):
+    """Squared norm of each row, as sqdist_fast takes it."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def sqdist_fast(queries, base, qq=None, bb=None):
+    """Squared distances via the Gram identity, clamped at zero.
+
+    qq and bb, the rows' _sqnorms, may be passed in by a caller that holds
+    them. One matmul gives the Gram block; the tail then runs in place, one
+    row tile of _TILE_CELLS at a time, and each entry still takes
+    (qq_i + bb_j) - 2 g_ij and the clamp, so its bits do not depend on the
+    tile.
+    """
     q = np.asarray(queries, dtype=np.float64)
     b = np.asarray(base, dtype=np.float64)
-    qq = np.einsum("ij,ij->i", q, q)
-    bb = np.einsum("ij,ij->i", b, b)
-    d2 = qq[:, None] + bb[None, :] - 2.0 * (q @ b.T)
-    np.maximum(d2, 0.0, out=d2)
+    if qq is None:
+        qq = _sqnorms(q)
+    if bb is None:
+        bb = _sqnorms(b)
+    d2 = q @ b.T
+    rows = max(1, _TILE_CELLS // max(b.shape[0], 1))
+    norms = np.empty((min(rows, q.shape[0]), b.shape[0]), dtype=np.float64)
+    for r0 in range(0, q.shape[0], rows):
+        t = d2[r0 : r0 + rows]
+        s = np.add(qq[r0 : r0 + rows, None], bb, out=norms[: t.shape[0]])
+        t *= 2.0
+        np.subtract(s, t, out=t)
+        np.maximum(t, 0.0, out=t)
     return d2
 
 
@@ -135,14 +178,19 @@ _KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 def _first_k(r, j, e, k):
     """The k smallest candidates by (value, column) of each row they name.
 
-    Candidates come in (row, column) order with at least k per named row;
-    lexsort is stable, so equal values keep the smaller column first, and it
-    sorts NaN last. Returns the named rows ascending, with their k values
-    and columns.
+    Candidates come in (row, column) order with at least k per named row.
+    One stable sort of complex keys orders them by (row, value), as
+    lexsort((e, r)) would: equal values keep the smaller column first, and
+    a NaN value, keyed (2 row + 1, 0), sorts after the rest of its row.
+    Returns the named rows ascending, with their k values and columns.
     """
-    order = np.lexsort((e, r))
-    r = r[order]
-    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    nan = np.isnan(e)
+    key = np.empty(r.size, dtype=np.complex128)
+    key.real = 2 * r + nan
+    key.imag = np.where(nan, 0.0, e)
+    order = np.argsort(key, kind="stable")
+    # rows stay where they are: only runs of equal rows are permuted
+    starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
     pick = order[starts[:, None] + np.arange(k)]
     return r[starts], e[pick], j[pick]
 
@@ -227,11 +275,43 @@ def _gram_slack(qq, bb_max, dim):
     return (6 * dim + 16) * _EPS * (qq + bb_max) + dim * _TINY
 
 
-def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
+@dataclass(frozen=True)
+class _GramBase:
+    """A base set with its filter operands (see _exact_topk)."""
+
+    data: np.ndarray  # the points, float64
+    mean: np.ndarray  # the centre both sides are shifted by
+    aug: np.ndarray  # (d + 2) x n: -2 bc.T, then bb, then ones
+    norms: np.ndarray  # bb, the centred rows' squared norms
+    bt: np.ndarray  # data.T, contiguous, for the refine
+
+
+def _gram_base(base):
+    """base's _GramBase, built once for every search on it."""
+    n, dim = base.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = base.mean(axis=0)
+        bc = base - mean
+        bb = _sqnorms(bc)
+        aug = np.empty((dim + 2, n), dtype=np.float64)
+        np.multiply(bc.T, -2.0, out=aug[:dim])
+        aug[dim] = bb
+        aug[dim + 1] = 1.0
+    return _GramBase(data=base, mean=mean, aug=aug, norms=bb,
+                     bt=np.ascontiguousarray(base.T))
+
+
+def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
+                cols=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
-    Filter: both sides are centred on the base mean, one matmul gives the
-    Gram values f = qq + bb - 2 qc.bc of a row tile, and column j survives
+    base is the base points or their _GramBase, built once per search;
+    cols, if given, names the base rows searched, and result columns index
+    cols. The filter's base operands are shared by every call on one base.
+
+    Filter: both sides are centred on the mean of the whole base (the bound
+    below holds for any shared centre), one matmul gives the Gram values
+    f = qq + bb - 2 qc.bc of a row tile, and column j survives
     when f_ij <= F_i + 2 s_i, with F_i the k-th smallest f_ij and s_i a
     bound on |f_ij - e_ij| over all j, e being the exact kernel's value.
     With u = eps / 2, gamma_n = n u / (1 - n u) bounds the error of an
@@ -259,54 +339,63 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
     up, as its addition may round down.
 
     Refine: survivors are scored in the kernel's per-pair order on the
-    uncentred data and _first_k orders each row by (value, column).
+    uncentred data, _TILE_CELLS // d survivors at a time, and _first_k
+    orders each row by (value, column).
 
     Rows whose norms are not finite or exceed _HUGE, or whose threshold is
     not finite, and calls whose k spans the row (k + 1 >= width), take
     _block_topk with `kernel` instead.
     """
-    m, n = queries.shape[0], base.shape[0]
+    gram = base if isinstance(base, _GramBase) else None
+    data = base if gram is None else gram.data
+    if cols is not None:
+        data = data[cols]
+    m, n = queries.shape[0], data.shape[0]
     if k + 1 >= n:
-        return _block_topk(queries, base, k, kernel, self_cols, allowed)
+        return _block_topk(queries, data, k, kernel, self_cols, allowed)
+    if gram is None:
+        gram = _gram_base(data)
     dim = queries.shape[1]
+    ba, bb = gram.aug, gram.norms
+    if cols is not None:
+        ba, bb = ba[:, cols], bb[cols]
     # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
     # where it overflows, the rows take the full path, which warns itself
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = base.mean(axis=0)
         qa = np.empty((m, dim + 2), dtype=np.float64)
-        qc = np.subtract(queries, mean, out=qa[:, :dim])
-        qq = np.einsum("ij,ij->i", qc, qc)
+        qc = np.subtract(queries, gram.mean, out=qa[:, :dim])
+        qq = _sqnorms(qc)
         qa[:, dim] = 1.0
         qa[:, dim + 1] = qq
-        bc = base - mean
-        bb = np.einsum("ij,ij->i", bc, bc)
-        ba = np.empty((dim + 2, n), dtype=np.float64)
-        np.multiply(bc.T, -2.0, out=ba[:dim])
-        ba[dim] = bb
-        ba[dim + 1] = 1.0
         bb_max = bb.max()
         covered = qq + bb_max <= _HUGE
         slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
     qt = np.ascontiguousarray(queries.T)
-    bt = np.ascontiguousarray(base.T)
     vals = np.empty((m, k), dtype=np.float64)
-    cols = np.empty((m, k), dtype=np.int64)
+    topk_cols = np.empty((m, k), dtype=np.int64)
     pending = []
 
     def refine():
         r = np.concatenate([p[0] for p in pending])
         j = np.concatenate([p[1] for p in pending])
         pending.clear()
-        e = qt[0][r] - bt[0][j]
-        e *= e
-        for d in range(1, qt.shape[0]):
-            t = qt[d][r] - bt[d][j]
-            t *= t
-            e += t
+        bj = j if cols is None else cols[j]
+        e = np.empty(r.size, dtype=np.float64)
+        # one gather per side; each survivor still adds its squared
+        # differences one dimension at a time, in order
+        step = max(1, _TILE_CELLS // dim)
+        for s0 in range(0, r.size, step):
+            diff = qt.take(r[s0 : s0 + step], axis=1)
+            diff -= gram.bt.take(bj[s0 : s0 + step], axis=1)
+            diff *= diff
+            acc = diff[0]
+            for d in range(1, dim):
+                acc += diff[d]
+            e[s0 : s0 + step] = acc
         # survivors come in (row, column) order
         rows, v, c = _first_k(r, j, e, k)
         vals[rows] = v
-        cols[rows] = c
+        topk_cols[rows] = c
 
     step = max(1, _TILE_CELLS // n)
     held = 0
@@ -328,11 +417,11 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None):
             held = 0
         if not ok.all():
             bad = r0 + np.flatnonzero(~ok)
-            vals[bad], cols[bad] = _block_topk(
-                queries, base, k, kernel, self_cols, allowed, bad)
+            vals[bad], topk_cols[bad] = _block_topk(
+                queries, data, k, kernel, self_cols, allowed, bad)
     if held:
         refine()
-    return vals, cols
+    return vals, topk_cols
 
 
 def brute_force_knn(points, k, threads=1, kernel="exact"):
@@ -342,7 +431,7 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")
     sq = _KERNELS[kernel]
     topk = _exact_topk if kernel == "exact" else _block_topk
-    base = points.data.astype(np.float64)
+    base = search = points.data.astype(np.float64)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _BLOCK_CELLS // n)
@@ -352,9 +441,11 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
         # block. Fast values depend on the batch, so fast chunks stay fixed
         threads_chunk = -(-n // threads)
         chunk = min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
+        if k + 1 < n:
+            search = _gram_base(base)
 
     def work(start, stop):
-        v, c = topk(base[start:stop], base, k, sq,
+        v, c = topk(base[start:stop], search, k, sq,
                     self_cols=np.arange(start, stop))
         ids[start:stop] = c
         np.sqrt(v, out=dists[start:stop])
@@ -363,39 +454,57 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
-def _assign_nearest(x, centroids):
-    """Nearest-centroid index and squared distance per point (fast kernel)."""
+def _assign_nearest(x, centroids, qq=None):
+    """Nearest-centroid index and squared distance per point (fast kernel).
+
+    qq, the points' _sqnorms, may be passed in. Each _BLOCK_CELLS block of
+    rows is one sqdist_fast call, so the product, and with it every bit,
+    keeps the block's shape whatever the tail's tiles.
+    """
     n = x.shape[0]
+    if qq is None:
+        qq = _sqnorms(x)
+    bb = _sqnorms(centroids)
     assign = np.empty(n, dtype=np.int64)
     dmin = np.empty(n, dtype=np.float64)
     step = max(1, _BLOCK_CELLS // max(centroids.shape[0], 1))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        d2 = sqdist_fast(x[start:stop], centroids)
-        assign[start:stop] = np.argmin(d2, axis=1)
-        dmin[start:stop] = np.take_along_axis(
-            d2, assign[start:stop, None], axis=1).ravel()
+        d2 = sqdist_fast(x[start:stop], centroids, qq[start:stop], bb)
+        a = assign[start:stop] = np.argmin(d2, axis=1)
+        dmin[start:stop] = d2[np.arange(stop - start), a]
     return assign, dmin
 
 
-def _seed_plus_plus(x, ncentroids, rng):
+def _seed_plus_plus(x, ncentroids, rng, qq):
+    """k-means++ centroids; qq holds the points' _sqnorms.
+
+    Each draw is rng.choice(n, p=d2 / d2.sum()) done with rng.choice's own
+    arithmetic: the same cumulative sum, the same normalization and one
+    rng.random() searched from the right, so every pick and the generator's
+    state stay as rng.choice leaves them. Points are finite (a PointSet's
+    are), so the mass is finite and rng.choice's checks would pass.
+    """
     n = x.shape[0]
     centroids = np.empty((ncentroids, x.shape[1]), dtype=np.float64)
     chosen = np.zeros(n, dtype=bool)
     first = int(rng.integers(n))
     centroids[0] = x[first]
     chosen[first] = True
-    d2 = sqdist_fast(x, centroids[0:1]).ravel()
+    d2 = sqdist_fast(x, centroids[0:1], qq).ravel()
     for j in range(1, ncentroids):
         total = d2.sum()
         if total <= 0.0:
             # remaining mass is zero (duplicate-heavy data): lowest unchosen
             pick = int(np.flatnonzero(~chosen)[0])
         else:
-            pick = int(rng.choice(n, p=d2 / total))
+            cdf = np.divide(d2, total).cumsum()
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[j] = x[pick]
         chosen[pick] = True
-        np.minimum(d2, sqdist_fast(x, centroids[j : j + 1]).ravel(), out=d2)
+        np.minimum(d2, sqdist_fast(x, centroids[j : j + 1], qq).ravel(),
+                   out=d2)
     return centroids
 
 
@@ -412,12 +521,13 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     x = points.data.astype(np.float64)
+    qq = _sqnorms(x)
     rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = _seed_plus_plus(x, ncentroids, rng)
+    centroids = _seed_plus_plus(x, ncentroids, rng, qq)
     history = []
     prev = None
     for _ in range(max_iter):
-        assign, dmin = _assign_nearest(x, centroids)
+        assign, dmin = _assign_nearest(x, centroids, qq)
         history.append(float(dmin.sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
@@ -435,7 +545,7 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0):
                 pick = int(np.argmax(far))
                 centroids[cell] = x[pick]
                 far[pick] = -np.inf
-    assign, dmin = _assign_nearest(x, centroids)
+    assign, dmin = _assign_nearest(x, centroids, qq)
     return KMeansResult(
         centroids=centroids,
         assignments=assign,
@@ -485,6 +595,18 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None):
     )
 
 
+def _cells_needed(order, home, cell_sizes, k, nprobe):
+    """How many cells of each row's probe order it probes, 0 if too few.
+
+    A row probes at least nprobe cells and stops at the first count whose
+    cells hold k points besides the query itself (its home cell's point).
+    """
+    avail = np.cumsum(cell_sizes[order] - (order == home[:, None]), axis=1)
+    enough = avail >= k
+    enough[:, : nprobe - 1] = False
+    return np.where(enough.any(axis=1), np.argmax(enough, axis=1) + 1, 0)
+
+
 def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     """kNN graph over `points` probing the nprobe nearest cells per query.
 
@@ -498,34 +620,42 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, nlist], got {nprobe}")
     sq = _KERNELS[kernel]
-    topk = _exact_topk if kernel == "exact" else _block_topk
     x = points.data.astype(np.float64)
+    qq = _sqnorms(x)
+    cc = _sqnorms(index.centroids)
+    base = _gram_base(x) if kernel == "exact" else None
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
+    prefix = min(index.nlist, nprobe + _PROBE_SLACK)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
 
     def _search_block(qidx):
-        # cells by ascending (distance, cell id) per query
-        _, probe = _topk_rows(
-            sqdist_fast(x[qidx], index.centroids), index.nlist)
+        q = x[qidx]
+        d2 = sqdist_fast(q, index.centroids, qq[qidx], cc)
         home = index.assignments[qidx]
-        # candidates available after c+1 probed cells, self excluded
-        avail = np.cumsum(
-            cell_sizes[probe] - (probe == home[:, None]), axis=1)
-        cols = np.arange(index.nlist)
-        enough = (avail >= k) & (cols[None, :] + 1 >= nprobe)
-        need = np.argmax(enough, axis=1) + 1
-        width = int(need.max())
         allowed_cells = np.zeros((qidx.size, index.nlist), dtype=bool)
-        np.put_along_axis(allowed_cells, probe[:, :width],
-                          cols[None, :width] < need[:, None], axis=1)
+        rows = np.arange(qidx.size)
+        # cells by ascending (distance, cell id) per query: the first
+        # `prefix` of them, then the whole order for rows still short of k
+        for width in (prefix, index.nlist):
+            probe = _topk_rows(d2[rows], width)[1]
+            need = _cells_needed(probe, home[rows], cell_sizes, k, nprobe)
+            w = need.max()
+            allowed_cells[rows[:, None], probe[:, :w]] = (
+                np.arange(w) < need[:, None])
+            rows = rows[need == 0]
+            if not rows.size:
+                break
         union_cells = np.flatnonzero(allowed_cells.any(axis=0))
         cand = np.sort(np.concatenate(
             [index.postings[c] for c in union_cells]))
         own = np.minimum(np.searchsorted(cand, qidx), cand.size - 1)
         own[cand[own] != qidx] = -1
-        v, c = topk(x[qidx], x[cand], k, sq, self_cols=own,
-                    allowed=(allowed_cells, index.assignments[cand]))
+        allowed = (allowed_cells, index.assignments[cand])
+        if base is None:
+            v, c = _block_topk(q, x[cand], k, sq, own, allowed)
+        else:
+            v, c = _exact_topk(q, base, k, sq, own, allowed, cand)
         ids[qidx] = cand[c]
         dists[qidx] = np.sqrt(v)
 

@@ -77,8 +77,11 @@ def _session_block(batch):
         hi[sel] = block.max(axis=1)
         lo[sel] = block.min(axis=1)
         var[sel] = block.var(axis=1)
-    if np.isinf(total).any():
-        raise OverflowError("total dwell_ms overflows float64")
+    inf = np.isinf(total)
+    if inf.any():
+        raise ValueError(
+            f"record {batch.ids[np.argmax(inf)]}: total dwell_ms overflows"
+            " float64")
     total = np.trunc(total)
     count = dict(zip(PAGE_TYPES, counts.T))
     views = count["view"]
@@ -300,10 +303,6 @@ class ExperimentSpec:
                 reject_unknown_keys(sub, obj[key], key)
                 obj[key] = sub(**obj[key])
         return cls(**obj)
-
-
-def snapshot_of(timestamp, snapshot_ms):
-    return int(timestamp) // int(snapshot_ms)
 
 
 def _group_by_snapshot(batch, snapshot_ms):

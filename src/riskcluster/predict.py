@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import _BLOCK_CELLS, _exact_topk, sqdist_exact
+from .knn import _BLOCK_CELLS, _exact_topk, _gram_base, sqdist_exact
 from .model import ClusterAssignment
 from .parallel import resolve_threads, run_chunked
 
@@ -50,9 +50,11 @@ def assign_new_points(model, queries, threads=None):
     # rows x n block unless k spans the row
     cells = max(nbuckets, train.n if k + 1 >= train.n else 0)
     chunk = min(-(-nq // threads), max(1, _BLOCK_CELLS // cells))
+    # the filter's base operands, built once for every chunk
+    search = _gram_base(base) if k + 1 < train.n else base
 
     def work(start, stop):
-        vals, cols = _exact_topk(qdata[start:stop], base, k, sqdist_exact)
+        vals, cols = _exact_topk(qdata[start:stop], search, k, sqdist_exact)
         dists = np.sqrt(vals)
         rows = np.arange(stop - start)
         # exact match: cols are (distance, id)-ordered, so column 0 is the

@@ -96,6 +96,61 @@ def ivf_search_reference(points, centroids, assignments, k, nprobe):
     return ids, dists
 
 
+# The quantizer before its distance tail was tiled, kept as the bitwise
+# reference for every fast-kernel decision: one Gram product per block of
+# QUANTIZER_BLOCK_CELLS cells, then one pass over the block per elementwise
+# step, and k-means++ draws through rng.choice.
+QUANTIZER_BLOCK_CELLS = 4_000_000
+
+
+def quantizer_sqdist_reference(queries, base):
+    """Squared distances via the Gram identity, clamped at zero."""
+    q = np.asarray(queries, dtype=np.float64)
+    b = np.asarray(base, dtype=np.float64)
+    qq = np.einsum("ij,ij->i", q, q)
+    bb = np.einsum("ij,ij->i", b, b)
+    d2 = qq[:, None] + bb[None, :] - 2.0 * (q @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def assign_nearest_reference(x, centroids):
+    """Nearest-centroid index and squared distance per point (fast kernel)."""
+    n = x.shape[0]
+    assign = np.empty(n, dtype=np.int64)
+    dmin = np.empty(n, dtype=np.float64)
+    step = max(1, QUANTIZER_BLOCK_CELLS // max(centroids.shape[0], 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        d2 = quantizer_sqdist_reference(x[start:stop], centroids)
+        assign[start:stop] = np.argmin(d2, axis=1)
+        dmin[start:stop] = np.take_along_axis(
+            d2, assign[start:stop, None], axis=1).ravel()
+    return assign, dmin
+
+
+def seed_plus_plus_reference(x, ncentroids, rng):
+    n = x.shape[0]
+    centroids = np.empty((ncentroids, x.shape[1]), dtype=np.float64)
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    chosen[first] = True
+    d2 = quantizer_sqdist_reference(x, centroids[0:1]).ravel()
+    for j in range(1, ncentroids):
+        total = d2.sum()
+        if total <= 0.0:
+            # remaining mass is zero (duplicate-heavy data): lowest unchosen
+            pick = int(np.flatnonzero(~chosen)[0])
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centroids[j] = x[pick]
+        chosen[pick] = True
+        np.minimum(d2, quantizer_sqdist_reference(
+            x, centroids[j : j + 1]).ravel(), out=d2)
+    return centroids
+
+
 def vote_reference(train, train_labels, queries, k):
     """Distance-weighted kNN vote, one query at a time.
 

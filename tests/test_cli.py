@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from riskcluster.cli import main
 from riskcluster.datagen import fraud_stream
-from riskcluster.model import save_transactions
+from riskcluster.model import ClickSession, save_transactions
 
 
 def run(capsys, *argv):
@@ -375,6 +376,31 @@ class TestExperiment:
             "--out-prefix", str(tmp_path / "e"))
         assert code == 4
         assert f"error: line 2: {message}" in err
+
+    def test_dwell_overflow_names_the_record(self, tmp_path, capsys):
+        # a session whose dwell total overflows float64 is a contract error
+        # that names its record, not a traceback
+        records, truth = fraud_stream(seed=5)
+        huge = ClickSession((("view", 10**308), ("cart", 10**308)))
+        records[3] = dataclasses.replace(records[3], session=huge)
+        data = tmp_path / "huge.ndjson"
+        save_transactions(str(data), records)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "mode": "inductive",
+            "snapshot_ms": truth["snapshot_ms"],
+            "train_snapshots": truth["snapshots"][:-1],
+            "test_snapshot": truth["snapshots"][-1],
+            "clustering": {"min_cluster_size": 50},
+            "feature_set": "session",
+        }))
+        with np.errstate(over="ignore"):
+            code, _, err = run(
+                capsys, "experiment", "--config", str(config), "--data",
+                str(data), "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert (f"error: record {records[3].id}: total dwell_ms overflows"
+                " float64") in err
 
 
 class TestExplain:

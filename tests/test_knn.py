@@ -11,7 +11,9 @@ from riskcluster.knn import (
 from riskcluster.model import PointSet
 from riskcluster.parallel import run_chunked
 
-from oracle import dense_knn, dense_sqdist, ivf_search_reference
+from oracle import (
+    assign_nearest_reference, dense_knn, dense_sqdist, ivf_search_reference,
+    seed_plus_plus_reference)
 
 
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
@@ -250,6 +252,18 @@ class TestExactTopk:
         for case in cases:
             self._assert_full_path_bits(case)
 
+    def test_shared_operands_on_a_column_subset(self):
+        # an IVF block searches candidate columns of operands built once,
+        # centred on the whole set's mean rather than the block's own; the
+        # bound holds for any shared centre, so the bits stay the full path's
+        for q, b, k, own, allowed in list(self._cases())[::2]:
+            whole = np.vstack([b[:40] * 2.0, b, -b[:7]])
+            cols = np.arange(40, 40 + b.shape[0])
+            _assert_same_topk(
+                knn._exact_topk(q, knn._gram_base(whole), k, sqdist_exact,
+                                own, allowed, cols),
+                _full_path(q, b, k, own, allowed))
+
     def test_small_tiles_and_flushes(self, monkeypatch):
         # a 97-cell tile gives one row per tile, ends in a partial tile and
         # refines survivors every tile
@@ -469,6 +483,105 @@ class TestKMeans:
         assert np.isfinite(res.inertia)
 
 
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestQuantizerSweep:
+    """The quantizer keeps the pre-tiling reference's bits on every shape.
+
+    A Gram product of another shape may round differently (on one OpenBLAS
+    build, 64-row products differed from the block's in dozens of these
+    shapes), so assignments, distances and seeds are compared bit for bit
+    against the verbatim reference in oracle.py.
+    """
+
+    NS = (1, 2, 3, *range(60, 301, 7), 6401, 12865)
+    DIMS = (1, 2, 5, 16, 28, 64)
+    NLISTS = (1, 2, 3, 37, 256, 1024)
+
+    def _assert_assign(self, x, centroids):
+        want = assign_nearest_reference(x, centroids)
+        for got in (knn._assign_nearest(x, centroids),
+                    knn._assign_nearest(x, centroids, knn._sqnorms(x))):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+    def _assert_seeds(self, x, ncentroids, seed):
+        want_rng = np.random.Generator(np.random.PCG64(seed))
+        want = seed_plus_plus_reference(x, ncentroids, want_rng)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        got = knn._seed_plus_plus(x, ncentroids, rng, knn._sqnorms(x))
+        assert np.array_equal(_bits(got), _bits(want))
+        # every draw took one double, as rng.choice does
+        assert rng.random() == want_rng.random()
+        return got
+
+    def test_shape_sweep(self):
+        rng = np.random.Generator(np.random.PCG64(61))
+        swept = 0
+        for dim in self.DIMS:
+            for n in self.NS:
+                # PointSet data is float32
+                x = (rng.normal(size=(n, dim)) * 10).astype(
+                    np.float32).astype(np.float64)
+                for nlist in self.NLISTS:
+                    centroids = rng.normal(size=(nlist, dim)) * 10
+                    self._assert_assign(x, centroids)
+                    if nlist <= n:
+                        self._assert_seeds(x, nlist, swept)
+                    swept += 1
+        assert swept == 40 * 6 * 6
+
+    def test_zero_mass_seeding(self):
+        # five distinct points for eight seeds: the mass runs out after the
+        # fifth draw, and the lowest unchosen points fill the rest
+        x = np.repeat(np.arange(10.0).reshape(5, 2), 4, axis=0)
+        for seed in range(5):
+            centroids = self._assert_seeds(x, 8, seed)
+            assert np.unique(centroids, axis=0).shape[0] == 5
+            self._assert_assign(x, centroids)
+
+    def test_integer_ties_take_the_lower_centroid(self):
+        # integer sums are exact, so (2, y) sits exactly between the
+        # centroids at (0, y) and (4, y), and argmin keeps the lower index
+        g = np.arange(0, 9, dtype=np.float64)
+        x = np.array([(a, b) for a in g for b in g])
+        centroids = np.array([(0.0, b) for b in (0.0, 4.0, 8.0)]
+                             + [(4.0, b) for b in (0.0, 4.0, 8.0)])
+        self._assert_assign(x, centroids)
+        assign, _ = knn._assign_nearest(x, centroids)
+        assert (assign[x[:, 0] == 2.0] < 3).all()
+        self._assert_assign(x, centroids[::-1].copy())
+
+    @pytest.mark.parametrize("seed", [*range(1, 11), 1009])
+    def test_ivf_blobs_training_inputs(self, seed, monkeypatch):
+        # the benchmark's ivf_blobs inputs: 12.8k x 16 blobs, a 6400-point
+        # training sample, 256 cells and 10 Lloyd rounds
+        for j in range(3):
+            pts, _ = generate(SyntheticSpec(
+                shape="blobs", n=12_800, dim=16, centers=64,
+                seed=seed * 16 + j))
+            idx = np.sort(np.random.Generator(np.random.PCG64(0)).choice(
+                pts.n, size=6400, replace=False))
+            train = PointSet(pts.data[idx])
+            got = kmeans_fit(train, 256, max_iter=10, seed=0)
+            with monkeypatch.context() as m:
+                m.setattr(knn, "_seed_plus_plus",
+                          lambda x, c, rng, qq: seed_plus_plus_reference(
+                              x, c, rng))
+                m.setattr(knn, "_assign_nearest",
+                          lambda x, c, qq=None: assign_nearest_reference(
+                              x, c))
+                want = kmeans_fit(train, 256, max_iter=10, seed=0)
+            assert np.array_equal(_bits(got.centroids),
+                                  _bits(want.centroids))
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.inertia_history == want.inertia_history
+            self._assert_assign(
+                pts.data.astype(np.float64), got.centroids)
+
 class TestIvf:
     def test_nlist_one_single_posting(self):
         pts = _points(n=30, seed=2)
@@ -560,6 +673,72 @@ class TestIvf:
                 assert np.array_equal(got.neighbor_ids, ids)
                 assert np.array_equal(
                     got.neighbor_dists.view(np.int64), dists.view(np.int64))
+
+    @staticmethod
+    def _assert_reference(data, centroids, k, nprobe):
+        """ivf_search on a hand-built index of integer points, whose
+        centroid distances are exact in any batch, equals the reference on
+        1 and 2 threads; returns the reference ids."""
+        assign = np.argmin(dense_sqdist(np.vstack([data, centroids]))[
+            : data.shape[0], data.shape[0]:], axis=1)
+        index = knn.IvfIndex(
+            nlist=centroids.shape[0], centroids=centroids,
+            postings=tuple(np.flatnonzero(assign == c)
+                           for c in range(centroids.shape[0])),
+            assignments=assign)
+        ids, dists = ivf_search_reference(data, centroids, assign, k, nprobe)
+        for threads in (1, 2):
+            got = ivf_search(index, PointSet(data), k, nprobe,
+                             threads=threads)
+            assert np.array_equal(got.neighbor_ids, ids)
+            assert np.array_equal(
+                got.neighbor_dists.view(np.int64), dists.view(np.int64))
+        return ids
+
+    def test_rows_past_the_probe_prefix_match_reference(self):
+        # a far point at (100, 0) alone in its cell; toward a 9 x 9 grid
+        # near the origin lie cells holding one point each, and empty cells
+        # between them. Its k neighbors take every line point and some grid
+        # points, so its row orders cells past nprobe + _PROBE_SLACK
+        line = 2 * (knn._PROBE_SLACK + 2)
+        g = np.arange(0, 9, dtype=np.float64)
+        grid = np.array([(a, b) for a in g for b in g])
+        stops = np.array([(100.0 - 6 * i, 0.0) for i in range(line)])
+        data = np.vstack([grid, stops[::2]])
+        centroids = np.vstack([[(2.0, 2.0), (2.0, 6.0), (6.0, 2.0),
+                                (6.0, 6.0)], stops])
+        k = line // 2 + 2
+        for nprobe in (1, 2):
+            ids = self._assert_reference(data, centroids, k, nprobe)
+            # the far point's row reached the grid
+            assert (ids[grid.shape[0]] < grid.shape[0]).any()
+
+    def test_tie_at_the_prefix_boundary_matches_reference(self):
+        # the query at the origin holds its cell alone; cells of one point
+        # each lie at distances 10, 20, ... so the first nprobe + slack - 1
+        # cells hold fewer than k points. The next four cells, all at
+        # distance 100 and holding three points each, tie exactly at the
+        # prefix boundary, and the lowest cell id decides which one is
+        # probed; the tied cells take the lowest ids, so an order that is
+        # not by (distance, id) would pick another
+        nprobe = 1
+        singles = nprobe + knn._PROBE_SLACK - 2
+        angles = np.arange(singles) * (2 * np.pi / singles)
+        steps = np.rint(np.column_stack([np.cos(angles), np.sin(angles)])
+                        * (10 * np.arange(1, singles + 1))[:, None])
+        tied = np.array([[0.0, -100.0], [-100.0, 0.0], [0.0, 100.0],
+                         [100.0, 0.0]])
+        for shift in range(4):
+            order = np.roll(tied, shift, axis=0)
+            centroids = np.vstack([order, [(0.0, 0.0)], steps])
+            data = np.vstack([[(0.0, 0.0)], steps,
+                              np.repeat(order, 3, axis=0)
+                              + np.tile([[0.0, 0.0], [1.0, 0.0],
+                                         [0.0, 1.0]], (4, 1))])
+            ids = self._assert_reference(data, centroids, singles + 2, nprobe)
+            # the query's two points past the singletons are cell 0's
+            assert (ids[0] < 1 + singles + 3).all()
+            assert (ids[0] >= 1 + singles).sum() == 2
 
     def test_thread_count_does_not_change_result(self):
         pts = _points(shape="varied_variance", n=800, seed=17, dim=5)

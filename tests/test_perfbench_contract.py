@@ -70,3 +70,30 @@ def test_traced_fraud_op_counts_loaded_records(perfbench, tmp_path):
     assert span.attrs["records"] == 5100
     assert layers["model.load_transactions.records_per_s"] > 0
     assert layers["pipeline.build_feature_matrix.s"] > 0
+
+
+# knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1,
+# measured before the quantizer's tail was tiled: seeding, every Lloyd
+# assignment, the postings pass and the probe distances all go through the
+# module's sqdist_fast, so the tracer still sees the whole quantizer
+IVF_FAST_CALLS = 524
+IVF_FAST_CELLS = 26_214_400
+
+
+def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    wl = workloads.IvfBlobs()
+    wl.setup(1, tmp_path)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        root = tracer.start_op(0)
+        wl.op(0)
+        tracer.end_op(root)
+    finally:
+        tracer.restore()
+    spans = [s for s in tracer.spans if s.name == "knn.sqdist_fast"]
+    assert len(spans) == IVF_FAST_CALLS
+    assert sum(s.attrs["cells"] for s in spans) == IVF_FAST_CELLS
+    layers = tracing.op_layer_metrics(tracer.spans)
+    assert layers["knn.sqdist_fast.gcells"] == IVF_FAST_CELLS / 1e9

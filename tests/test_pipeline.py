@@ -5,10 +5,11 @@ import pytest
 
 from riskcluster.datagen import fraud_stream
 from riskcluster.model import ClickSession, ClusterAssignment, PointSet, \
-    TransactionRecord, load_transactions, save_transactions
+    TransactionBatch, TransactionRecord, load_transactions, save_transactions
 from riskcluster.pipeline import (
     SESSION_FEATURE_NAMES, ExperimentSpec, RiskyClusterConfig, SamplingSpec,
-    build_feature_matrix, run_experiment, select_risky_clusters, snapshot_of)
+    _group_by_snapshot, build_feature_matrix, run_experiment,
+    select_risky_clusters)
 
 from oracle import session_features_reference
 
@@ -214,9 +215,9 @@ class TestColumnarSessionBlock:
     def test_total_past_float64_raises(self):
         huge = _session(("view", 10**308), ("cart", 10**308))
         with np.errstate(over="ignore"):
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="record r0000: total"):
                 build_feature_matrix([_record(0, session=huge)], "session")
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="record r0001: total"):
                 build_feature_matrix(
                     [_record(0), _record(1, session=huge)], "session")
 
@@ -369,9 +370,13 @@ class TestExperimentSpec:
         assert spec.risky.min_fraud_density == 0.6
         assert spec.iter_windows() == [((0, 1), 2), ((1, 2), 3)]
 
-    def test_snapshot_of(self):
-        assert snapshot_of(7_200_000, 3_600_000) == 2
-        assert snapshot_of(7_199_999, 3_600_000) == 1
+    def test_group_by_snapshot_boundaries(self):
+        batch = TransactionBatch.of([
+            _record(0, ts=7_200_000), _record(1, ts=7_199_999),
+            _record(2, ts=1), _record(3, ts=7_200_001)])
+        groups = _group_by_snapshot(batch, 3_600_000)
+        assert {s: g.tolist() for s, g in groups.items()} == {
+            0: [2], 1: [1], 2: [0, 3]}
 
     def test_sampling_validation(self):
         with pytest.raises(ValueError):
@@ -443,7 +448,7 @@ class TestRunExperiment:
         ms = truth["snapshot_ms"]
         test_ids = set(window["test_ids"])
         for rec in records:
-            in_test = snapshot_of(rec.timestamp, ms) == truth["snapshots"][-1]
+            in_test = rec.timestamp // ms == truth["snapshots"][-1]
             assert (rec.id in test_ids) == in_test
 
     def test_no_risky_clusters_no_predictions(self, stream):
