@@ -305,9 +305,9 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
                 cols=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
-    base is the base points or their _GramBase, built once per search;
-    cols, if given, names the base rows searched, and result columns index
-    cols. The filter's base operands are shared by every call on one base.
+    base is the _GramBase of the base points, built once per search and
+    shared by its calls; cols, if given, names the base rows searched, and
+    result columns index cols.
 
     Filter: both sides are centred on the mean of the whole base (the bound
     below holds for any shared centre), one matmul gives the Gram values
@@ -346,24 +346,18 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
     not finite, and calls whose k spans the row (k + 1 >= width), take
     _block_topk with `kernel` instead.
     """
-    gram = base if isinstance(base, _GramBase) else None
-    data = base if gram is None else gram.data
+    data, ba, bb = base.data, base.aug, base.norms
     if cols is not None:
-        data = data[cols]
+        data, ba, bb = data[cols], ba[:, cols], bb[cols]
     m, n = queries.shape[0], data.shape[0]
     if k + 1 >= n:
         return _block_topk(queries, data, k, kernel, self_cols, allowed)
-    if gram is None:
-        gram = _gram_base(data)
     dim = queries.shape[1]
-    ba, bb = gram.aug, gram.norms
-    if cols is not None:
-        ba, bb = ba[:, cols], bb[cols]
     # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
     # where it overflows, the rows take the full path, which warns itself
     with np.errstate(over="ignore", invalid="ignore"):
         qa = np.empty((m, dim + 2), dtype=np.float64)
-        qc = np.subtract(queries, gram.mean, out=qa[:, :dim])
+        qc = np.subtract(queries, base.mean, out=qa[:, :dim])
         qq = _sqnorms(qc)
         qa[:, dim] = 1.0
         qa[:, dim + 1] = qq
@@ -386,7 +380,7 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
         step = max(1, _TILE_CELLS // dim)
         for s0 in range(0, r.size, step):
             diff = qt.take(r[s0 : s0 + step], axis=1)
-            diff -= gram.bt.take(bj[s0 : s0 + step], axis=1)
+            diff -= base.bt.take(bj[s0 : s0 + step], axis=1)
             diff *= diff
             acc = diff[0]
             for d in range(1, dim):
@@ -441,8 +435,7 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
         # block. Fast values depend on the batch, so fast chunks stay fixed
         threads_chunk = -(-n // threads)
         chunk = min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
-        if k + 1 < n:
-            search = _gram_base(base)
+        search = _gram_base(base)
 
     def work(start, stop):
         v, c = topk(base[start:stop], search, k, sq,
@@ -454,16 +447,14 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
-def _assign_nearest(x, centroids, qq=None):
+def _assign_nearest(x, centroids, qq):
     """Nearest-centroid index and squared distance per point (fast kernel).
 
-    qq, the points' _sqnorms, may be passed in. Each _BLOCK_CELLS block of
-    rows is one sqdist_fast call, so the product, and with it every bit,
-    keeps the block's shape whatever the tail's tiles.
+    qq holds the points' _sqnorms. Each _BLOCK_CELLS block of rows is one
+    sqdist_fast call, so the product, and with it every bit, keeps the
+    block's shape whatever the tail's tiles.
     """
     n = x.shape[0]
-    if qq is None:
-        qq = _sqnorms(x)
     bb = _sqnorms(centroids)
     assign = np.empty(n, dtype=np.int64)
     dmin = np.empty(n, dtype=np.float64)
@@ -581,7 +572,7 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None):
         train = PointSet(points.data[idx])
     km = kmeans_fit(train, nlist, max_iter=max_iter, seed=seed)
     x = points.data.astype(np.float64)
-    assign, _ = _assign_nearest(x, km.centroids)
+    assign, _ = _assign_nearest(x, km.centroids, _sqnorms(x))
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
     bounds = np.concatenate([[0], np.cumsum(counts)])

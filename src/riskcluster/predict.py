@@ -51,7 +51,7 @@ def assign_new_points(model, queries, threads=None):
     cells = max(nbuckets, train.n if k + 1 >= train.n else 0)
     chunk = min(-(-nq // threads), max(1, _BLOCK_CELLS // cells))
     # the filter's base operands, built once for every chunk
-    search = _gram_base(base) if k + 1 < train.n else base
+    search = _gram_base(base)
 
     def work(start, stop):
         vals, cols = _exact_topk(qdata[start:stop], search, k, sqdist_exact)

@@ -243,7 +243,8 @@ class TestExactTopk:
     def _assert_full_path_bits(self, case):
         q, b, k, own, allowed = case
         _assert_same_topk(
-            knn._exact_topk(q, b, k, sqdist_exact, own, allowed),
+            knn._exact_topk(q, knn._gram_base(b), k, sqdist_exact, own,
+                            allowed),
             _full_path(q, b, k, own, allowed))
 
     def test_matches_full_path_bitwise(self):
@@ -278,7 +279,8 @@ class TestExactTopk:
             knn, "_gram_slack", lambda qq, bb_max, dim: np.zeros_like(qq))
         differ = 0
         for q, b, k, own, allowed in self._cases():
-            got = knn._exact_topk(q, b, k, sqdist_exact, own, allowed)
+            got = knn._exact_topk(
+                q, knn._gram_base(b), k, sqdist_exact, own, allowed)
             want = _full_path(q, b, k, own, allowed)
             differ += not np.array_equal(got[1], want[1])
         assert differ > 0
@@ -298,7 +300,7 @@ class TestExactTopk:
             return sqdist_exact(q, b)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            got = knn._exact_topk(queries, base, 5, kernel)
+            got = knn._exact_topk(queries, knn._gram_base(base), 5, kernel)
             want = _full_path(queries, base, 5)
             assert sum(kernel_rows) == 3
             assert np.array_equal(got[1], want[1])
@@ -308,12 +310,13 @@ class TestExactTopk:
             # k + 1 reaching the width
             kernel_rows.clear()
             base[10] = 1e160
-            got = knn._exact_topk(queries[:3], base, 5, kernel)
+            got = knn._exact_topk(
+                queries[:3], knn._gram_base(base), 5, kernel)
             assert kernel_rows == [3]
             assert np.array_equal(
                 got[1], _full_path(queries[:3], base, 5)[1])
             kernel_rows.clear()
-            knn._exact_topk(queries[:3], base[:6], 5, kernel)
+            knn._exact_topk(queries[:3], knn._gram_base(base[:6]), 5, kernel)
             assert kernel_rows == [3]
 
     def test_brute_force_holds_no_block(self):
@@ -503,10 +506,9 @@ class TestQuantizerSweep:
 
     def _assert_assign(self, x, centroids):
         want = assign_nearest_reference(x, centroids)
-        for got in (knn._assign_nearest(x, centroids),
-                    knn._assign_nearest(x, centroids, knn._sqnorms(x))):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(_bits(got[1]), _bits(want[1]))
+        got = knn._assign_nearest(x, centroids, knn._sqnorms(x))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
     def _assert_seeds(self, x, ncentroids, seed):
         want_rng = np.random.Generator(np.random.PCG64(seed))
@@ -551,7 +553,7 @@ class TestQuantizerSweep:
         centroids = np.array([(0.0, b) for b in (0.0, 4.0, 8.0)]
                              + [(4.0, b) for b in (0.0, 4.0, 8.0)])
         self._assert_assign(x, centroids)
-        assign, _ = knn._assign_nearest(x, centroids)
+        assign, _ = knn._assign_nearest(x, centroids, knn._sqnorms(x))
         assert (assign[x[:, 0] == 2.0] < 3).all()
         self._assert_assign(x, centroids[::-1].copy())
 
@@ -572,8 +574,7 @@ class TestQuantizerSweep:
                           lambda x, c, rng, qq: seed_plus_plus_reference(
                               x, c, rng))
                 m.setattr(knn, "_assign_nearest",
-                          lambda x, c, qq=None: assign_nearest_reference(
-                              x, c))
+                          lambda x, c, qq: assign_nearest_reference(x, c))
                 want = kmeans_fit(train, 256, max_iter=10, seed=0)
             assert np.array_equal(_bits(got.centroids),
                                   _bits(want.centroids))
