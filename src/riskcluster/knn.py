@@ -587,7 +587,7 @@ def _cells_needed(order, home, cell_sizes, k, nprobe):
     """How many cells of each row's probe order it probes, 0 if too few.
 
     A row probes at least nprobe cells and stops at the first count whose
-    cells hold k points besides the query itself (its home cell's point).
+    cells hold k points besides the query, which its home cell holds.
     """
     avail = np.cumsum(cell_sizes[order] - (order == home[:, None]), axis=1)
     enough = avail >= k

@@ -96,10 +96,10 @@ def ivf_search_reference(points, centroids, assignments, k, nprobe):
     return ids, dists
 
 
-# The quantizer before its distance tail was tiled, kept as the bitwise
-# reference for every fast-kernel decision: one Gram product per block of
-# QUANTIZER_BLOCK_CELLS cells, then one pass over the block per elementwise
-# step, and k-means++ draws through rng.choice.
+# The quantizer in its plainest form, the bitwise reference for every
+# fast-kernel decision: one Gram product per block of QUANTIZER_BLOCK_CELLS
+# cells, then one pass over the block per elementwise step, and k-means++
+# draws through rng.choice.
 QUANTIZER_BLOCK_CELLS = 4_000_000
 
 

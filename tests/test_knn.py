@@ -486,7 +486,6 @@ class TestKMeans:
         assert np.isfinite(res.inertia)
 
 
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -494,10 +493,10 @@ def _bits(a):
 class TestQuantizerSweep:
     """The quantizer keeps the pre-tiling reference's bits on every shape.
 
-    A Gram product of another shape may round differently (on one OpenBLAS
-    build, 64-row products differed from the block's in dozens of these
-    shapes), so assignments, distances and seeds are compared bit for bit
-    against the verbatim reference in oracle.py.
+    A Gram product of another shape may round differently (with OpenBLAS
+    0.3.31, products of 64-row tiles differ from the block's on some of
+    these shapes), so assignments, distances and seeds are compared bit for
+    bit against the verbatim reference in oracle.py.
     """
 
     NS = (1, 2, 3, *range(60, 301, 7), 6401, 12865)
@@ -582,6 +581,7 @@ class TestQuantizerSweep:
             assert got.inertia_history == want.inertia_history
             self._assert_assign(
                 pts.data.astype(np.float64), got.centroids)
+
 
 class TestIvf:
     def test_nlist_one_single_posting(self):

@@ -72,10 +72,10 @@ def test_traced_fraud_op_counts_loaded_records(perfbench, tmp_path):
     assert layers["pipeline.build_feature_matrix.s"] > 0
 
 
-# knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1,
-# measured before the quantizer's tail was tiled: seeding, every Lloyd
-# assignment, the postings pass and the probe distances all go through the
-# module's sqdist_fast, so the tracer still sees the whole quantizer
+# knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1:
+# seeding, every Lloyd assignment, the postings pass and the probe distances
+# go through the module's sqdist_fast, so the tracer sees the whole
+# quantizer. Tiling the kernel's tail kept both counts
 IVF_FAST_CALLS = 524
 IVF_FAST_CELLS = 26_214_400
 
