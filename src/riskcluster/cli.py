@@ -82,6 +82,18 @@ def _load_label_column(path):
     return np.asarray(labels, dtype=np.int64)
 
 
+def _integral_labels(labels, what):
+    """labels if it is a JSON list of integral numbers, the rule of
+    _load_label_column; else ValueError."""
+    if not isinstance(labels, list):
+        raise ValueError(f"{what} lacks a labels list")
+    for i, label in enumerate(labels):
+        if not (type(label) is int
+                or type(label) is float and label.is_integer()):
+            raise ValueError(f"labels[{i}]: non-integral label {label!r}")
+    return labels
+
+
 def _load_feature_csv(path):
     """Header row of names, then float rows; blank lines are skipped but
     still counted in the line numbers of errors."""
@@ -159,7 +171,8 @@ def cmd_predict(args):
     train = load_points(
         src["path"], fmt=src["format"], header=src.get("header", False))
     assignment = ClusterAssignment(
-        labels=np.asarray(model_obj["labels"], dtype=np.int64),
+        labels=np.asarray(_integral_labels(model_obj["labels"], "model file"),
+                          dtype=np.int64),
         strengths=np.asarray(model_obj["strengths"], dtype=np.float64))
     fmt = _detect_format(args.queries, args.format)
     queries = load_points(args.queries, fmt=fmt, header=args.header)
@@ -307,18 +320,13 @@ def cmd_sankey(args):
     batch = load_transactions(args.data)
     with open(args.labels, "r", encoding="utf-8") as fh:
         labels_obj = json.load(fh)
-    labels = labels_obj.get("labels") if isinstance(labels_obj, dict) else None
-    if not isinstance(labels, list):
-        raise ValueError("labels file lacks a labels list")
+    labels = _integral_labels(
+        labels_obj.get("labels") if isinstance(labels_obj, dict) else None,
+        "labels file")
     if len(labels) != len(batch):
         raise ValueError(
             f"labels length {len(labels)} does not match"
             f" {len(batch)} records")
-    # the rule of _load_label_column: integral numbers only
-    for i, label in enumerate(labels):
-        if not (type(label) is int
-                or type(label) is float and label.is_integer()):
-            raise ValueError(f"labels[{i}]: non-integral label {label!r}")
     _print_header("sankey", 0, {
         "cluster": args.cluster, "data": args.data, "labels": args.labels})
     member = np.array([label == args.cluster for label in labels], dtype=bool)

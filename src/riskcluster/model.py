@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import itemgetter
@@ -236,37 +237,18 @@ def _concat(parts):
            for key in ("feature_offsets", "event_offsets")})
 
 
-def _ints(values):
-    """int64 array of ints; one past int64 reads 0, which fails the
-    timestamp check."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(
-            [v if -_INT64_END <= v < _INT64_END else 0 for v in values],
-            dtype=np.int64)
-
-
-def _floats(values):
-    """float64 array of numbers; an int past float64 reads inf."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return np.array([v if _finite(v) else math.inf for v in values],
-                        dtype=np.float64)
-
-
 def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
     """The batch of per-row values of the plain kinds, and the mask of the
-    rows that a TransactionRecord check rejects.
+    rows that a TransactionRecord check rejects. A timestamp past int64 or a
+    number past float64, which the checks reject too, raises OverflowError.
 
     Rows hold a str id, an int timestamp, a number amount, a str seed, a
     dict of number features and a sequence of (str page, int dwell) events,
     () for no session.
     """
     n = len(ids)
-    ts = _ints(timestamps)
-    amount = _floats(amounts)
+    ts = np.array(timestamps, dtype=np.int64)
+    amount = np.array(amounts, dtype=np.float64)
     seed = np.fromiter(map(_SEED_CODES.get, seeds, repeat(-1)), np.int8, n)
     keys = list(chain.from_iterable(features))
     names = sorted(set(keys), key=_name_order)
@@ -276,7 +258,8 @@ def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
     columns = np.tile(np.fromiter(map(column, first), np.int64), n) \
         if keys == first * n \
         else np.fromiter(map(column, keys), np.int64, len(keys))
-    values = _floats(list(chain.from_iterable(map(dict.values, features))))
+    values = np.array(list(chain.from_iterable(map(dict.values, features))),
+                      dtype=np.float64)
     flat = list(chain.from_iterable(events))
     pages = list(map(itemgetter(0), flat))
     dwells = list(map(itemgetter(1), flat))
@@ -316,7 +299,7 @@ class ClusterAssignment:
         if labels.size and labels.min() < -1:
             raise ValueError("labels below -1 are not allowed")
         if strengths.size:
-            if strengths.min() < 0.0 or strengths.max() > 1.0:
+            if not (strengths.min() >= 0.0 and strengths.max() <= 1.0):
                 raise ValueError("strengths must lie in [0, 1]")
             if np.any(strengths[labels == -1] != 0.0):
                 raise ValueError("noise points must have strength 0")
@@ -453,10 +436,10 @@ def _json_line(line):
 
 
 def _decoded_chunks(fh):
-    """(objects, line numbers, error) of the nonblank lines of a file, up to
-    _CHUNK_LINES lines at a time. The chunk of the first line that cannot
-    be read or holds no JSON object ends before it, with its error, and
-    reading stops there; every other error is None."""
+    """(objects, line numbers) of the nonblank lines of a file, up to
+    _CHUNK_LINES lines at a time. At the first line that cannot be read or
+    holds no JSON object, the chunk of the lines before it comes out, and
+    then that line's ValueError is raised."""
     objs, linenos = [], []
     try:
         for lineno, line in enumerate(fh, start=1):
@@ -471,67 +454,44 @@ def _decoded_chunks(fh):
                 objs.append(obj)
                 linenos.append(lineno)
             if lineno % _CHUNK_LINES == 0:
-                yield objs, linenos, None
+                yield objs, linenos
                 objs, linenos = [], []
-    except ValueError as exc:
-        yield objs, linenos, exc
-        return
-    yield objs, linenos, None
+    except ValueError:
+        yield objs, linenos
+        raise
+    yield objs, linenos
 
 
 # the plain kinds of the id, timestamp, amount, risk_seed, features and
 # session columns; () stands for no session
 _PLAIN = ({str}, {int}, {int, float}, {str}, {dict}, {list, tuple})
-_NUMBERS = {int, float, bool}
 
 
-def _off_kind(values, kinds):
-    """Positions of the values whose type is not one of kinds."""
-    if set(map(type, values)) <= kinds:
-        return []
-    return [i for i, v in enumerate(values) if type(v) not in kinds]
+def _kinds(values):
+    return set(map(type, values))
 
 
-def _odd_events(flat):
-    """Positions of the events that are no [str, int] pair."""
-    if set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2} \
-            and set(map(type, map(itemgetter(0), flat))) <= {str} \
-            and set(map(type, map(itemgetter(1), flat))) <= {int}:
-        return []
-    return [i for i, e in enumerate(flat) if not (
-        type(e) is list and len(e) == 2 and type(e[0]) is str
-        and type(e[1]) is int)]
-
-
-def _odd_rows(columns):
-    """Sorted rows holding a value of no plain kind, or an empty event list:
-    the rows that go through the record constructor."""
-    odd = set()
-    for column, kinds in zip(columns, _PLAIN):
-        odd.update(_off_kind(column, kinds))
-    features, events = columns[4:]
-    if odd:
-        features = [{} if r in odd else f for r, f in enumerate(features)]
-        events = [() if r in odd else e for r, e in enumerate(events)]
-    ends = np.cumsum(list(map(len, features)))
-    values = list(chain.from_iterable(map(dict.values, features)))
-    odd.update(np.searchsorted(
-        ends, _off_kind(values, _NUMBERS), side="right").tolist())
-    lengths = np.fromiter(map(len, events), np.int64, len(events))
-    odd.update(np.searchsorted(
-        np.cumsum(lengths), _odd_events(list(chain.from_iterable(events))),
-        side="right").tolist())
-    odd.update(r for r in np.flatnonzero(lengths == 0).tolist()
-               if type(events[r]) is list)
-    return sorted(odd)
+def _plain(columns):
+    """Whether every value of a chunk's columns is of its plain kind, with
+    number feature values and nonempty event lists of [str, int] pairs."""
+    if [] in columns[5] or not all(
+            _kinds(column) <= kinds for column, kinds in zip(columns, _PLAIN)):
+        return False
+    values = chain.from_iterable(map(dict.values, columns[4]))
+    flat = list(chain.from_iterable(columns[5]))
+    return (_kinds(values) <= {int, float, bool} and _kinds(flat) <= {list}
+            and set(map(len, flat)) <= {2}
+            and _kinds(map(itemgetter(0), flat)) <= {str}
+            and _kinds(map(itemgetter(1), flat)) <= {int})
 
 
 def _rows_to_batch(objs, linenos):
-    """The batch of the decoded objects before the first bad one, and that
-    object's error (None when none is bad).
+    """The batch of a chunk of decoded objects, or the ValueError "line N:
+    ..." of the first one that breaks the record contract.
 
-    Values of the plain kinds fill the columns as they are; the record
-    constructor coerces every other row, or raises its error.
+    A chunk whose values are all of their plain kinds and pass the column
+    checks is its columns as they are; any other chunk is built row by row
+    through the record constructor.
     """
     columns = [list(map(dict.get, objs, repeat(key), repeat(default)))
                for key, default in (
@@ -542,23 +502,18 @@ def _rows_to_batch(objs, linenos):
     # or one without events, stays for the record constructor to judge
     columns[5] = [() if s is None else s.get("events") if type(s) is dict
                   else s for s in columns[5]]
-    error = None
-    for r in _odd_rows(columns):
-        try:
-            rec = _coerce(objs[r], linenos[r])
-        except ValueError as exc:
-            columns = [column[:r] for column in columns]
-            error = exc
-            break
-        for column, value in zip(columns, _row_of(rec)):
-            column[r] = value
-    batch, bad = _batch_of_rows(*columns)
-    if bad.any():
-        r = int(np.argmax(bad))
-        _coerce(objs[r], linenos[r])
-        raise AssertionError(f"line {linenos[r]} passed the record checks"
-                             " but failed the column checks")
-    return batch, error
+    plain = _plain(columns)
+    if plain:
+        with suppress(OverflowError):
+            batch, bad = _batch_of_rows(*columns)
+            if not bad.any():
+                return batch
+    batch = TransactionBatch.of(map(_coerce, objs, linenos))
+    if plain:
+        raise AssertionError(
+            f"the chunk from line {linenos[0]} passed the record checks but"
+            " failed the column checks")
+    return batch
 
 
 def load_transactions(path):
@@ -567,18 +522,14 @@ def load_transactions(path):
 
     Lines are decoded and checked a column at a time, in chunks of
     _CHUNK_LINES lines, so that only one chunk of decoded JSON is held at
-    once. The first bad line in file order raises ValueError "line N: ...",
-    with the message its TransactionRecord constructor gives.
+    once. A chunk that holds a value of no plain kind goes through the
+    TransactionRecord constructor row by row. The first bad line in file
+    order raises ValueError "line N: ...", with the message its
+    TransactionRecord constructor gives.
     """
-    parts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for objs, linenos, fault in _decoded_chunks(fh):
-            batch, error = _rows_to_batch(objs, linenos)
-            error = error or fault
-            if error is not None:
-                raise error
-            parts.append(batch)
-    return _concat(parts)
+        return _concat([_rows_to_batch(objs, linenos)
+                        for objs, linenos in _decoded_chunks(fh)])
 
 
 def save_transactions(path, records):

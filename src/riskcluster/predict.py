@@ -43,9 +43,13 @@ def assign_new_points(model, queries, threads=None):
     nq = queries.n
     labels = np.empty(nq, dtype=np.int64)
     strengths = np.empty(nq, dtype=np.float64)
-    # labels shifted by +1 so noise (-1) lands in vote bucket 0
-    shifted = (train_labels + 1).astype(np.int64)
-    nbuckets = int(shifted.max()) + 1 if shifted.size else 1
+    # a vote bucket per distinct label in label order, so that argmax gives
+    # ties to the smaller label; noise (-1) always has bucket 0, so that the
+    # labels -1..C-1 of a clustering sum their votes over one bucket each,
+    # whether or not a training point is noise
+    bucket_labels = np.union1d(train_labels, -1)
+    bucket = np.searchsorted(bucket_labels, train_labels)
+    nbuckets = bucket_labels.size
     # a chunk's vote block is rows x nbuckets; the filtered search holds no
     # rows x n block unless k spans the row
     cells = max(nbuckets, train.n if k + 1 >= train.n else 0)
@@ -65,13 +69,13 @@ def assign_new_points(model, queries, threads=None):
         # one bincount adds each (row, bucket)'s weights in column order,
         # as a bincount per row would
         votes = np.bincount(
-            (rows[:, None] * nbuckets + shifted[cols]).ravel(),
+            (rows[:, None] * nbuckets + bucket[cols]).ravel(),
             weights=weights.ravel(), minlength=rows.size * nbuckets,
         ).reshape(rows.size, nbuckets)
         winner = np.argmax(votes, axis=1)
         share = votes[rows, winner] / votes.sum(axis=1)
         match = train_labels[cols[:, 0]]
-        lab = np.where(exact, match, winner - 1)
+        lab = np.where(exact, match, bucket_labels[winner])
         labels[start:stop] = lab
         strengths[start:stop] = np.where(
             lab == -1, 0.0, np.where(exact, 1.0, share))

@@ -234,6 +234,47 @@ class TestClusterPredictAri:
         assert code == 4
         assert "error: model file must be an object" in err
 
+    @staticmethod
+    def _predict(tmp_path, capsys, labels, strengths):
+        """Exit code, stderr and output document of predict with a model of
+        three training points on a line."""
+        train = tmp_path / "train.csv"
+        train.write_text("0,0\n10,0\n20,0\n")
+        queries = tmp_path / "q.csv"
+        queries.write_text("1,0\n9,0\n10,0\n19,0\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "input": {"path": str(train), "format": "csv"},
+            "labels": labels, "strengths": strengths}))
+        out = tmp_path / "p.json"
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(queries), "--out", str(out))
+        return code, err, json.loads(out.read_text()) if code == 0 else None
+
+    def test_model_label_values_far_apart(self, tmp_path, capsys):
+        # the vote block has a bucket per distinct label, not per value up
+        # to the largest one
+        big = self._predict(tmp_path, capsys, [0, 2**40, -1], [1.0, 1.0, 0.0])
+        dense = self._predict(tmp_path, capsys, [0, 1, -1], [1.0, 1.0, 0.0])
+        assert big[0] == dense[0] == 0
+        assert dense[2]["labels"] == [0, 1, 1, -1]
+        assert big[2]["labels"] == [0, 2**40, 2**40, -1]
+        assert big[2]["strengths"] == dense[2]["strengths"]
+
+    @pytest.mark.parametrize("label", [1.7, True, None])
+    def test_model_label_not_integral(self, tmp_path, capsys, label):
+        code, err, _ = self._predict(
+            tmp_path, capsys, [0, label, -1], [1.0, 1.0, 0.0])
+        assert code == 4
+        assert f"error: labels[1]: non-integral label {label!r}" in err
+
+    def test_model_strength_null(self, tmp_path, capsys):
+        code, err, _ = self._predict(
+            tmp_path, capsys, [0, 1, -1], [1.0, None, 0.0])
+        assert code == 4
+        assert "error: strengths must lie in [0, 1]" in err
+
 
 @pytest.fixture(scope="module")
 def stream_files(tmp_path_factory):

@@ -82,10 +82,11 @@ class TestClusterAssignment:
             ClusterAssignment(
                 labels=np.array([-1, 0]), strengths=np.array([0.5, 1.0]))
 
-    def test_strengths_bounded(self):
+    @pytest.mark.parametrize("strength", [1.5, np.nan])
+    def test_strengths_bounded(self, strength):
         with pytest.raises(ValueError, match="strengths"):
             ClusterAssignment(
-                labels=np.array([0]), strengths=np.array([1.5]))
+                labels=np.array([0, 0]), strengths=np.array([strength, 0.5]))
 
     def test_num_clusters(self):
         a = ClusterAssignment(

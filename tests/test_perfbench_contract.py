@@ -9,8 +9,11 @@ of those names breaks the benchmark; this test makes it break tier-1 first.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from riskcluster import model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,6 +73,19 @@ def test_traced_fraud_op_counts_loaded_records(perfbench, tmp_path):
     assert span.attrs["records"] == 5100
     assert layers["model.load_transactions.records_per_s"] > 0
     assert layers["pipeline.build_feature_matrix.s"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_fraud_stream_loads_through_the_columns(perfbench, tmp_path, seed):
+    # a chunk with a value of no plain kind is built row by row through the
+    # record constructor; the benchmark's stream must take the column path
+    _, workloads = perfbench
+    wl = workloads.FraudInductive()
+    wl.setup(seed, tmp_path)
+    with mock.patch.object(model, "_coerce", wraps=model._coerce) as coerce:
+        batch = model.load_transactions(wl.path)
+    assert coerce.call_count == 0
+    assert len(batch) == 5100
 
 
 # knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1:
