@@ -71,6 +71,9 @@ class ClickSession:
         for _, dwell in events:
             if dwell < 0:
                 raise ValueError("dwell_ms must be nonnegative")
+            if dwell >= _INT64_END:
+                raise ValueError(
+                    "dwell_ms must fit in a signed 64-bit integer")
         object.__setattr__(self, "events", events)
 
 
@@ -91,6 +94,8 @@ class TransactionRecord:
         if self.risk_seed not in RISK_SEEDS:
             raise ValueError(f"unknown risk_seed {self.risk_seed!r}")
         for name, value in self.features.items():
+            if not isinstance(name, str):
+                raise ValueError(f"feature name {name!r} is not a string")
             if not isinstance(value, (int, float)) or not _finite(value):
                 raise ValueError(f"feature {name!r} is not a finite number")
         # the limits of the batch's column dtypes come last, so a record
@@ -121,8 +126,7 @@ class TransactionBatch(Sequence):
     key in the batch) and feature_values (float64), in the row's own key
     order. Its session is events event_offsets[i] to event_offsets[i + 1]
     of pages (names), page_codes (indices into PAGE_TYPES, unknown names as
-    "other") and dwells (int64, or Python ints once one passes int64); an
-    empty range means no session.
+    "other") and dwells (int64); an empty range means no session.
     """
 
     ids: np.ndarray
@@ -212,18 +216,11 @@ def _ranges(offsets, rows):
         + np.arange(packed[-1])
 
 
-def _name_order(name):
-    """Sort key of feature names: str names sort as str; names of another
-    kind, which only a list of pairs gives, sort apart by kind."""
-    return type(name).__name__, name
-
-
 def _concat(parts):
     """One batch of the rows of the parts, in order."""
     if len(parts) == 1:
         return parts[0]
-    names = sorted(set().union(*(p.feature_names for p in parts)),
-                   key=_name_order)
+    names = sorted(set().union(*(p.feature_names for p in parts)))
     column = {name: j for j, name in enumerate(names)}
     columns = [np.array([column[name] for name in p.feature_names],
                         dtype=np.int64)[p.feature_columns] for p in parts]
@@ -239,8 +236,9 @@ def _concat(parts):
 
 def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
     """The batch of per-row values of the plain kinds, and the mask of the
-    rows that a TransactionRecord check rejects. A timestamp past int64 or a
-    number past float64, which the checks reject too, raises OverflowError.
+    rows that a TransactionRecord check rejects. A timestamp or dwell past
+    int64 or a number past float64, which the checks reject too, raises
+    OverflowError.
 
     Rows hold a str id, an int timestamp, a number amount, a str seed, a
     dict of number features and a sequence of (str page, int dwell) events,
@@ -251,7 +249,7 @@ def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
     amount = np.array(amounts, dtype=np.float64)
     seed = np.fromiter(map(_SEED_CODES.get, seeds, repeat(-1)), np.int8, n)
     keys = list(chain.from_iterable(features))
-    names = sorted(set(keys), key=_name_order)
+    names = sorted(set(keys))
     column = {name: j for j, name in enumerate(names)}.__getitem__
     # when every row lists every key in one order, one row maps them all
     first = keys[:len(names)]
@@ -262,11 +260,7 @@ def _batch_of_rows(ids, timestamps, amounts, seeds, features, events):
                       dtype=np.float64)
     flat = list(chain.from_iterable(events))
     pages = list(map(itemgetter(0), flat))
-    dwells = list(map(itemgetter(1), flat))
-    try:
-        dwell = np.array(dwells, dtype=np.int64)
-    except OverflowError:
-        dwell = np.array(dwells, dtype=object)
+    dwell = np.array(list(map(itemgetter(1), flat)), dtype=np.int64)
     batch = TransactionBatch(
         ids=np.array(ids, dtype=object), timestamps=ts, amounts=amount,
         seeds=seed, feature_names=tuple(names), feature_columns=columns,

@@ -56,9 +56,8 @@ def _session_block(batch):
     bincount over (row, page code). Dwell statistics come from one (m, L)
     block per distinct session length L, reduced along its rows: numpy
     reduces each row as it reduces a 1-d array of L values, so each value
-    keeps the bits of the per-session numpy reduction. Integer dwell totals
-    are truncated with np.trunc, not cast: a cast to int64 overflows once a
-    total passes 2**63.
+    keeps the bits of the per-session numpy reduction. Dwells are summed
+    in float64: an int64 sum overflows once a total passes 2**63.
     """
     lengths = np.diff(batch.event_offsets)
     dwell = np.asarray(batch.dwells, dtype=np.float64)
@@ -77,12 +76,6 @@ def _session_block(batch):
         hi[sel] = block.max(axis=1)
         lo[sel] = block.min(axis=1)
         var[sel] = block.var(axis=1)
-    inf = np.isinf(total)
-    if inf.any():
-        raise ValueError(
-            f"record {batch.ids[np.argmax(inf)]}: total dwell_ms overflows"
-            " float64")
-    total = np.trunc(total)
     count = dict(zip(PAGE_TYPES, counts.T))
     views = count["view"]
     columns = {
@@ -256,6 +249,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer")
         if self.snapshot_ms < 1:
             raise ValueError("snapshot_ms must be >= 1")
+        if self.snapshot_ms >= 2**63:
+            raise ValueError("snapshot_ms must fit in a signed 64-bit integer")
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         reject_unknown_keys(ClusterParams, self.clustering, "clustering")
@@ -307,10 +302,8 @@ class ExperimentSpec:
 
 def _group_by_snapshot(batch, snapshot_ms):
     """Row indices of a batch by snapshot number, in row order."""
-    # every timestamp is below 2**63, so a longer snapshot holds them all
-    snaps = batch.timestamps // snapshot_ms if snapshot_ms < 2**63 \
-        else np.zeros(len(batch), dtype=np.int64)
-    keys, inverse = np.unique(snaps, return_inverse=True)
+    keys, inverse = np.unique(
+        batch.timestamps // snapshot_ms, return_inverse=True)
     rows = np.argsort(inverse, kind="stable")
     return dict(zip(keys.tolist(), np.split(
         rows, np.cumsum(np.bincount(inverse))[:-1])))

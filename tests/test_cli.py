@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +6,7 @@ import pytest
 
 from riskcluster.cli import main
 from riskcluster.datagen import fraud_stream
-from riskcluster.model import ClickSession, save_transactions
+from riskcluster.model import save_transactions
 
 
 def run(capsys, *argv):
@@ -418,14 +417,19 @@ class TestExperiment:
         assert code == 4
         assert f"error: line 2: {message}" in err
 
-    def test_dwell_overflow_names_the_record(self, tmp_path, capsys):
-        # a session whose dwell total overflows float64 is a contract error
-        # that names its record, not a traceback
+    @pytest.mark.parametrize("dwell", [2**63, 10**400],
+                             ids=["2**63", "10**400"])
+    def test_dwell_overflow_names_the_record(self, tmp_path, capsys, dwell):
+        # a dwell past int64 is a contract error that names its line, not a
+        # traceback or an object column
         records, truth = fraud_stream(seed=5)
-        huge = ClickSession((("view", 10**308), ("cart", 10**308)))
-        records[3] = dataclasses.replace(records[3], session=huge)
         data = tmp_path / "huge.ndjson"
         save_transactions(str(data), records)
+        lines = data.read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj["session"]["events"][0][1] = dwell
+        lines[3] = json.dumps(obj)
+        data.write_text("\n".join(lines) + "\n")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "mode": "inductive",
@@ -435,13 +439,12 @@ class TestExperiment:
             "clustering": {"min_cluster_size": 50},
             "feature_set": "session",
         }))
-        with np.errstate(over="ignore"):
-            code, _, err = run(
-                capsys, "experiment", "--config", str(config), "--data",
-                str(data), "--out-prefix", str(tmp_path / "e"))
+        code, _, err = run(
+            capsys, "experiment", "--config", str(config), "--data",
+            str(data), "--out-prefix", str(tmp_path / "e"))
         assert code == 4
-        assert (f"error: record {records[3].id}: total dwell_ms overflows"
-                " float64") in err
+        assert ("error: line 4: dwell_ms must fit in a signed 64-bit"
+                " integer") in err
 
 
 class TestExplain:

@@ -256,8 +256,8 @@ def load_reference(path):
 
 _PAGES = st.sampled_from(
     ["view", "search", "cart", "checkout", "account", "other", "promo", ""])
-_DWELLS = st.one_of(st.integers(0, 10**6), st.integers(0, 10**30),
-                    st.floats(0, 1e6), st.sampled_from([True, "17", 1e30]))
+_DWELLS = st.one_of(st.integers(0, 10**6), st.integers(0, 2**63 - 1),
+                    st.floats(0, 1e6), st.sampled_from([True, "17", 1e18]))
 _EVENT = st.one_of(
     st.tuples(_PAGES, _DWELLS).map(list),
     st.builds(lambda p, d: {"page_type": p, "dwell_ms": d}, _PAGES, _DWELLS))
@@ -300,6 +300,9 @@ _BAD_ROWS = [
     {"id": "x", "timestamp": 1, "amount": 1, "session": {"events": []}},
     {"id": "x", "timestamp": 1, "amount": 1, "session": {"events": None}},
     {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", -1]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", 2**63]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", 1e30]]},
+    {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", 10**400]]},
     {"id": "x", "timestamp": 1, "amount": 1, "session": [["view"]]},
     {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", "x"]]},
     {"id": "x", "timestamp": 1, "amount": 1, "session": 5},
@@ -358,6 +361,26 @@ class TestTransactionBatch:
         with mock.patch.object(model, "_CHUNK_LINES", chunk):
             batch = load_transactions(path)
         assert list(batch) == load_reference(path)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(dwells=st.lists(st.one_of(st.integers(0, 2**64), st.just(10**400)),
+                           min_size=1, max_size=6),
+           chunk=st.sampled_from([1, 2, 1024]))
+    def test_dwells_load_as_int64_or_name_the_line(
+            self, tmp_path_factory, dwells, chunk):
+        path = tmp_path_factory.getbasetemp() / "dwells.ndjson"
+        _write_lines(path, [json.dumps(
+            {"id": "x", "timestamp": 1, "amount": 1, "session": [["view", d]]})
+            for d in dwells])
+        big = [lineno for lineno, d in enumerate(dwells, 1) if d >= 2**63]
+        with mock.patch.object(model, "_CHUNK_LINES", chunk):
+            if big:
+                with pytest.raises(ValueError, match=(
+                        f"^line {big[0]}: dwell_ms must fit in a signed"
+                        " 64-bit integer$")):
+                    load_transactions(path)
+            else:
+                assert load_transactions(path).dwells.dtype == np.int64
 
     @pytest.mark.parametrize(
         "line", [json.dumps(row) for row in _BAD_ROWS] + _BAD_LINES)

@@ -212,14 +212,12 @@ class TestColumnarSessionBlock:
         for n in self.LENGTHS:
             self._assert_rows_equal([self._session(rng, n) for _ in range(5)])
 
-    def test_total_past_float64_raises(self):
-        huge = _session(("view", 10**308), ("cart", 10**308))
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="record r0000: total"):
-                build_feature_matrix([_record(0, session=huge)], "session")
-            with pytest.raises(ValueError, match="record r0001: total"):
-                build_feature_matrix(
-                    [_record(0), _record(1, session=huge)], "session")
+    @pytest.mark.parametrize("dwell", [2**63, 10**308, 10**400],
+                             ids=["2**63", "10**308", "10**400"])
+    def test_dwell_past_int64_rejected(self, dwell):
+        with pytest.raises(
+                ValueError, match="dwell_ms must fit in a signed 64-bit"):
+            _session(("view", 1), ("cart", dwell))
 
 
 def _assignment(labels, strengths=None):
