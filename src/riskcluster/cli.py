@@ -76,6 +76,9 @@ def _load_label_column(path):
             if label != value:
                 raise ValueError(
                     f"line {lineno}: non-integral label {cell!r}")
+            if not -2**63 <= label < 2**63:
+                raise ValueError(f"line {lineno}: label {cell!r} must fit"
+                                 " in a signed 64-bit integer")
             labels.append(label)
     if not labels:
         raise ValueError(f"no labels in {path}")
@@ -83,15 +86,31 @@ def _load_label_column(path):
 
 
 def _integral_labels(labels, what):
-    """labels if it is a JSON list of integral numbers, the rule of
-    _load_label_column; else ValueError."""
+    """labels as int64 if it is a JSON list of integral numbers that fit in
+    int64, the rule of _load_label_column; else ValueError."""
     if not isinstance(labels, list):
         raise ValueError(f"{what} lacks a labels list")
     for i, label in enumerate(labels):
         if not (type(label) is int
                 or type(label) is float and label.is_integer()):
             raise ValueError(f"labels[{i}]: non-integral label {label!r}")
-    return labels
+        if not -2**63 <= label < 2**63:
+            raise ValueError(f"labels[{i}]: label {label!r} must fit in a"
+                             " signed 64-bit integer")
+    return np.array(labels, dtype=np.int64)
+
+
+def _strengths(values):
+    """values as float64 if it is a JSON list of numbers and nulls; else
+    ValueError. ClusterAssignment rejects the nulls, which read as NaN, and
+    the numbers outside [0, 1]."""
+    if not isinstance(values, list) or not all(
+            v is None or type(v) in (int, float) for v in values):
+        raise ValueError("model file strengths must be a list of numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("strengths must lie in [0, 1]") from None
 
 
 def _load_feature_csv(path):
@@ -165,18 +184,20 @@ def cmd_predict(args):
     for key in ("input", "labels", "strengths"):
         if key not in model_obj:
             raise ValueError(f"model file lacks {key!r}")
+    params = model_obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("model file params must be an object")
     src = model_obj["input"]
     if not isinstance(src, dict) or not {"path", "format"} <= src.keys():
         raise ValueError("model file input needs 'path' and 'format'")
     train = load_points(
         src["path"], fmt=src["format"], header=src.get("header", False))
     assignment = ClusterAssignment(
-        labels=np.asarray(_integral_labels(model_obj["labels"], "model file"),
-                          dtype=np.int64),
-        strengths=np.asarray(model_obj["strengths"], dtype=np.float64))
+        labels=_integral_labels(model_obj["labels"], "model file"),
+        strengths=_strengths(model_obj["strengths"]))
     fmt = _detect_format(args.queries, args.format)
     queries = load_points(args.queries, fmt=fmt, header=args.header)
-    _print_header("predict", model_obj.get("params", {}).get("seed", 0), {
+    _print_header("predict", params.get("seed", 0), {
         "k_assign": args.k_assign,
         "model": args.model,
         "queries": args.queries,
@@ -329,7 +350,7 @@ def cmd_sankey(args):
             f" {len(batch)} records")
     _print_header("sankey", 0, {
         "cluster": args.cluster, "data": args.data, "labels": args.labels})
-    member = np.array([label == args.cluster for label in labels], dtype=bool)
+    member = labels == args.cluster
     rows = batch.event_rows()
     # events j and j + 1 of one session of the cluster
     j = np.flatnonzero((rows[:-1] == rows[1:]) & member[rows[:-1]])

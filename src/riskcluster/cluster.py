@@ -9,6 +9,7 @@ from .hierarchy import condense_tree, extract_clusters, single_linkage
 from .knn import (
     _KERNELS, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search)
+from .model import reject_non_numbers
 from .mst import attach_forest_root, kruskal_forest
 from .parallel import resolve_threads
 from .reach import EdgeList, core_distances, mutual_reach_edges
@@ -28,13 +29,20 @@ class ClusterParams:
     ivf_train_sample: int | None = None
     ivf_max_iter: int = 25
 
+    def __post_init__(self):
+        reject_non_numbers(self, integers=(
+            "min_cluster_size", "min_samples", "k", "nlist", "nprobe", "seed",
+            "ivf_train_sample", "ivf_max_iter"))
+        if not isinstance(self.allow_single_cluster, bool):
+            raise ValueError("allow_single_cluster must be true or false")
+
     def resolve(self, n):
         """Fill defaults against a dataset of n points."""
         if self.min_cluster_size < 2:
             raise ValueError("min_cluster_size must be >= 2")
         if self.mode not in ("exact", "ivf"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kernel not in _KERNELS:
+        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         min_samples = self.min_samples
         if min_samples is None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import reject_non_numbers
+
 _MIN_LEAF = 3
 _EPS_GAIN = 1e-12
 
@@ -26,6 +28,10 @@ class ExplainConfig:
     dedup_similarity: float = 0.9
 
     def __post_init__(self):
+        reject_non_numbers(
+            self,
+            integers=("n_tree_estimators", "max_depth", "n_bootstrap_rounds"),
+            reals=("min_precision", "min_recall", "dedup_similarity"))
         if self.n_tree_estimators < 1:
             raise ValueError("n_tree_estimators must be >= 1")
         if self.max_depth < 1:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import struct
 from collections.abc import Sequence
 from contextlib import suppress
@@ -320,6 +321,24 @@ def reject_unknown_keys(cls, obj, what):
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
+def reject_non_numbers(obj, integers=(), reals=()):
+    """ValueError naming the first of the given fields of a config object
+    that holds no integer (integers) or no finite real number (reals). A
+    bool is neither, and a field whose default is None may hold None."""
+    optional = {f.name for f in fields(obj) if f.default is None}
+    for name in chain(integers, reals):
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        if name in integers:
+            ok, what = isinstance(value, numbers.Integral), "an integer"
+        else:
+            ok = isinstance(value, numbers.Real) and _finite(value)
+            what = "a finite number"
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"{name} must be {what}")
 
 
 def _parse_csv_points(text, header):

@@ -10,7 +10,6 @@ once, and no stage walks the records one by one.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .cluster import ClusterParams, cluster_points
 from .metrics import fraud_metrics
 from .model import (
     PAGE_TYPES, RISK_SEEDS, ClusterAssignment, PointSet, TransactionBatch,
-    reject_unknown_keys)
+    reject_non_numbers, reject_unknown_keys)
 from .predict import InductiveModel, assign_new_points
 
 _CONFIRMED, _DECLINED = (
@@ -157,6 +156,9 @@ class RiskyClusterConfig:
     min_mean_strength: float = 0.1
 
     def __post_init__(self):
+        reject_non_numbers(
+            self, integers=("min_cluster_size_for_flag",),
+            reals=("min_fraud_density", "min_mean_strength"))
         if self.min_cluster_size_for_flag < 1:
             raise ValueError("min_cluster_size_for_flag must be >= 1")
         for name in ("min_fraud_density", "min_mean_strength"):
@@ -219,6 +221,8 @@ class SamplingSpec:
     half_life_ms: float | None = None
 
     def __post_init__(self):
+        reject_non_numbers(
+            self, integers=("max_train",), reals=("half_life_ms",))
         if self.max_train is not None and self.max_train < 1:
             raise ValueError("max_train must be >= 1")
         if self.half_life_ms is not None and self.half_life_ms <= 0:
@@ -242,11 +246,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("inductive", "transductive"):
             raise ValueError(f"unknown experiment mode {self.mode!r}")
-        for name in ("snapshot_ms", "k_assign", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        reject_non_numbers(self, integers=("snapshot_ms", "k_assign", "seed"))
         if self.snapshot_ms < 1:
             raise ValueError("snapshot_ms must be >= 1")
         if self.snapshot_ms >= 2**63:
@@ -257,7 +257,7 @@ class ExperimentSpec:
         try:
             train = tuple(int(s) for s in self.train_snapshots)
             test = int(self.test_snapshot)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 "train_snapshots must be a list of snapshot numbers"
                 " and test_snapshot a number") from None
@@ -265,7 +265,7 @@ class ExperimentSpec:
             windows = None if self.windows is None else tuple(
                 (tuple(int(s) for s in tr), int(te))
                 for tr, te in self.windows)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 "windows must be a list of [train_snapshots, test_snapshot]"
                 " pairs") from None
@@ -280,6 +280,8 @@ class ExperimentSpec:
                     "train window must strictly precede test snapshot")
         if "min_cluster_size" not in self.clustering:
             raise ValueError("clustering needs min_cluster_size")
+        # checks the kinds of the clustering values before any data loads
+        ClusterParams(**self.clustering)
 
     def iter_windows(self):
         if self.windows is not None:

@@ -196,6 +196,16 @@ class TestClusterPredictAri:
         assert "error: line 2: non-integral label '1.7'" in err
         assert "1.0" not in out
 
+    @pytest.mark.parametrize("cell", ["1e30", "9223372036854775808"])
+    def test_ari_label_past_int64_is_contract_error(
+            self, tmp_path, capsys, cell):
+        a = tmp_path / "a.csv"
+        a.write_text(f"0\n{cell}\n1\n")
+        code, _, err = run(capsys, "ari", "--a", str(a), "--b", str(a))
+        assert code == 4
+        assert (f"error: line 2: label {cell!r} must fit in a signed 64-bit"
+                " integer") in err
+
     def test_ari_integral_spellings_accepted(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("1\n1.0\n-1\n-1.0\n")
@@ -273,6 +283,38 @@ class TestClusterPredictAri:
             tmp_path, capsys, [0, 1, -1], [1.0, None, 0.0])
         assert code == 4
         assert "error: strengths must lie in [0, 1]" in err
+
+    @pytest.mark.parametrize("label", [1e19, 2**63])
+    def test_model_label_past_int64(self, tmp_path, capsys, label):
+        code, err, _ = self._predict(
+            tmp_path, capsys, [0, label, -1], [1.0, 1.0, 0.0])
+        assert code == 4
+        assert (f"error: labels[1]: label {label!r} must fit in a signed"
+                " 64-bit integer") in err
+
+    @pytest.mark.parametrize("strengths, message", [
+        ({"a": 1}, "model file strengths must be a list of numbers"),
+        ([1.0, "1", 0.0], "model file strengths must be a list of numbers"),
+        ([1.0, 10**400, 0.0], "strengths must lie in [0, 1]"),
+    ])
+    def test_model_strengths_not_numbers(
+            self, tmp_path, capsys, strengths, message):
+        code, err, _ = self._predict(tmp_path, capsys, [0, 1, -1], strengths)
+        assert code == 4
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("params", [[], 5])
+    def test_model_params_not_an_object(self, tmp_path, capsys, params):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "input": {"path": str(tmp_path / "train.csv"), "format": "csv"},
+            "labels": [0], "strengths": [1.0], "params": params}))
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "error: model file params must be an object" in err
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +436,38 @@ class TestExperiment:
         assert f"error: {message}" in err
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("clustering", {"min_cluster_size": "50"},
+         "min_cluster_size must be an integer"),
+        ("clustering", {"min_cluster_size": 5.5},
+         "min_cluster_size must be an integer"),
+        ("clustering", {"min_cluster_size": 50, "min_samples": 2.5},
+         "min_samples must be an integer"),
+        ("clustering", {"min_cluster_size": 50, "mode": "ivf", "nlist": "x"},
+         "nlist must be an integer"),
+        ("clustering", {"min_cluster_size": 50, "allow_single_cluster": 1},
+         "allow_single_cluster must be true or false"),
+        ("sampling", {"max_train": "5"}, "max_train must be an integer"),
+        ("risky", {"min_fraud_density": "0.5"},
+         "min_fraud_density must be a finite number"),
+        ("snapshot_ms", 2**63,
+         "snapshot_ms must fit in a signed 64-bit integer"),
+        ("train_snapshots", [float("inf")],
+         "train_snapshots must be a list of snapshot numbers"),
+    ])
+    def test_config_value_of_the_wrong_kind_fails_before_loading_data(
+            self, stream_files, tmp_path, capsys, key, value, message):
+        _, config, _ = stream_files
+        obj = {**json.loads(Path(config).read_text()), key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "experiment", "--config", str(bad),
+            "--data", str(tmp_path / "missing.ndjson"),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert f"error: {message}" in err
+
     @pytest.mark.parametrize("fields, message", [
         ('"timestamp": 5, "amount": 1' + "0" * 400,
          "int too large to convert to float"),
@@ -445,6 +519,22 @@ class TestExperiment:
         assert code == 4
         assert ("error: line 4: dwell_ms must fit in a signed 64-bit"
                 " integer") in err
+
+    def test_feature_name_not_a_string_names_the_line(
+            self, stream_files, tmp_path, capsys):
+        # only the list-of-pairs form of features can name a feature 1
+        data, config, _ = stream_files
+        lines = Path(data).read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj["features"] = [[1, 2.0], *obj["features"].items()]
+        lines[3] = json.dumps(obj)
+        pairs = tmp_path / "pairs.ndjson"
+        pairs.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "experiment", "--config", config, "--data", str(pairs),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert "error: line 4: feature name 1 is not a string" in err
 
 
 class TestExplain:
@@ -513,6 +603,22 @@ class TestExplain:
             "--config", str(config), "--out", str(tmp_path / "r.json"))
         assert code == 4
         assert "error: explain config must be an object" in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_tree_estimators": "10"}, "n_tree_estimators must be an integer"),
+        ({"max_depth": 2.5}, "max_depth must be an integer"),
+        ({"min_precision": "0.5"}, "min_precision must be a finite number"),
+    ])
+    def test_config_value_of_the_wrong_kind(
+            self, planted, tmp_path, capsys, overrides, message):
+        feats, target = planted
+        config = tmp_path / "explain.json"
+        config.write_text(json.dumps(overrides))
+        code, _, err = run(
+            capsys, "explain", "--features", feats, "--target", target,
+            "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert f"error: {message}" in err
 
     def test_bad_cell_line_counts_blank_lines(self, tmp_path, capsys):
         feats = tmp_path / "features.csv"
@@ -640,3 +746,14 @@ class TestSankey:
             "--cluster", "0", "--out", str(tmp_path / "f.json"))
         assert code == 4
         assert f"error: labels[2]: non-integral label {label!r}" in err
+
+    def test_label_past_int64_is_contract_error(
+            self, mixed_stream, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"labels": [0, 0, 2**63, 0]}))
+        code, _, err = run(
+            capsys, "sankey", "--data", mixed_stream, "--labels", str(path),
+            "--cluster", "0", "--out", str(tmp_path / "f.json"))
+        assert code == 4
+        assert ("error: labels[2]: label 9223372036854775808 must fit in a"
+                " signed 64-bit integer") in err

@@ -2,13 +2,18 @@
 
 Three invariant families run at high example counts: the single-linkage
 dendrogram vs the oracle's merge list, condensation bookkeeping vs the
-reference checker, and deduplication's pairwise-overlap bound. The
+reference checker, and deduplication's pairwise-overlap bound. The config
+readers take a value of any JSON kind in any field and either accept it or
+raise ValueError. The
 noise-monotonicity family is expected to fail: excess-of-mass selection can
 fall back to a coarser ancestor at a larger min_cluster_size and reclaim
 points that were noise at a smaller one. That test is marked strict-xfail
 and the counterexample is pinned separately so the behavior stays
 documented.
 """
+
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,8 +22,10 @@ from hypothesis import strategies as st
 
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
-from riskcluster.explain import Rule, dedup_rules
+from riskcluster.explain import ExplainConfig, Rule, dedup_rules
 from riskcluster.hierarchy import condense_tree, single_linkage
+from riskcluster.pipeline import (
+    ExperimentSpec, RiskyClusterConfig, SamplingSpec)
 from riskcluster.reach import EdgeList
 
 from oracle import condensed_invariants, single_linkage_from_edges
@@ -183,3 +190,58 @@ def test_pinned_noise_monotonicity_counterexample():
     assert lo.noise_count == 30
     assert hi.noise_count == 22
     assert hi.noise_count < lo.noise_count
+
+
+# a value of each JSON kind: ints inside and past int64, floats with 1e400
+# (which reads back as inf) and NaN, strings a field accepts, and containers
+_JSON_VALUE = st.one_of(
+    st.integers(-3, 200), st.sampled_from([2**63, -2**63 - 1, 10**400]),
+    st.floats(), st.sampled_from([1e400, 0.5, 1.0]),
+    st.sampled_from(["", "x", "5", "0.5", "inductive", "ivf", "fast",
+                     "hybrid"]),
+    st.booleans(), st.none(),
+    st.lists(st.one_of(st.integers(-2, 3), st.floats(), st.text(max_size=1)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["a", "events"]), st.integers(),
+                    max_size=1))
+_SECTIONS = {None: ExperimentSpec, "clustering": ClusterParams,
+             "sampling": SamplingSpec, "risky": RiskyClusterConfig}
+_FIELDS = [(section, f.name) for section, cls in _SECTIONS.items()
+           for f in fields(cls)]
+
+
+def _accepts_or_rejects(call):
+    """call() either returns or raises ValueError; anything else fails."""
+    try:
+        call()
+    except ValueError:
+        pass
+
+
+@BULK
+@given(edits=st.lists(st.tuples(st.sampled_from(_FIELDS), _JSON_VALUE),
+                      max_size=4))
+def test_experiment_config_reader_raises_only_value_errors(edits):
+    obj = {"mode": "inductive", "train_snapshots": [0], "test_snapshot": 1,
+           "clustering": {"min_cluster_size": 10}}
+    for (section, name), value in edits:
+        target = obj if section is None else obj.setdefault(section, {})
+        if isinstance(target, dict):
+            target[name] = value
+    _accepts_or_rejects(lambda: ExperimentSpec.from_json(json.dumps(obj)))
+
+
+@BULK
+@given(kw=st.fixed_dictionaries(
+    {"min_cluster_size": _JSON_VALUE},
+    optional={f.name: _JSON_VALUE for f in fields(ClusterParams)
+              if f.name != "min_cluster_size"}))
+def test_cluster_params_raise_only_value_errors(kw):
+    _accepts_or_rejects(lambda: ClusterParams(**kw).resolve(100))
+
+
+@BULK
+@given(kw=st.fixed_dictionaries(
+    {}, optional={f.name: _JSON_VALUE for f in fields(ExplainConfig)}))
+def test_explain_config_raises_only_value_errors(kw):
+    _accepts_or_rejects(lambda: ExplainConfig(**kw))
