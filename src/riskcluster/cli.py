@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import suppress
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,8 +24,8 @@ from .datagen import SyntheticSpec, generate
 from .explain import ExplainConfig, fit_rules, render_rule, rules_to_json
 from .metrics import adjusted_rand_index
 from .model import (
-    MAGIC, ClusterAssignment, load_points, load_transactions,
-    reject_unknown_keys)
+    MAGIC, ClusterAssignment, config_of, load_points, load_transactions,
+    save_points)
 from .pipeline import ExperimentSpec, run_experiment
 from .predict import InductiveModel, assign_new_points
 
@@ -76,6 +78,8 @@ def _load_label_column(path):
             if label != value:
                 raise ValueError(
                     f"line {lineno}: non-integral label {cell!r}")
+            with suppress(ValueError):
+                label = int(cell)  # exact where the float rounds
             if not -2**63 <= label < 2**63:
                 raise ValueError(f"line {lineno}: label {cell!r} must fit"
                                  " in a signed 64-bit integer")
@@ -226,25 +230,19 @@ def cmd_gen(args):
         dim=args.dim, centers=args.centers, std=args.std,
         factor=args.factor)
     prefix = args.out_prefix or f"{args.shape}_{args.n}_{args.seed}"
-    _print_header("gen", args.seed, {
-        "shape": spec.shape, "n": spec.n, "noise": spec.noise,
-        "dim": spec.dim, "centers": spec.centers, "std": spec.std,
-        "factor": spec.factor,
-    })
+    params = {"shape": spec.shape, "n": spec.n, "noise": spec.noise,
+              "dim": spec.dim, "centers": spec.centers, "std": spec.std,
+              "factor": spec.factor}
+    _print_header("gen", args.seed, params)
     points, labels = generate(spec)
     points_path = f"{prefix}.points.csv"
     labels_path = f"{prefix}.labels.csv"
     manifest_path = f"{prefix}.manifest.json"
-    from .model import save_points
     save_points(points_path, points, fmt="csv")
     with open(labels_path, "w", encoding="utf-8") as fh:
         for lab in labels:
             fh.write(f"{int(lab)}\n")
-    _write_json(manifest_path, {
-        "shape": spec.shape, "n": spec.n, "noise": spec.noise,
-        "seed": spec.seed, "dim": spec.dim, "centers": spec.centers,
-        "std": spec.std, "factor": spec.factor,
-    })
+    _write_json(manifest_path, {**params, "seed": spec.seed})
     for path in (points_path, labels_path, manifest_path):
         print(f"wrote {path}")
     return 0
@@ -312,17 +310,8 @@ def cmd_explain(args):
     config = ExplainConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        reject_unknown_keys(ExplainConfig, overrides, "explain config")
-        config = ExplainConfig(**overrides)
-    _print_header("explain", args.seed, {
-        "n_tree_estimators": config.n_tree_estimators,
-        "max_depth": config.max_depth,
-        "min_precision": config.min_precision,
-        "min_recall": config.min_recall,
-        "n_bootstrap_rounds": config.n_bootstrap_rounds,
-        "dedup_similarity": config.dedup_similarity,
-    })
+            config = config_of(ExplainConfig, json.load(fh), "explain config")
+    _print_header("explain", args.seed, asdict(config))
     rules = fit_rules(x, names, y, config, seed=args.seed)
     for rule in rules:
         print(f"rule: {render_rule(rule)}"

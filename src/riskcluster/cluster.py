@@ -1,7 +1,7 @@
 """End-to-end clustering orchestrator with per-stage timings."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,19 +60,8 @@ class ClusterParams:
         nprobe = (self.nprobe if self.nprobe is not None
                   else default_nprobe(nlist))
         nprobe = min(nprobe, nlist)
-        return {
-            "min_cluster_size": self.min_cluster_size,
-            "min_samples": min_samples,
-            "k": k,
-            "mode": self.mode,
-            "nlist": nlist,
-            "nprobe": nprobe,
-            "seed": self.seed,
-            "allow_single_cluster": self.allow_single_cluster,
-            "kernel": self.kernel,
-            "ivf_train_sample": self.ivf_train_sample,
-            "ivf_max_iter": self.ivf_max_iter,
-        }
+        return asdict(replace(
+            self, min_samples=min_samples, k=k, nlist=nlist, nprobe=nprobe))
 
 
 @dataclass(frozen=True)

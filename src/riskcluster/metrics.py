@@ -1,7 +1,7 @@
 """Clustering and fraud-business metrics."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,20 +59,9 @@ class FraudReport:
     true_negatives: int
 
     def to_dict(self):
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "loss_saved": self.loss_saved,
-            "profit_hurt": self.profit_hurt,
-            "return_rate": ("inf" if math.isinf(self.return_rate)
-                            else self.return_rate),
-            "no_predictions": self.no_predictions,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "true_negatives": self.true_negatives,
-        }
+        out = asdict(self)
+        if math.isinf(self.return_rate):
+            out["return_rate"] = "inf"
         return out
 
     def to_text(self):

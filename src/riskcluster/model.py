@@ -14,9 +14,9 @@ import json
 import math
 import numbers
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -313,14 +313,23 @@ class ClusterAssignment:
         return top + 1 if top >= 0 else 0
 
 
-def reject_unknown_keys(cls, obj, what):
-    """ValueError naming the keys of a config mapping cls has no field for,
-    or saying that obj is no mapping at all."""
-    if not isinstance(obj, dict):
+def config_of(cls, obj, what):
+    """cls(**obj) for a config mapping obj; ValueError if obj is no mapping,
+    has a key cls has no field for, or lacks a field without a default."""
+    if not isinstance(obj, Mapping):
         raise ValueError(f"{what} must be an object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.name not in obj and f.default is f.default_factory is MISSING:
+            raise ValueError(f"{what} needs {f.name}")
+    return cls(**obj)
+
+
+def is_integer(value):
+    """Whether value is an integer, a numpy one included; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def reject_non_numbers(obj, integers=(), reals=()):
@@ -333,7 +342,7 @@ def reject_non_numbers(obj, integers=(), reals=()):
         if value is None and name in optional:
             continue
         if name in integers:
-            ok, what = isinstance(value, numbers.Integral), "an integer"
+            ok, what = is_integer(value), "an integer"
         else:
             ok = isinstance(value, numbers.Real) and _finite(value)
             what = "a finite number"

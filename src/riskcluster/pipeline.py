@@ -18,7 +18,7 @@ from .cluster import ClusterParams, cluster_points
 from .metrics import fraud_metrics
 from .model import (
     PAGE_TYPES, RISK_SEEDS, ClusterAssignment, PointSet, TransactionBatch,
-    reject_non_numbers, reject_unknown_keys)
+    config_of, is_integer, reject_non_numbers)
 from .predict import InductiveModel, assign_new_points
 
 _CONFIRMED, _DECLINED = (
@@ -231,13 +231,15 @@ class SamplingSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment; construction normalizes its windows and sections."""
+
     mode: str
     snapshot_ms: int = 3_600_000
     train_snapshots: tuple = ()
     test_snapshot: int = 0
     windows: tuple | None = None
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
-    clustering: dict = field(default_factory=dict)
+    clustering: ClusterParams = field(default_factory=dict)
     risky: RiskyClusterConfig = field(default_factory=RiskyClusterConfig)
     feature_set: str = "hybrid"
     k_assign: int = 5
@@ -251,55 +253,58 @@ class ExperimentSpec:
             raise ValueError("snapshot_ms must be >= 1")
         if self.snapshot_ms >= 2**63:
             raise ValueError("snapshot_ms must fit in a signed 64-bit integer")
+        if self.k_assign < 1:
+            raise ValueError("k_assign must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
-        reject_unknown_keys(ClusterParams, self.clustering, "clustering")
         try:
-            train = tuple(int(s) for s in self.train_snapshots)
-            test = int(self.test_snapshot)
-        except (TypeError, ValueError, OverflowError):
+            pair = _window(self.train_snapshots, self.test_snapshot)
+        except TypeError:
             raise ValueError(
                 "train_snapshots must be a list of snapshot numbers"
                 " and test_snapshot a number") from None
         try:
-            windows = None if self.windows is None else tuple(
-                (tuple(int(s) for s in tr), int(te))
-                for tr, te in self.windows)
-        except (TypeError, ValueError, OverflowError):
+            windows = (pair,) if self.windows is None else tuple(
+                _window(*w) for w in self.windows)
+        except TypeError:
             raise ValueError(
                 "windows must be a list of [train_snapshots, test_snapshot]"
                 " pairs") from None
-        object.__setattr__(self, "train_snapshots", train)
-        object.__setattr__(self, "test_snapshot", test)
-        object.__setattr__(self, "windows", windows)
-        for train, test in self.iter_windows():
+        if self.windows is not None and pair != ((), 0):
+            raise ValueError("give windows or train_snapshots and"
+                             " test_snapshot, not both")
+        if not windows:
+            raise ValueError("windows must not be empty")
+        for train, test in windows:
             if not train:
                 raise ValueError("window has no train snapshots")
             if max(train) >= test:
                 raise ValueError(
                     "train window must strictly precede test snapshot")
-        if "min_cluster_size" not in self.clustering:
-            raise ValueError("clustering needs min_cluster_size")
-        # checks the kinds of the clustering values before any data loads
-        ClusterParams(**self.clustering)
-
-    def iter_windows(self):
-        if self.windows is not None:
-            return list(self.windows)
-        return [(self.train_snapshots, self.test_snapshot)]
+        normal = {name: config_of(cls, getattr(self, name), name)
+                  for name, cls in (("sampling", SamplingSpec),
+                                    ("clustering", ClusterParams),
+                                    ("risky", RiskyClusterConfig))
+                  if not isinstance(getattr(self, name), cls)}
+        normal.update(
+            train_snapshots=pair[0], test_snapshot=pair[1], windows=windows)
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
-        reject_unknown_keys(cls, obj, "experiment")
-        if "mode" not in obj:
-            raise ValueError("experiment needs mode")
-        for key, sub in (("sampling", SamplingSpec),
-                         ("risky", RiskyClusterConfig)):
-            if key in obj and not isinstance(obj[key], sub):
-                reject_unknown_keys(sub, obj[key], key)
-                obj[key] = sub(**obj[key])
-        return cls(**obj)
+        obj = json.loads(text) if isinstance(text, str) else text
+        return config_of(cls, obj, "experiment")
+
+
+def _window(train, test):
+    """A window as (tuple of int, int); TypeError unless all are integers."""
+    train = tuple(train)
+    if not all(map(is_integer, (*train, test))):
+        raise TypeError("snapshot numbers must be integers")
+    return tuple(map(int, train)), int(test)
 
 
 def _group_by_snapshot(batch, snapshot_ms):
@@ -347,7 +352,7 @@ def _stratified_sample(records, indices, sampling, rng):
 
 
 def _indices_for(groups, snapshots, what):
-    indices = [groups[int(s)] for s in snapshots if int(s) in groups]
+    indices = [groups[s] for s in snapshots if s in groups]
     if not indices:
         raise ValueError(f"{what} window matched no records")
     return np.sort(np.concatenate(indices))
@@ -367,13 +372,12 @@ def run_experiment(spec, records):
     batch = TransactionBatch.of(records)
     features, feature_names = build_feature_matrix(batch, spec.feature_set)
     groups = _group_by_snapshot(batch, spec.snapshot_ms)
-    params = ClusterParams(**spec.clustering)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     all_pred = []
     all_act = []
     all_amt = []
     windows_out = []
-    for train_snaps, test_snap in spec.iter_windows():
+    for train_snaps, test_snap in spec.windows:
         train_idx = _indices_for(groups, train_snaps, "train")
         test_idx = _indices_for(groups, [test_snap], "test")
         if np.isin(test_idx, train_idx).any():
@@ -381,7 +385,7 @@ def run_experiment(spec, records):
         if spec.mode == "inductive":
             n_train = len(train_idx)
             train_points = PointSet(features[train_idx])
-            result = cluster_points(train_points, params)
+            result = cluster_points(train_points, spec.clustering)
             risky, stats = select_risky_clusters(
                 result.assignment, batch.take(train_idx), spec.risky)
             model = InductiveModel(
@@ -395,7 +399,7 @@ def run_experiment(spec, records):
                 batch, train_idx, spec.sampling, rng)
             joint_points = PointSet(
                 features[np.concatenate([sampled, test_idx])])
-            result = cluster_points(joint_points, params)
+            result = cluster_points(joint_points, spec.clustering)
             n_train = len(sampled)
             train_assign = ClusterAssignment(
                 labels=result.labels[:n_train],
@@ -414,8 +418,8 @@ def run_experiment(spec, records):
         all_amt.append(amounts)
         window_report = fraud_metrics(predicted, actual, amounts)
         windows_out.append({
-            "train_snapshots": [int(s) for s in train_snaps],
-            "test_snapshot": int(test_snap),
+            "train_snapshots": list(train_snaps),
+            "test_snapshot": test_snap,
             "n_train": n_train,
             "n_test": len(test_idx),
             "risky_clusters": [int(c) for c in sorted(risky)],

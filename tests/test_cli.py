@@ -215,6 +215,25 @@ class TestClusterPredictAri:
         assert code == 0
         assert out.strip().splitlines()[-1] == "1.0"
 
+    def test_ari_reads_integer_labels_exactly(self, tmp_path, capsys):
+        # 2**53 + 1 and 2**53 are one float64: read through a float, the
+        # three distinct labels of a would be two and match b
+        a = tmp_path / "a.csv"
+        a.write_text("1\n9007199254740993\n9007199254740992\n")
+        b = tmp_path / "b.csv"
+        b.write_text("1\n5\n5\n")
+        code, out, _ = run(capsys, "ari", "--a", str(a), "--b", str(b))
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "0.0"
+
+    def test_ari_accepts_the_int64_extremes(self, tmp_path, capsys):
+        # 2**63 - 1 rounds up to 2**63 as a float64
+        a = tmp_path / "a.csv"
+        a.write_text("9223372036854775807\n-9223372036854775808\n0\n")
+        code, out, _ = run(capsys, "ari", "--a", str(a), "--b", str(a))
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "1.0"
+
     @pytest.mark.parametrize("source, missing", [
         ({"format": "csv"}, "path"),
         ({"path": "train.csv"}, "format"),
@@ -459,6 +478,40 @@ class TestExperiment:
             self, stream_files, tmp_path, capsys, key, value, message):
         _, config, _ = stream_files
         obj = {**json.loads(Path(config).read_text()), key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "experiment", "--config", str(bad),
+            "--data", str(tmp_path / "missing.ndjson"),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("mode", ["inductive", "transductive"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"k_assign": 0}, "k_assign must be >= 1"),
+        ({"windows": [], "train_snapshots": None, "test_snapshot": None},
+         "windows must not be empty"),
+        ({"windows": [[[0], 1]]},
+         "give windows or train_snapshots and test_snapshot, not both"),
+        ({"train_snapshots": [1.7]},
+         "train_snapshots must be a list of snapshot numbers"),
+        ({"test_snapshot": "9"},
+         "train_snapshots must be a list of snapshot numbers"),
+        ({"windows": [[[0], True]], "train_snapshots": None,
+          "test_snapshot": None}, "windows must be a list"),
+    ], ids=["seed", "k_assign", "no-windows", "both-window-forms",
+            "float-snapshot", "string-snapshot", "bool-snapshot"])
+    def test_windows_seed_and_k_assign_fail_before_loading_data(
+            self, stream_files, tmp_path, capsys, mode, edit, message):
+        _, config, _ = stream_files
+        obj = {**json.loads(Path(config).read_text()), "mode": mode}
+        for key, value in edit.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         code, _, err = run(

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riskcluster.cluster import ClusterParams
 from riskcluster.datagen import fraud_stream
 from riskcluster.model import ClickSession, ClusterAssignment, PointSet, \
     TransactionBatch, TransactionRecord, load_transactions, save_transactions
@@ -366,7 +369,72 @@ class TestExperimentSpec:
         assert spec.sampling.max_train == 100
         assert isinstance(spec.risky, RiskyClusterConfig)
         assert spec.risky.min_fraud_density == 0.6
-        assert spec.iter_windows() == [((0, 1), 2), ((1, 2), 3)]
+        assert spec.windows == (((0, 1), 2), ((1, 2), 3))
+
+    def test_sections_become_config_objects(self):
+        spec = ExperimentSpec(
+            mode="inductive", train_snapshots=[0], test_snapshot=1,
+            sampling={"max_train": 10}, risky={"min_fraud_density": 0.6},
+            clustering={"min_cluster_size": 10})
+        assert spec.sampling == SamplingSpec(max_train=10)
+        assert spec.risky == RiskyClusterConfig(min_fraud_density=0.6)
+        assert spec.clustering == ClusterParams(min_cluster_size=10)
+        assert spec.windows == (((0,), 1),)
+        assert spec == ExperimentSpec.from_json(json.dumps({
+            "mode": "inductive", "train_snapshots": [0], "test_snapshot": 1,
+            "sampling": {"max_train": 10}, "risky": {"min_fraud_density": 0.6},
+            "clustering": {"min_cluster_size": 10}}))
+
+    def test_config_objects_pass_through(self):
+        params = ClusterParams(min_cluster_size=10)
+        spec = ExperimentSpec(
+            mode="inductive", train_snapshots=(0,), test_snapshot=1,
+            clustering=params)
+        assert spec.clustering is params
+
+    def test_snapshot_numbers_read_as_ints(self):
+        spec = ExperimentSpec(
+            mode="inductive", windows=[[np.array([0, 1]), np.int64(2)]],
+            clustering={"min_cluster_size": 10})
+        assert spec.windows == (((0, 1), 2),)
+        assert {type(s) for s in (*spec.windows[0][0], spec.windows[0][1])} \
+            == {int}
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"train_snapshots": (0.0,)}, "train_snapshots must be a list"),
+        ({"train_snapshots": (True,)}, "train_snapshots must be a list"),
+        ({"test_snapshot": "1"}, "train_snapshots must be a list"),
+        ({"windows": (((0,), 1.5),)}, "windows must be a list"),
+        ({"windows": (((0,), 1, 2),)}, "windows must be a list"),
+        ({"windows": ((0, 1),)}, "windows must be a list"),
+        ({"windows": (((0,), 1),), "train_snapshots": (0,)},
+         "not both"),
+        ({"windows": (((0,), 1),), "test_snapshot": 1}, "not both"),
+        ({"windows": ()}, "windows must not be empty"),
+        ({"k_assign": 0}, "k_assign must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    @pytest.mark.parametrize("mode", ["inductive", "transductive"])
+    def test_rejects_at_construction(self, mode, edit, message):
+        base = {"mode": mode, "clustering": {"min_cluster_size": 10}}
+        if "windows" not in edit:
+            base.update(train_snapshots=(0,), test_snapshot=1)
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{**base, **edit})
+
+    def test_window_errors_come_before_clustering_errors(self):
+        with pytest.raises(ValueError, match="windows must not be empty"):
+            ExperimentSpec(mode="inductive", windows=(), clustering=7)
+
+    def test_readme_config_is_read(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        # the first JSON block under the heading, as the docs show it
+        block = re.search(
+            r"\*\*Experiment config JSON\*\*.*?```json\n(.*?)```",
+            readme.read_text(encoding="utf-8"), re.S)
+        spec = ExperimentSpec.from_json(block.group(1))
+        assert isinstance(spec.clustering, ClusterParams)
+        assert len(spec.windows) == 1
 
     def test_group_by_snapshot_boundaries(self):
         batch = TransactionBatch.of([
@@ -471,6 +539,25 @@ class TestRunExperiment:
             clustering={"min_cluster_size": 10})
         with pytest.raises(ValueError, match="no records"):
             run_experiment(spec, [])
+
+
+@pytest.mark.parametrize("mode", ["inductive", "transductive"])
+def test_spec_built_in_code_with_section_mappings_runs_as_from_json(
+        stream, mode):
+    # every section as a plain mapping, as a library caller may pass it
+    records, truth = stream
+    obj = {
+        "mode": mode, "train_snapshots": truth["snapshots"][:-1],
+        "test_snapshot": truth["snapshots"][-1],
+        "sampling": {"max_train": 800, "half_life_ms": 3_600_000.0},
+        "clustering": {"min_cluster_size": 50, "min_samples": 10},
+        "risky": {"min_fraud_density": 0.4}, "feature_set": "embedding"}
+    want_report, want = run_experiment(
+        ExperimentSpec.from_json(json.dumps(obj)), records)
+    got_report, got = run_experiment(ExperimentSpec(**obj), records)
+    assert got_report == want_report
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert want_report.recall > 0.7
 
 
 @pytest.mark.parametrize("feature_set", ["embedding", "session", "hybrid"])

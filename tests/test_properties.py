@@ -4,7 +4,7 @@ Three invariant families run at high example counts: the single-linkage
 dendrogram vs the oracle's merge list, condensation bookkeeping vs the
 reference checker, and deduplication's pairwise-overlap bound. The config
 readers take a value of any JSON kind in any field and either accept it or
-raise ValueError. The
+raise ValueError, and an accepted snapshot number is the integer given. The
 noise-monotonicity family is expected to fail: excess-of-mass selection can
 fall back to a coarser ancestor at a larger min_cluster_size and reclaim
 points that were noise at a smaller one. That test is marked strict-xfail
@@ -238,6 +238,35 @@ def test_experiment_config_reader_raises_only_value_errors(edits):
         if isinstance(target, dict):
             target[name] = value
     _accepts_or_rejects(lambda: ExperimentSpec.from_json(json.dumps(obj)))
+
+
+# mostly small integers, so that a fair share of windows is valid
+_SNAPSHOT = st.integers(0, 3).flatmap(
+    lambda i: _JSON_VALUE if i == 0 else st.integers(0, 9))
+
+
+@BULK
+@given(train=st.lists(_SNAPSHOT, max_size=3), test=_SNAPSHOT,
+       windows=st.none() | st.lists(st.tuples(
+           st.lists(_SNAPSHOT, max_size=3), _SNAPSHOT), max_size=2),
+       both=st.booleans())
+def test_accepted_snapshot_numbers_are_the_integers_given(
+        train, test, windows, both):
+    obj = {"mode": "inductive", "clustering": {"min_cluster_size": 10}}
+    if windows is None or both:
+        obj.update(train_snapshots=train, test_snapshot=test)
+    if windows is not None:
+        obj["windows"] = windows
+    try:
+        spec = ExperimentSpec.from_json(json.dumps(obj))
+    except ValueError:
+        return
+    given = [(train, test)] if windows is None else windows
+    if windows is not None and both:
+        # the pair may go with windows only at its defaults
+        assert train == [] and type(test) is int and test == 0
+    assert all(type(s) is int for tr, te in given for s in (*tr, te))
+    assert spec.windows == tuple((tuple(tr), te) for tr, te in given)
 
 
 @BULK
