@@ -33,6 +33,8 @@ class ClusterParams:
         reject_non_numbers(self, integers=(
             "min_cluster_size", "min_samples", "k", "nlist", "nprobe", "seed",
             "ivf_train_sample", "ivf_max_iter"))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not isinstance(self.allow_single_cluster, bool):
             raise ValueError("allow_single_cluster must be true or false")
 

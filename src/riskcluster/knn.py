@@ -23,13 +23,16 @@ same operations in the same order, and the points' norms are computed once
 per k-means fit.
 
 Exact searches (brute-force fit, IVF candidate blocks and inductive
-assignment) filter and refine through _exact_topk: a Gram block on centred
-data, with a proven bound on its gap to sqdist_exact, keeps every column
-that can reach the top k, and only those are scored in sqdist_exact's
-per-pair order. The top k by (value, column) then has the bits that
-_topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
-searches whose k spans the row, take that full path itself. The centred
-base operands are built once per search and shared by its blocks.
+assignment) filter and refine through _exact_topk, over blocks of rows
+that each search their own base columns (a brute-force or assignment block
+is a row tile of the whole base): a Gram block on centred data, with a
+proven bound on its gap to sqdist_exact, keeps every column that can reach
+the top k, and only those are scored in sqdist_exact's per-pair order, the
+survivors of many blocks in one pass. The top k by (value, column) then
+has the bits that _topk_rows(sqdist_exact(...)) gives; rows the bound
+cannot cover, and blocks whose k spans the row, take that full path
+itself. The centred base operands are built once per search and shared by
+its blocks.
 
 Every search selects its top k by (value, column), NaN last, through one of
 two routines: a whole-row sort with its ties re-sorted by column (full kNN
@@ -38,12 +41,18 @@ order (the refine step, and _topk_rows for smaller k, which keeps the
 entries at or under each row's k-th value, or every entry of a row whose
 k-th value is NaN).
 
-An IVF query probes its cells in (centroid distance, cell id) order. Each
-block orders only the first nprobe + _PROBE_SLACK cells of every row; a
-row whose prefix holds fewer than k points besides itself takes its whole
-order. A prefix of the (distance, id) order is the same whichever of the
-two routines selects it, so every probed cell is the one the whole order
-gives.
+An IVF query probes its cells in (centroid distance, cell id) order. The
+queries of a cell form blocks of up to _BLOCK_QUERIES, and a search task
+takes a group of consecutive blocks, up to _GROUP_QUERIES queries. Each
+block makes its own sqdist_fast probe call, so the probe distances keep
+the block's shape; the group then orders only the first nprobe +
+_PROBE_SLACK cells of every row in one pass, and a row whose prefix holds
+fewer than k points besides itself takes its whole order. A prefix of the
+(distance, id) order is the same whichever of the two routines selects
+it, so every probed cell is the one the whole order gives. Each block
+scores the points of the cells its rows probe, every row masking the
+cells it does not: the exact kernel filters block by block and refines
+the group's survivors once, the fast kernel scores each block whole.
 """
 
 import math
@@ -64,6 +73,10 @@ _BLOCK_CELLS = 4_000_000
 # took 6.9 ms with tail tiles of this size or half of it, 8.2 ms at twice
 # it, and 12.3 ms with the tail untiled
 _TILE_CELLS = 1 << 16
+# Gram values per batch of filter blocks in _exact_topk (2 MB of float64):
+# four row tiles, or one ivf_search group of 512 queries whose blocks score
+# up to 512 candidates each (ivf_blobs unions hold 56 to 651)
+_BATCH_CELLS = 4 * _TILE_CELLS
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 # cells ordered past nprobe per IVF query before the whole order is taken:
@@ -71,6 +84,13 @@ _TINY = np.finfo(np.float64).tiny
 # criterion-3 input; with nprobe 1 and k 100 (twice ivf_blobs' mean cell),
 # 2 of 12800 rows needed more than 1 + 4 cells
 _PROBE_SLACK = 4
+# IVF queries per block, the rows of one probe call and one filter: a cell
+# with more queries splits into several blocks
+_BLOCK_QUERIES = 256
+# IVF queries per group of consecutive blocks, which orders its probes and
+# refines its survivors in one pass; it bounds the group's probe distances
+# and masks too
+_GROUP_QUERIES = 512
 # rows whose centred norms pass this take the full path: below it no Gram
 # value or exact value can overflow
 _HUGE = np.finfo(np.float64).max / 8
@@ -248,26 +268,23 @@ def _topk_rows(d2, k):
     return vals, cols
 
 
-def _exclude(block, rows, self_cols, allowed):
-    """Set the excluded entries of the query rows `rows` of a block to inf.
+def _exclude(block, self_cols, excluded):
+    """Set the excluded entries of a block to inf.
 
-    self_cols holds each query's own column (-1 for none); allowed pairs a
-    query-by-cell mask with the cell of every base column.
+    self_cols holds each row's own column (-1 for none); excluded, a mask
+    of the block's shape, marks the other entries its row may not take.
     """
-    if allowed is not None:
-        cell_mask, cells = allowed
-        block[~cell_mask[rows][:, cells]] = np.inf
+    if excluded is not None:
+        np.putmask(block, excluded, np.inf)
     if self_cols is not None:
-        own = self_cols[rows]
-        r = np.flatnonzero(own >= 0)
-        block[r, own[r]] = np.inf
+        r = np.flatnonzero(self_cols >= 0)
+        block[r, self_cols[r]] = np.inf
 
 
-def _block_topk(queries, base, k, kernel, self_cols=None, allowed=None,
-                rows=slice(None)):
-    """_topk_rows of kernel(queries[rows], base), excluded entries inf."""
-    d2 = kernel(queries[rows], base)
-    _exclude(d2, rows, self_cols, allowed)
+def _block_topk(queries, base, k, kernel, self_cols=None, excluded=None):
+    """_topk_rows of kernel(queries, base), excluded entries inf."""
+    d2 = kernel(queries, base)
+    _exclude(d2, self_cols, excluded)
     return _topk_rows(d2, k)
 
 
@@ -298,13 +315,16 @@ def _gram_base(base):
                      bt=np.ascontiguousarray(base.T))
 
 
-def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
-                cols=None):
+def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
     base is the _GramBase of the base points, built once per search and
-    shared by its calls; cols, if given, names the base rows searched, and
-    result columns index cols.
+    shared by its calls. self_cols holds each row's own column (-1 for
+    none), which the row does not take. By default every row searches the
+    whole base. blocks, if given, lists (start, stop, cols, excluded) in row
+    order, covering every row: query rows start:stop search only the base
+    rows cols (ascending), less the entries of the mask excluded (or None),
+    and their self_cols index cols. Result columns are base rows either way.
 
     Filter: both sides are centred on the mean of the whole base (the bound
     below holds for any shared centre), one matmul gives the Gram values
@@ -335,21 +355,29 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
     column survives, ties at T_i included. The threshold is taken one ulp
     up, as its addition may round down.
 
-    Refine: survivors are scored in the kernel's per-pair order on the
-    uncentred data, _TILE_CELLS // d survivors at a time, and _first_k
-    orders each row by (value, column).
+    The filter runs block by block (by default, row tiles of _TILE_CELLS
+    over the whole base), each matmul, mask and partition on the block's
+    own rows and columns; the thresholds and the selection of survivors run
+    once per batch of consecutive blocks, up to _BATCH_CELLS Gram values,
+    which saves numpy calls where blocks are small.
+
+    Refine: the survivors of all blocks are scored together in the
+    kernel's per-pair order on the uncentred data, _TILE_CELLS // d at a
+    time, and _first_k orders each row by (value, base row). Survivors are
+    refined once _TILE_CELLS of them are held, and at the end.
 
     Rows whose norms are not finite or exceed _HUGE, or whose threshold is
-    not finite, and calls whose k spans the row (k + 1 >= width), take
+    not finite, and blocks whose k spans the row (k + 1 >= width), take
     _block_topk with `kernel` instead.
     """
-    data, ba, bb = base.data, base.aug, base.norms
-    if cols is not None:
-        data, ba, bb = data[cols], ba[:, cols], bb[cols]
-    m, n = queries.shape[0], data.shape[0]
-    if k + 1 >= n:
-        return _block_topk(queries, data, k, kernel, self_cols, allowed)
-    dim = queries.shape[1]
+    m, dim = queries.shape
+    n = base.norms.size
+    if blocks is None:
+        if k + 1 >= n:
+            return _block_topk(queries, base.data, k, kernel, self_cols)
+        step = max(1, _TILE_CELLS // n)
+        blocks = [(r0, min(r0 + step, m), None, None)
+                  for r0 in range(0, m, step)]
     # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
     # where it overflows, the rows take the full path, which warns itself
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,61 +386,121 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, allowed=None,
         qq = _sqnorms(qc)
         qa[:, dim] = 1.0
         qa[:, dim + 1] = qq
-        bb_max = bb.max()
+        bb_max = base.norms.max()
         covered = qq + bb_max <= _HUGE
         slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
     qt = np.ascontiguousarray(queries.T)
     vals = np.empty((m, k), dtype=np.float64)
-    topk_cols = np.empty((m, k), dtype=np.int64)
+    ids = np.empty((m, k), dtype=np.int64)
+    kth = np.empty(m, dtype=np.float64)
     pending = []
 
     def refine():
         r = np.concatenate([p[0] for p in pending])
         j = np.concatenate([p[1] for p in pending])
         pending.clear()
-        bj = j if cols is None else cols[j]
         e = np.empty(r.size, dtype=np.float64)
         # one gather per side; each survivor still adds its squared
         # differences one dimension at a time, in order
         step = max(1, _TILE_CELLS // dim)
         for s0 in range(0, r.size, step):
             diff = qt.take(r[s0 : s0 + step], axis=1)
-            diff -= base.bt.take(bj[s0 : s0 + step], axis=1)
+            diff -= base.bt.take(j[s0 : s0 + step], axis=1)
             diff *= diff
             acc = diff[0]
             for d in range(1, dim):
                 acc += diff[d]
             e[s0 : s0 + step] = acc
-        # survivors come in (row, column) order
+        # survivors come in (row, base row) order
         rows, v, c = _first_k(r, j, e, k)
         vals[rows] = v
-        topk_cols[rows] = c
+        ids[rows] = c
 
-    step = max(1, _TILE_CELLS // n)
-    held = 0
-    for r0 in range(0, m, step):
-        tile = slice(r0, min(r0 + step, m))
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = qa[tile] @ ba
-        _exclude(f, tile, self_cols, allowed)
-        kth = np.partition(f, k - 1, axis=1)[:, k - 1]
-        thr = np.nextafter(kth + slack2[tile], np.inf)
-        ok = covered[tile] & np.isfinite(thr)
+    def full_path(rows, cols, own, excluded):
+        data = base.data if cols is None else base.data[cols]
+        v, c = _block_topk(queries[rows], data, k, kernel, own, excluded)
+        vals[rows] = v
+        ids[rows] = c if cols is None else cols[c]
+
+    def filter_batch(batch):
+        start, stop = batch[0][0], batch[-1][1]
+        counts = [b1 - b0 for b0, b1, _, _ in batch]
+        widths = [n if cols is None else cols.size for _, _, cols, _ in batch]
+        row_width = np.repeat(widths, counts)
+        # where each row of the batch starts in the flat buffers f and keep
+        row_at = np.cumsum(row_width) - row_width
+        f = np.empty(row_at[-1] + row_width[-1], dtype=np.float64)
+        keep = np.empty(f.size, dtype=bool)
+        tiles = []
+        at = 0
+        for (b0, b1, cols, excluded), w in zip(batch, widths):
+            t = f[at : at + (b1 - b0) * w].reshape(b1 - b0, w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(qa[b0:b1], base.aug if cols is None
+                          else base.aug.take(cols, axis=1), out=t)
+            if excluded is not None:
+                np.putmask(t, excluded, np.inf)
+            tiles.append((b0, b1, t,
+                          keep[at : at + t.size].reshape(t.shape)))
+            at += t.size
+        if self_cols is not None:
+            own = self_cols[start:stop]
+            r = np.flatnonzero(own >= 0)
+            f[row_at[r] + own[r]] = np.inf
+        for b0, b1, t, _ in tiles:
+            kth[b0:b1] = np.partition(t, k - 1, axis=1)[:, k - 1]
+        thr = np.nextafter(kth[start:stop] + slack2[start:stop], np.inf)
+        ok = covered[start:stop] & np.isfinite(thr)
         # NaN compares false, so rows left to the full path keep nothing
         thr[~ok] = np.nan
-        r, j = np.divmod(np.flatnonzero(f <= thr[:, None]), n)
-        pending.append((r + r0, j))
-        held += r.size
+        for b0, b1, t, kt in tiles:
+            np.less_equal(t, thr[b0 - start : b1 - start, None], out=kt)
+        hit = np.flatnonzero(keep)
+        r = np.searchsorted(row_at, hit, side="right") - 1
+        j = hit - row_at[r]
+        if batch[0][2] is not None:
+            col_at = np.cumsum(widths) - widths
+            j = np.concatenate([b[2] for b in batch])[
+                col_at.repeat(counts)[r] + j]
+        pending.append((r + start, j))
+        if not ok.all():
+            for b0, b1, cols, excluded in batch:
+                bad = np.flatnonzero(~ok[b0 - start : b1 - start])
+                if bad.size:
+                    full_path(b0 + bad, cols,
+                              None if self_cols is None
+                              else self_cols[b0 + bad],
+                              None if excluded is None else excluded[bad])
+        return hit.size
+
+    # a block the full path takes ends a batch, so a batch's rows are one
+    # range
+    batches = []
+    cells = _BATCH_CELLS
+    for block in blocks:
+        start, stop, cols, excluded = block
+        width = n if cols is None else cols.size
+        if k + 1 >= width:
+            full_path(slice(start, stop), cols,
+                      None if self_cols is None else self_cols[start:stop],
+                      excluded)
+            cells = _BATCH_CELLS
+            continue
+        size = (stop - start) * width
+        if cells + size > _BATCH_CELLS:
+            batches.append([])
+            cells = 0
+        batches[-1].append(block)
+        cells += size
+    held = 0
+    for batch in batches:
+        held += filter_batch(batch)
         if held >= _TILE_CELLS:
             refine()
             held = 0
-        if not ok.all():
-            bad = r0 + np.flatnonzero(~ok)
-            vals[bad], topk_cols[bad] = _block_topk(
-                queries, data, k, kernel, self_cols, allowed, bad)
     if held:
         refine()
-    return vals, topk_cols
+    return vals, ids
 
 
 def brute_force_knn(points, k, threads=1, kernel="exact"):
@@ -613,47 +701,80 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     cc = _sqnorms(index.centroids)
     base = _gram_base(x) if kernel == "exact" else None
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
-    prefix = min(index.nlist, nprobe + _PROBE_SLACK)
+    nlist = index.nlist
+    prefix = min(nlist, nprobe + _PROBE_SLACK)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
 
-    def _search_block(qidx):
+    def search_group(blocks):
+        qidx = np.concatenate(blocks)
         q = x[qidx]
-        d2 = sqdist_fast(q, index.centroids, qq[qidx], cc)
-        home = index.assignments[qidx]
-        allowed_cells = np.zeros((qidx.size, index.nlist), dtype=bool)
-        rows = np.arange(qidx.size)
+        spans = np.cumsum([0] + [b.size for b in blocks])
+        d2 = np.empty((qidx.size, nlist), dtype=np.float64)
+        for b0, b1 in zip(spans[:-1], spans[1:]):
+            # one probe call per block, of the block's shape
+            d2[b0:b1] = sqdist_fast(
+                q[b0:b1], index.centroids, qq[qidx[b0:b1]], cc)
         # cells by ascending (distance, cell id) per query: the first
-        # `prefix` of them, then the whole order for rows still short of k
-        for width in (prefix, index.nlist):
-            probe = _topk_rows(d2[rows], width)[1]
-            need = _cells_needed(probe, home[rows], cell_sizes, k, nprobe)
-            w = need.max()
-            allowed_cells[rows[:, None], probe[:, :w]] = (
-                np.arange(w) < need[:, None])
+        # `prefix` of them, then the whole order for rows still short of k.
+        # probed holds row * nlist + cell of every probed cell
+        home = index.assignments[qidx]
+        probed = []
+        rows = np.arange(qidx.size)
+        for width in (prefix, nlist):
+            order = _topk_rows(d2 if rows.size == qidx.size else d2[rows],
+                               width)[1]
+            need = _cells_needed(order, home[rows], cell_sizes, k, nprobe)
+            probed.append((order + (rows * nlist)[:, None])[
+                np.arange(width) < need[:, None]])
             rows = rows[need == 0]
             if not rows.size:
                 break
-        union_cells = np.flatnonzero(allowed_cells.any(axis=0))
-        cand = np.sort(np.concatenate(
-            [index.postings[c] for c in union_cells]))
-        own = np.minimum(np.searchsorted(cand, qidx), cand.size - 1)
-        own[cand[own] != qidx] = -1
-        allowed = (allowed_cells, index.assignments[cand])
-        if base is None:
-            v, c = _block_topk(q, x[cand], k, sq, own, allowed)
-        else:
-            v, c = _exact_topk(q, base, k, sq, own, allowed, cand)
-        ids[qidx] = cand[c]
-        dists[qidx] = np.sqrt(v)
+        probed = np.concatenate(probed)
+        # a row leaves out the cells it does not probe
+        blocked = np.ones((qidx.size, nlist), dtype=bool)
+        blocked.reshape(-1)[probed] = False
+        filters, owns = [], []
+        for b0, b1 in zip(spans[:-1], spans[1:]):
+            # a block scores the points of the cells its rows probe
+            cells = np.flatnonzero(~blocked[b0:b1].all(axis=0))
+            cols = np.sort(np.concatenate(
+                [index.postings[c] for c in cells]))
+            excluded = blocked[b0:b1].take(index.assignments[cols], axis=1)
+            own = np.minimum(np.searchsorted(cols, qidx[b0:b1]),
+                             cols.size - 1)
+            own[cols[own] != qidx[b0:b1]] = -1
+            if base is None:
+                # fast values depend on the batch: each block keeps its shape
+                v, c = _block_topk(q[b0:b1], x[cols], k, sq, own, excluded)
+                ids[qidx[b0:b1]] = cols[c]
+                dists[qidx[b0:b1]] = np.sqrt(v)
+            else:
+                filters.append((b0, b1, cols, excluded))
+                owns.append(own)
+        if filters:
+            v, c = _exact_topk(q, base, k, sq, np.concatenate(owns),
+                               filters)
+            ids[qidx] = c
+            dists[qidx] = np.sqrt(v)
 
     # queries grouped by home cell share most of their probe lists, so each
-    # group scores one union candidate block and masks per-query
-    def handle_group(gstart, gstop):
-        for cell in range(gstart, gstop):
-            queries = index.postings[cell]
-            for qs in range(0, queries.size, 256):
-                _search_block(queries[qs : qs + 256])
+    # block scores one union candidate block and masks per query; a group
+    # of consecutive blocks orders its probes and refines in one pass
+    blocks = [p[s : s + _BLOCK_QUERIES] for p in index.postings
+              for s in range(0, p.size, _BLOCK_QUERIES)]
+    groups = []
+    held = _GROUP_QUERIES
+    for b in blocks:
+        if held + b.size > _GROUP_QUERIES:
+            groups.append([])
+            held = 0
+        groups[-1].append(b)
+        held += b.size
 
-    run_chunked(handle_group, index.nlist, threads, 1)
+    def handle_groups(gstart, gstop):
+        for g in groups[gstart:gstop]:
+            search_group(g)
+
+    run_chunked(handle_groups, len(groups), threads, 1)
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)

@@ -133,6 +133,20 @@ class TestClusterPredictAri:
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
 
+    @pytest.mark.parametrize("mode", ["exact", "ivf"])
+    def test_negative_seed_is_contract_error(
+            self, blob_files, tmp_path, capsys, mode):
+        # exact mode never draws from the seed, yet -1 is refused there too
+        out_json = tmp_path / "o.json"
+        code, out, err = run(
+            capsys, "cluster", "--input", f"{blob_files}.points.csv",
+            "--min-cluster-size", "15", "--mode", mode, "--seed", "-1",
+            "--out", str(out_json))
+        assert code == 4
+        assert "error: seed must be >= 0" in err
+        assert out == ""
+        assert not out_json.exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "cluster", "--input", str(tmp_path / "nope.csv"),
@@ -466,6 +480,8 @@ class TestExperiment:
          "nlist must be an integer"),
         ("clustering", {"min_cluster_size": 50, "allow_single_cluster": 1},
          "allow_single_cluster must be true or false"),
+        ("clustering", {"min_cluster_size": 50, "mode": "ivf", "seed": -1},
+         "seed must be >= 0"),
         ("sampling", {"max_train": "5"}, "max_train must be an integer"),
         ("risky", {"min_fraud_density": "0.5"},
          "min_fraud_density must be a finite number"),

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,15 @@ from oracle import (
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
     pts, _ = generate(SyntheticSpec(shape=shape, n=n, seed=seed, dim=dim, **kw))
     return pts
+
+
+@functools.lru_cache(maxsize=None)
+def _ivf_blobs_input(seed, j):
+    """Input j of the benchmark's ivf_blobs workload at a seed, indexed as
+    it indexes them: 12.8k x 16 blobs in 256 cells."""
+    pts = _points(shape="blobs", n=12_800, seed=seed * 16 + j, dim=16,
+                  centers=64)
+    return pts, ivf_build(pts, 256, seed=0, max_iter=10, train_sample=6_400)
 
 
 class TestDistanceKernels:
@@ -189,17 +200,23 @@ class TestTopkRows:
         assert peak < d2.nbytes + 4 * 1024 * 1024
 
 
-def _full_path(q, b, k, own=None, allowed=None):
+def _full_path(q, b, k, own=None, excluded=None):
     """The unfiltered search: sqdist_exact, excluded entries inf, and each
     row's top k by a per-row lexsort."""
     d2 = sqdist_exact(q, b)
-    if allowed is not None:
-        cell_mask, cells = allowed
-        d2[~cell_mask[:, cells]] = np.inf
+    if excluded is not None:
+        d2[excluded] = np.inf
     if own is not None:
         r = np.flatnonzero(own >= 0)
         d2[r, own[r]] = np.inf
     return _lexsort_topk(d2, k)
+
+
+def _exact_topk(q, b, k, own=None, excluded=None):
+    """_exact_topk of q against all of b: a mask makes the rows one block."""
+    blocks = None if excluded is None else [(0, q.shape[0], None, excluded)]
+    return knn._exact_topk(q, knn._gram_base(b), k, sqdist_exact, own,
+                           blocks)
 
 
 class TestExactTopk:
@@ -223,7 +240,7 @@ class TestExactTopk:
         yield rng.normal(size=(n, dim)) * 1e-160, 6
 
     def _cases(self):
-        """(queries, base, k, own, allowed): queries apart from the base,
+        """(queries, base, k, own, excluded): queries apart from the base,
         queries taken from it with self excluded, and IVF-masked blocks."""
         rng = np.random.Generator(np.random.PCG64(47))
         for dim in (1, 2, 16, 28):
@@ -238,14 +255,10 @@ class TestExactTopk:
                 cells = rng.integers(0, 6, size=n)
                 cell_mask = rng.random((70, 6)) < 0.4
                 cell_mask[np.arange(70), cells[rows]] = True
-                yield base[rows], base, k, rows, (cell_mask, cells)
+                yield base[rows], base, k, rows, ~cell_mask[:, cells]
 
     def _assert_full_path_bits(self, case):
-        q, b, k, own, allowed = case
-        _assert_same_topk(
-            knn._exact_topk(q, knn._gram_base(b), k, sqdist_exact, own,
-                            allowed),
-            _full_path(q, b, k, own, allowed))
+        _assert_same_topk(_exact_topk(*case), _full_path(*case))
 
     def test_matches_full_path_bitwise(self):
         cases = list(self._cases())
@@ -257,18 +270,56 @@ class TestExactTopk:
         # an IVF block searches candidate columns of operands built once,
         # centred on the whole set's mean rather than the block's own; the
         # bound holds for any shared centre, so the bits stay the full path's
-        for q, b, k, own, allowed in list(self._cases())[::2]:
+        for q, b, k, own, excluded in list(self._cases())[::2]:
             whole = np.vstack([b[:40] * 2.0, b, -b[:7]])
             cols = np.arange(40, 40 + b.shape[0])
-            _assert_same_topk(
-                knn._exact_topk(q, knn._gram_base(whole), k, sqdist_exact,
-                                own, allowed, cols),
-                _full_path(q, b, k, own, allowed))
+            vals, ids = knn._exact_topk(
+                q, knn._gram_base(whole), k, sqdist_exact, own,
+                [(0, q.shape[0], cols, excluded)])
+            _assert_same_topk((vals, ids - 40),
+                              _full_path(q, b, k, own, excluded))
+
+    @pytest.mark.parametrize("batch_cells", [None, 1, 2000])
+    def test_blocks_match_their_full_paths(self, monkeypatch, batch_cells):
+        # an IVF group: consecutive blocks of rows, each on its own
+        # ascending column subset with its own mask and self columns, one
+        # of them too narrow for the filter; batches of one block, of
+        # several, and of the whole group
+        if batch_cells is not None:
+            monkeypatch.setattr(knn, "_BATCH_CELLS", batch_cells)
+        rng = np.random.Generator(np.random.PCG64(49))
+        k = 6
+        for q, b, _, own, _ in list(self._cases())[1::3]:
+            n = b.shape[0]
+            base = knn._gram_base(b)
+            blocks, selfs, want = [], [], []
+            sizes = (9, 1, 23, 4, 33)
+            starts = np.cumsum((0,) + sizes)
+            for i, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
+                width = k + 1 if i == 3 else rng.integers(k + 2, n)
+                cols = np.sort(np.union1d(
+                    rng.permutation(n)[:width], own[start:stop]))
+                if i == 3:
+                    cols = cols[:k + 1]
+                excluded = rng.random((stop - start, cols.size)) < 0.3
+                excluded[:, : k + 2] = False
+                mine = np.searchsorted(cols, own[start:stop])
+                mine = np.where(cols[np.minimum(mine, cols.size - 1)]
+                                == own[start:stop], mine, -1)
+                blocks.append((start, stop, cols, excluded))
+                selfs.append(mine)
+                v, c = _full_path(q[start:stop], b[cols], k, mine, excluded)
+                want.append((v, cols[c]))
+            got = knn._exact_topk(q, base, k, sqdist_exact,
+                                  np.concatenate(selfs), blocks)
+            _assert_same_topk(got, tuple(np.concatenate(w) for w in
+                                         zip(*want)))
 
     def test_small_tiles_and_flushes(self, monkeypatch):
         # a 97-cell tile gives one row per tile, ends in a partial tile and
-        # refines survivors every tile
+        # refines survivors every tile; a batch holds a few tiles
         monkeypatch.setattr(knn, "_TILE_CELLS", 97)
+        monkeypatch.setattr(knn, "_BATCH_CELLS", 1000)
         for case in list(self._cases())[::5]:
             self._assert_full_path_bits(case)
 
@@ -278,11 +329,9 @@ class TestExactTopk:
         monkeypatch.setattr(
             knn, "_gram_slack", lambda qq, bb_max, dim: np.zeros_like(qq))
         differ = 0
-        for q, b, k, own, allowed in self._cases():
-            got = knn._exact_topk(
-                q, knn._gram_base(b), k, sqdist_exact, own, allowed)
-            want = _full_path(q, b, k, own, allowed)
-            differ += not np.array_equal(got[1], want[1])
+        for case in self._cases():
+            differ += not np.array_equal(_exact_topk(*case)[1],
+                                         _full_path(*case)[1])
         assert differ > 0
 
     def test_uncovered_rows_take_the_full_path(self):
@@ -753,6 +802,143 @@ class TestIvf:
         pts = _points(n=6)
         with pytest.raises(ValueError):
             ivf_build(pts, 7, seed=0)
+
+    # group bounds: one block per group, groups that end between the two
+    # blocks of a 300-query cell, and the module's own
+    GROUP_BOUNDS = (1, knn._BLOCK_QUERIES + 14, None)
+
+    @staticmethod
+    def _index_of(data, centroids):
+        assign = np.argmin(dense_sqdist(np.vstack([data, centroids]))[
+            : data.shape[0], data.shape[0]:], axis=1)
+        return knn.IvfIndex(
+            nlist=centroids.shape[0], centroids=centroids,
+            postings=tuple(np.flatnonzero(assign == c)
+                           for c in range(centroids.shape[0])),
+            assignments=assign)
+
+    def test_group_layouts_match_reference(self, monkeypatch):
+        # integer points and centroids, so every centroid distance is exact
+        # in any batch: a 20 x 15 grid makes a 300-query cell of two blocks,
+        # small grids make cells of a few points, three cells hold one point
+        # and one cell none; the far point at (400, 0) is alone in its cell
+        # and its row orders cells past the probe prefix
+        big = np.array([(a, b) for a in range(20) for b in range(15)],
+                       dtype=np.float64)
+        small = np.array([(a, b) for a in range(3) for b in range(3)],
+                         dtype=np.float64)
+        singles = np.array([(60.0, 60.0), (90.0, 20.0), (400.0, 0.0)])
+        data = np.vstack([big, small + (40, 0), small + (0, 40),
+                          small[:4] + (40, 40), singles])
+        centroids = np.array([
+            (10.0, 7.0), (41.0, 1.0), (1.0, 41.0), (40.5, 40.5),
+            (60.0, 60.0), (90.0, 20.0), (400.0, 0.0), (250.0, 250.0)])
+        index = self._index_of(data, centroids)
+        sizes = [p.size for p in index.postings]
+        assert sizes == [300, 9, 9, 4, 1, 1, 1, 0]
+        pts = PointSet(data)
+        for k, nprobe in ((4, 1), (12, 2), (30, 1)):
+            ids, dists = ivf_search_reference(
+                data, centroids, index.assignments, k, nprobe)
+            if k == 30:
+                # the far point reached past prefix cells into the grid
+                assert (ids[-1] < big.shape[0]).any()
+            for bound in self.GROUP_BOUNDS:
+                if bound is not None:
+                    monkeypatch.setattr(knn, "_GROUP_QUERIES", bound)
+                for threads in (1, 2, 3):
+                    got = ivf_search(index, pts, k, nprobe, threads=threads)
+                    assert np.array_equal(got.neighbor_ids, ids)
+                    assert np.array_equal(got.neighbor_dists.view(np.int64),
+                                          dists.view(np.int64))
+                monkeypatch.undo()
+
+    @staticmethod
+    def _fast_reference(index, x, k, nprobe):
+        """The fast-kernel search block by block: a probe call per block of
+        up to _BLOCK_QUERIES queries of one cell, each row's cells by a
+        lexsort of (distance, cell id), and one sqdist_fast of the block
+        against the union of its rows' cells, other cells and self inf."""
+        n, nlist = x.shape[0], index.nlist
+        qq, cc = knn._sqnorms(x), knn._sqnorms(index.centroids)
+        sizes = np.array([p.size for p in index.postings])
+        ids = np.empty((n, k), dtype=np.int64)
+        dists = np.empty((n, k), dtype=np.float64)
+        for posting in index.postings:
+            for s0 in range(0, posting.size, knn._BLOCK_QUERIES):
+                qidx = posting[s0 : s0 + knn._BLOCK_QUERIES]
+                d2 = sqdist_fast(x[qidx], index.centroids, qq[qidx], cc)
+                probed = []
+                for row, i in zip(d2, qidx):
+                    order = np.lexsort((np.arange(nlist), row))
+                    held = np.cumsum(sizes[order]
+                                     - (order == index.assignments[i]))
+                    stop = max(nprobe, int(np.argmax(held >= k)) + 1)
+                    probed.append(order[:stop])
+                union = np.unique(np.concatenate(probed))
+                cand = np.sort(np.concatenate(
+                    [index.postings[c] for c in union]))
+                block = sqdist_fast(x[qidx], x[cand])
+                for row, (i, cells) in enumerate(zip(qidx, probed)):
+                    block[row, ~np.isin(index.assignments[cand], cells)] = (
+                        np.inf)
+                    block[row, cand == i] = np.inf
+                v, c = _lexsort_topk(block, k)
+                ids[qidx] = cand[c]
+                dists[qidx] = np.sqrt(v)
+        return ids, dists
+
+    def test_fast_kernel_keeps_block_shapes(self, monkeypatch):
+        # fast values depend on the product's shape, so the graph keeps its
+        # bits only if every block is scored at the reference's shape (in 16
+        # dimensions, scoring a block's first row apart from the rest changes
+        # 19 of these distances); cells of 200 to 400 points split into
+        # blocks of 256 and less
+        pts = _points(shape="blobs", n=1500, seed=5, dim=16, centers=4)
+        index = ivf_build(pts, 5, seed=1)
+        assert max(p.size for p in index.postings) > knn._BLOCK_QUERIES
+        ids, dists = self._fast_reference(index, pts.data, 9, 2)
+        for bound in self.GROUP_BOUNDS:
+            if bound is not None:
+                monkeypatch.setattr(knn, "_GROUP_QUERIES", bound)
+            for threads in (1, 2, 3):
+                got = ivf_search(index, pts, 9, 2, threads=threads,
+                                 kernel="fast")
+                assert np.array_equal(got.neighbor_ids, ids)
+                assert np.array_equal(got.neighbor_dists.view(np.int64),
+                                      dists.view(np.int64))
+            monkeypatch.undo()
+
+    def test_peak_memory_is_bounded_by_the_group(self, monkeypatch):
+        # 12.8k x 16 points in 256 cells read a 10.6 MB peak when each
+        # block was searched apart and 12.3 MB with groups of 512 queries;
+        # groups of 2048 queries reach 18.7 MB
+        pts, index = _ivf_blobs_input(1, 0)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                ivf_search(index, pts, 16, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 16 * 1024 * 1024
+        assert peak() < bound
+        monkeypatch.setattr(knn, "_GROUP_QUERIES", 4 * knn._GROUP_QUERIES)
+        assert peak() > bound
+
+    def test_ivf_blobs_graph_digest(self):
+        # the exact kNN graphs of the benchmark's seed-1 ivf_blobs inputs
+        # (k 16, nprobe 3), pinned so that later search changes keep the bits
+        h = hashlib.sha256()
+        for j in range(3):
+            pts, index = _ivf_blobs_input(1, j)
+            g = ivf_search(index, pts, 16, 3, threads=2)
+            h.update(g.neighbor_ids.astype("<i8").tobytes())
+            h.update(g.neighbor_dists.view(np.int64).astype("<i8").tobytes())
+        assert h.hexdigest() == (
+            "69ea43e69678fc0844d8ab58bb87bc87a09b3b705f3a2c15699c6c893aa72faf")
 
 
 class TestDefaults:
