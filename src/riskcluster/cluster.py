@@ -33,6 +33,17 @@ class ClusterParams:
         reject_non_numbers(self, integers=(
             "min_cluster_size", "min_samples", "k", "nlist", "nprobe", "seed",
             "ivf_train_sample", "ivf_max_iter"))
+        if self.mode not in ("exact", "ivf"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        if self.min_cluster_size < 2:
+            raise ValueError("min_cluster_size must be >= 2")
+        for name in ("min_samples", "k", "nlist", "nprobe",
+                     "ivf_train_sample", "ivf_max_iter"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not isinstance(self.allow_single_cluster, bool):
@@ -40,18 +51,10 @@ class ClusterParams:
 
     def resolve(self, n):
         """Fill defaults against a dataset of n points."""
-        if self.min_cluster_size < 2:
-            raise ValueError("min_cluster_size must be >= 2")
-        if self.mode not in ("exact", "ivf"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         min_samples = self.min_samples
         if min_samples is None:
             min_samples = self.min_cluster_size
         min_samples = min(min_samples, n - 1) if n > 1 else 1
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
         k = self.k if self.k is not None else min_samples
         k = min(k, n - 1) if n > 1 else 1
         if k < min_samples:

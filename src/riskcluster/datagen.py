@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClickSession, PointSet, TransactionRecord
+from .model import (
+    ClickSession, PointSet, TransactionRecord, reject_non_numbers)
 
 SHAPES = ("blobs", "moons", "circles", "anisotropic", "varied_variance",
           "uniform_noise")
@@ -35,10 +36,14 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        reject_non_numbers(self, integers=("n", "seed", "dim", "centers"),
+                           reals=("noise", "std", "factor"))
+        for name in ("n", "dim", "centers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("noise", "std", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.shape in ("moons", "circles", "anisotropic") and self.dim != 2:
             raise ValueError(f"{self.shape} is inherently 2-d")
 

@@ -11,19 +11,18 @@ bitwise. It walks the output in row tiles that fit in L2, and inside a tile
 each pair still takes (q_0 - b_0)^2 first and then adds (q_d - b_d)^2 for
 d = 1, 2, ... in order, so the tiling changes no bit of any value (a NaN
 result's sign is left to numpy's loops, as IEEE 754 leaves it open).
-sqdist_fast uses the Gram-matrix identity, which is faster but
-rounds differently depending on BLAS blocking; it only feeds decisions with
-no bitwise contract (k-means assignment, coarse cell probing, and optional
-quality-equivalent searches at large scale). Those decisions still repeat
-bit for bit, so its product keeps one shape per call: the quantizer makes
-one call per _BLOCK_CELLS block of rows (a product of fewer rows can round
-differently). Only the elementwise tail (the norms added, twice the product
-subtracted, the clamp) runs in L2-sized row tiles, each entry taking the
-same operations in the same order, and the points' norms are computed once
-per k-means fit.
+sqdist_fast uses the Gram-matrix identity, which is faster but rounds
+differently depending on BLAS blocking and threads; it only feeds decisions
+with no bitwise contract (k-means assignment and optional searches at large
+scale). They still repeat bit for bit on one BLAS setup, so its product
+keeps one shape per call: the quantizer makes one call per _BLOCK_CELLS
+block of rows (a product of fewer rows can round differently). Only the
+elementwise tail (the norms added, twice the product subtracted, the
+clamp) runs in L2-sized row tiles, each entry taking the same operations
+in the same order, and the points' norms are computed once per k-means fit.
 
-Exact searches (brute-force fit, IVF candidate blocks and inductive
-assignment) filter and refine through _exact_topk, over blocks of rows
+Exact searches (brute-force fit, IVF probe order and candidate blocks,
+inductive assignment) filter and refine through _exact_topk, over blocks of rows
 that each search their own base columns (a brute-force or assignment block
 is a row tile of the whole base): a Gram block on centred data, with a
 proven bound on its gap to sqdist_exact, keeps every column that can reach
@@ -41,18 +40,16 @@ order (the refine step, and _topk_rows for smaller k, which keeps the
 entries at or under each row's k-th value, or every entry of a row whose
 k-th value is NaN).
 
-An IVF query probes its cells in (centroid distance, cell id) order. The
-queries of a cell form blocks of up to _BLOCK_QUERIES, and a search task
-takes a group of consecutive blocks, up to _GROUP_QUERIES queries. Each
-block makes its own sqdist_fast probe call, so the probe distances keep
-the block's shape; the group then orders only the first nprobe +
-_PROBE_SLACK cells of every row in one pass, and a row whose prefix holds
-fewer than k points besides itself takes its whole order. A prefix of the
-(distance, id) order is the same whichever of the two routines selects
-it, so every probed cell is the one the whole order gives. Each block
-scores the points of the cells its rows probe, every row masking the
-cells it does not: the exact kernel filters block by block and refines
-the group's survivors once, the fast kernel scores each block whole.
+An IVF query probes its cells in (centroid distance, cell id) order, the
+distances being exact values that _exact_topk selects over the centroids'
+_GramBase. The queries of a cell form blocks of up to _BLOCK_QUERIES, and
+a search task takes a group of consecutive blocks, up to _GROUP_QUERIES
+queries. The group orders the first nprobe + _PROBE_SLACK cells of every
+row, and a row whose prefix holds fewer than k points besides itself takes
+its whole order. Each block scores the points of the cells its rows probe,
+every row masking the cells it does not: the exact kernel filters block by
+block and refines the group's survivors once, the fast kernel scores each
+block whole.
 """
 
 import math
@@ -84,12 +81,11 @@ _TINY = np.finfo(np.float64).tiny
 # criterion-3 input; with nprobe 1 and k 100 (twice ivf_blobs' mean cell),
 # 2 of 12800 rows needed more than 1 + 4 cells
 _PROBE_SLACK = 4
-# IVF queries per block, the rows of one probe call and one filter: a cell
-# with more queries splits into several blocks
+# IVF queries per block, the rows of one candidate union and one filter: a
+# cell with more queries splits into several blocks
 _BLOCK_QUERIES = 256
 # IVF queries per group of consecutive blocks, which orders its probes and
-# refines its survivors in one pass; it bounds the group's probe distances
-# and masks too
+# refines its survivors in one pass; it bounds the group's masks too
 _GROUP_QUERIES = 512
 # rows whose centred norms pass this take the full path: below it no Gram
 # value or exact value can overflow
@@ -697,9 +693,8 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
         raise ValueError(f"nprobe must be in [1, nlist], got {nprobe}")
     sq = _KERNELS[kernel]
     x = points.data.astype(np.float64)
-    qq = _sqnorms(x)
-    cc = _sqnorms(index.centroids)
     base = _gram_base(x) if kernel == "exact" else None
+    centroids = _gram_base(np.asarray(index.centroids, dtype=np.float64))
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
     nlist = index.nlist
     prefix = min(nlist, nprobe + _PROBE_SLACK)
@@ -710,20 +705,15 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
         qidx = np.concatenate(blocks)
         q = x[qidx]
         spans = np.cumsum([0] + [b.size for b in blocks])
-        d2 = np.empty((qidx.size, nlist), dtype=np.float64)
-        for b0, b1 in zip(spans[:-1], spans[1:]):
-            # one probe call per block, of the block's shape
-            d2[b0:b1] = sqdist_fast(
-                q[b0:b1], index.centroids, qq[qidx[b0:b1]], cc)
-        # cells by ascending (distance, cell id) per query: the first
+        # cells by ascending (exact distance, cell id) per query: the first
         # `prefix` of them, then the whole order for rows still short of k.
         # probed holds row * nlist + cell of every probed cell
         home = index.assignments[qidx]
         probed = []
         rows = np.arange(qidx.size)
         for width in (prefix, nlist):
-            order = _topk_rows(d2 if rows.size == qidx.size else d2[rows],
-                               width)[1]
+            order = _exact_topk(q[rows], centroids, width,
+                                _KERNELS["exact"])[1]
             need = _cells_needed(order, home[rows], cell_sizes, k, nprobe)
             probed.append((order + (rows * nlist)[:, None])[
                 np.arange(width) < need[:, None]])

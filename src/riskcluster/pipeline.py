@@ -334,7 +334,6 @@ def _stratified_sample(records, indices, sampling, rng):
         range(len(strata)), key=lambda i: (-(raw[i] - quotas[i]), strata[i]))
     for i in order[:short]:
         quotas[i] += 1
-    newest = batch.timestamps[indices].max()
     picked = []
     for pool, quota in zip(pools, quotas):
         quota = min(quota, len(pool))
@@ -343,8 +342,12 @@ def _stratified_sample(records, indices, sampling, rng):
         if sampling.half_life_ms is None:
             probs = None
         else:
-            ages = (newest - batch.timestamps[pool]).astype(np.float64)
-            weights = np.exp2(-ages / sampling.half_life_ms)
+            # ages from the stratum's own newest record, whose weight is 1;
+            # the floor keeps every weight positive where exp2 underflows
+            stamps = batch.timestamps[pool]
+            ages = (stamps.max() - stamps).astype(np.float64)
+            weights = np.maximum(np.exp2(-ages / sampling.half_life_ms),
+                                 np.finfo(np.float64).tiny)
             probs = weights / weights.sum()
         chosen = rng.choice(len(pool), size=quota, replace=False, p=probs)
         picked.append(pool[chosen])

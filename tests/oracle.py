@@ -69,8 +69,8 @@ def ivf_search_reference(points, centroids, assignments, k, nprobe):
     order until at least nprobe cells are probed and they hold k points
     besides the query; the top k of their union by (distance, id) is kept.
     Returns (ids, dists) with euclidean distances. Centroid distances are
-    _sqdist_to values, so they match the package's coarse kernel only where
-    both are exact (integer coordinates of moderate size).
+    _sqdist_to values, accumulated one dimension at a time like every
+    other distance here.
     """
     x = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskcluster
 from riskcluster.cli import main
 from riskcluster.datagen import fraud_stream
 from riskcluster.model import save_transactions
@@ -71,6 +75,25 @@ class TestGen:
         assert code == 4
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--centers", "0", "centers must be >= 1"),
+        ("--dim", "0", "dim must be >= 1"),
+        ("--n", "0", "n must be >= 1"),
+        ("--std", "-1", "std must be >= 0"),
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--noise", "nan", "noise must be a finite number"),
+    ])
+    def test_bad_field_fails_before_writing(
+            self, tmp_path, capsys, flag, value, message):
+        argv = {"--shape": "blobs", "--n": "10", flag: value}
+        code, out, err = run(
+            capsys, "gen", *[a for kv in argv.items() for a in kv],
+            "--out-prefix", str(tmp_path / "x"))
+        assert code == 4
+        assert f"error: {message}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClusterPredictAri:
     def test_full_loop_recovers_blobs(self, blob_files, tmp_path, capsys):
@@ -132,6 +155,33 @@ class TestClusterPredictAri:
             outs.append(out_json.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
+
+    def test_exact_output_does_not_depend_on_blas_threads(
+            self, tmp_path, capsys):
+        # the exact kernel's Gram filter runs on BLAS, whose thread count is
+        # read once at start-up, so each count gets its own interpreter
+        prefix = str(tmp_path / "wide")
+        code, _, _ = run(
+            capsys, "gen", "--shape", "blobs", "--n", "3000", "--dim", "24",
+            "--centers", "5", "--seed", "11", "--out-prefix", prefix)
+        assert code == 0
+        src = str(Path(riskcluster.__file__).resolve().parents[1])
+        outs = []
+        for blas in ("1", "2"):
+            out_json = tmp_path / f"blas{blas}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run(
+                [sys.executable, "-m", "riskcluster", "cluster",
+                 "--input", f"{prefix}.points.csv",
+                 "--min-cluster-size", "25", "--threads", "1",
+                 "--out", str(out_json)],
+                env=env, capture_output=True, text=True, check=False)
+            assert done.returncode == 0, done.stderr
+            outs.append(out_json.read_bytes())
+        assert json.loads(outs[0])["num_clusters"] >= 2
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("mode", ["exact", "ivf"])
     def test_negative_seed_is_contract_error(
@@ -482,6 +532,23 @@ class TestExperiment:
          "allow_single_cluster must be true or false"),
         ("clustering", {"min_cluster_size": 50, "mode": "ivf", "seed": -1},
          "seed must be >= 0"),
+        ("clustering", {"min_cluster_size": 50, "mode": "gpu"},
+         "unknown mode 'gpu'"),
+        ("clustering", {"min_cluster_size": 50, "kernel": "gpu"},
+         "unknown kernel 'gpu'"),
+        ("clustering", {"min_cluster_size": 1},
+         "min_cluster_size must be >= 2"),
+        ("clustering", {"min_cluster_size": 50, "min_samples": 0},
+         "min_samples must be >= 1"),
+        ("clustering", {"min_cluster_size": 50, "k": 0}, "k must be >= 1"),
+        ("clustering", {"min_cluster_size": 50, "nlist": 0},
+         "nlist must be >= 1"),
+        ("clustering", {"min_cluster_size": 50, "nprobe": -3},
+         "nprobe must be >= 1"),
+        ("clustering", {"min_cluster_size": 50, "ivf_train_sample": 0},
+         "ivf_train_sample must be >= 1"),
+        ("clustering", {"min_cluster_size": 50, "ivf_max_iter": 0},
+         "ivf_max_iter must be >= 1"),
         ("sampling", {"max_train": "5"}, "max_train must be an integer"),
         ("risky", {"min_fraud_density": "0.5"},
          "min_fraud_density must be a finite number"),

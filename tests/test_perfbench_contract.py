@@ -89,11 +89,11 @@ def test_fraud_stream_loads_through_the_columns(perfbench, tmp_path, seed):
 
 
 # knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1:
-# seeding, every Lloyd assignment, the postings pass and the probe distances
-# go through the module's sqdist_fast, so the tracer sees the whole
-# quantizer. Tiling the kernel's tail kept both counts
-IVF_FAST_CALLS = 524
-IVF_FAST_CELLS = 26_214_400
+# seeding, every Lloyd assignment and the postings pass go through the
+# module's sqdist_fast, so the tracer sees the whole quantizer; the search
+# orders its probes with the exact filter and makes no call
+IVF_FAST_CALLS = 268
+IVF_FAST_CELLS = 22_937_600
 
 
 def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):

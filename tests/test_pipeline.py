@@ -575,6 +575,19 @@ def test_loaded_batch_and_record_list_give_equal_artifacts(
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+@pytest.mark.parametrize("half_life_ms", [1000.0, 1.0])
+def test_short_half_lives_sample_every_stratum(half_life_ms):
+    # ages measured from the newest train record underflowed exp2 to 0 in
+    # the older strata: numpy's choice then refused the probabilities
+    records, truth = fraud_stream(
+        seed=1, legit_blobs=4, legit_per_blob=100, planted_per_snapshot=60)
+    spec = _stream_spec(
+        "transductive", truth["snapshots"],
+        sampling=SamplingSpec(max_train=200, half_life_ms=half_life_ms))
+    _, artifacts = run_experiment(spec, records)
+    assert artifacts["windows"][0]["n_train"] == 200
+
+
 class TestStratifiedSampling:
     def _records(self, n=100, fraud_every=4):
         recs = []
@@ -613,3 +626,14 @@ class TestStratifiedSampling:
             recs, list(range(400)), SamplingSpec(max_train=100), rng)
         assert np.mean([recs[i].timestamp for i in biased]) > np.mean(
             [recs[i].timestamp for i in uniform])
+
+    def test_tiny_half_life_takes_each_stratum_newest_first(self):
+        from riskcluster.pipeline import _stratified_sample
+        recs = self._records(400, fraud_every=4)
+        rng = np.random.Generator(np.random.PCG64(3))
+        picked = _stratified_sample(
+            recs, list(range(400)),
+            SamplingSpec(max_train=100, half_life_ms=1.0), rng)
+        assert len(picked) == 100
+        # record 396 is the newest fraud, 399 the newest legit one
+        assert {396, 399} <= set(picked)
