@@ -120,7 +120,7 @@ def cluster_points(points, params, threads=None):
         index = ivf_build(
             points, resolved["nlist"], seed=resolved["seed"],
             max_iter=resolved["ivf_max_iter"],
-            train_sample=resolved["ivf_train_sample"])
+            train_sample=resolved["ivf_train_sample"], threads=threads)
         timings["quantizer"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         knn = ivf_search(

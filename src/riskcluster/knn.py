@@ -12,26 +12,29 @@ each pair still takes (q_0 - b_0)^2 first and then adds (q_d - b_d)^2 for
 d = 1, 2, ... in order, so the tiling changes no bit of any value (a NaN
 result's sign is left to numpy's loops, as IEEE 754 leaves it open).
 sqdist_fast uses the Gram-matrix identity, which is faster but rounds
-differently depending on BLAS blocking and threads; it only feeds decisions
-with no bitwise contract (k-means assignment and optional searches at large
-scale). They still repeat bit for bit on one BLAS setup, so its product
-keeps one shape per call: the quantizer makes one call per _BLOCK_CELLS
-block of rows (a product of fewer rows can round differently). Only the
-elementwise tail (the norms added, twice the product subtracted, the
-clamp) runs in L2-sized row tiles, each entry taking the same operations
-in the same order, and the points' norms are computed once per k-means fit.
+differently depending on BLAS blocking and threads; it only feeds values
+with no bitwise contract across BLAS setups: k-means++ seeding weights and
+the optional kernel="fast" searches. Its elementwise tail (the norms added,
+twice the product subtracted, the clamp) runs in L2-sized row tiles, each
+entry taking the same operations in the same order.
 
-Exact searches (brute-force fit, IVF probe order and candidate blocks,
-inductive assignment) filter and refine through _exact_topk, over blocks of rows
-that each search their own base columns (a brute-force or assignment block
-is a row tile of the whole base): a Gram block on centred data, with a
-proven bound on its gap to sqdist_exact, keeps every column that can reach
-the top k, and only those are scored in sqdist_exact's per-pair order, the
-survivors of many blocks in one pass. The top k by (value, column) then
-has the bits that _topk_rows(sqdist_exact(...)) gives; rows the bound
-cannot cover, and blocks whose k spans the row, take that full path
-itself. The centred base operands are built once per search and shared by
-its blocks.
+The quantizer's assignments and distances are exact values: given the
+centroids, each point takes its nearest by sqdist_exact value (the smaller
+index on ties) and that value, the same on any BLAS and at any thread
+count, through the Gram filter below with k = 1. Only k-means++ seeding
+weights still come from Gram products.
+
+Exact searches (brute-force fit, quantizer assignment, IVF probe order and
+candidate blocks, inductive assignment) filter and refine through
+_exact_topk, over blocks of rows that each search their own base columns
+(a brute-force or assignment block is a row tile of the whole base): a
+Gram block on centred data, with a proven bound on its gap to
+sqdist_exact, keeps every column that can reach the top k, and only those
+are scored in sqdist_exact's per-pair order, the survivors of many blocks
+in one pass. The top k by (value, column) then has the bits that
+_topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
+blocks whose k spans the row, take that full path itself. The centred base
+operands are built once per search and shared by its blocks.
 
 Every search selects its top k by (value, column), NaN last, through one of
 two routines: a whole-row sort with its ties re-sorted by column (full kNN
@@ -59,20 +62,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PointSet
-from .parallel import run_chunked
+from .parallel import resolve_threads, run_chunked
 
 # cells per distance block: a chunk's float64 d2 block stays near 32 MB
 _BLOCK_CELLS = 4_000_000
 # cells per sqdist_exact, sqdist_fast tail and _topk_rows tile: 512 KB per
 # float64 array, so the output tile and its one scratch tile (about 1 MB)
 # stay in L2 across all dimensions, and a partition's copy stays one tile.
-# On a 2-core Xeon VM, _assign_nearest of 6400 x 16 points to 256 centroids
-# took 6.9 ms with tail tiles of this size or half of it, 8.2 ms at twice
-# it, and 12.3 ms with the tail untiled
+# On a 2-core Xeon VM, the fast kernel's nearest-centroid pass of 6400 x 16
+# points to 256 centroids took 6.9 ms with tail tiles of this size or half
+# of it, 8.2 ms at twice it, and 12.3 ms with the tail untiled
 _TILE_CELLS = 1 << 16
 # Gram values per batch of filter blocks in _exact_topk (2 MB of float64):
 # four row tiles, or one ivf_search group of 512 queries whose blocks score
-# up to 512 candidates each (ivf_blobs unions hold 56 to 651)
+# up to 512 candidates each (ivf_blobs unions hold 56 to 651). It is also
+# _assign_nearest's tile, as short numpy calls do not overlap under the
+# GIL: on a 2-core VM, 25,600 x 16 points to 256 centroids ran a median
+# 1.29x (0.93-1.44x, 12 rounds) as fast on two threads as on one with
+# tiles of this size, and 0.98x (0.82-1.12x) with tiles of _TILE_CELLS
 _BATCH_CELLS = 4 * _TILE_CELLS
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
@@ -162,10 +169,10 @@ def _sqnorms(x):
     return np.einsum("ij,ij->i", x, x)
 
 
-def sqdist_fast(queries, base, qq=None, bb=None):
+def sqdist_fast(queries, base, qq=None):
     """Squared distances via the Gram identity, clamped at zero.
 
-    qq and bb, the rows' _sqnorms, may be passed in by a caller that holds
+    qq, the queries' _sqnorms, may be passed in by a caller that holds
     them. One matmul gives the Gram block; the tail then runs in place, one
     row tile of _TILE_CELLS at a time, and each entry still takes
     (qq_i + bb_j) - 2 g_ij and the clamp, so its bits do not depend on the
@@ -175,8 +182,7 @@ def sqdist_fast(queries, base, qq=None, bb=None):
     b = np.asarray(base, dtype=np.float64)
     if qq is None:
         qq = _sqnorms(q)
-    if bb is None:
-        bb = _sqnorms(b)
+    bb = _sqnorms(b)
     d2 = q @ b.T
     rows = max(1, _TILE_CELLS // max(b.shape[0], 1))
     norms = np.empty((min(rows, q.shape[0]), b.shape[0]), dtype=np.float64)
@@ -311,6 +317,27 @@ def _gram_base(base):
                      bt=np.ascontiguousarray(base.T))
 
 
+def _gram_rows(queries, base):
+    """The filter's query side against base (see _exact_topk).
+
+    Returns the rows [qc, 1, qq], with qc the queries centred on base.mean
+    and qq their squared norms, so that one matmul with base.aug gives the
+    Gram values f; which rows the bound covers; and twice each row's slack.
+    Where they overflow, the rows are left uncovered.
+    """
+    m, dim = queries.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        qa = np.empty((m, dim + 2), dtype=np.float64)
+        qc = np.subtract(queries, base.mean, out=qa[:, :dim])
+        qq = _sqnorms(qc)
+        qa[:, dim] = 1.0
+        qa[:, dim + 1] = qq
+        bb_max = base.norms.max()
+        covered = qq + bb_max <= _HUGE
+        slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
+    return qa, covered, slack2
+
+
 def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
@@ -376,15 +403,7 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
                   for r0 in range(0, m, step)]
     # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
     # where it overflows, the rows take the full path, which warns itself
-    with np.errstate(over="ignore", invalid="ignore"):
-        qa = np.empty((m, dim + 2), dtype=np.float64)
-        qc = np.subtract(queries, base.mean, out=qa[:, :dim])
-        qq = _sqnorms(qc)
-        qa[:, dim] = 1.0
-        qa[:, dim + 1] = qq
-        bb_max = base.norms.max()
-        covered = qq + bb_max <= _HUGE
-        slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
+    qa, covered, slack2 = _gram_rows(queries, base)
     qt = np.ascontiguousarray(queries.T)
     vals = np.empty((m, k), dtype=np.float64)
     ids = np.empty((m, k), dtype=np.int64)
@@ -501,6 +520,7 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
 
 def brute_force_knn(points, k, threads=1, kernel="exact"):
     """Exact k nearest neighbors for every point, self excluded."""
+    threads = resolve_threads(threads)
     n = points.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")
@@ -528,23 +548,60 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
-def _assign_nearest(x, centroids, qq):
-    """Nearest-centroid index and squared distance per point (fast kernel).
+def _assign_nearest(x, centroids, threads=1):
+    """Exact nearest centroid per point: its index and sqdist_exact value.
 
-    qq holds the points' _sqnorms. Each _BLOCK_CELLS block of rows is one
-    sqdist_fast call, so the product, and with it every bit, keeps the
-    block's shape whatever the tail's tiles.
+    Ties go to the smaller index, so, as with _exact_topk at k = 1, no bit
+    depends on tiles, threads or BLAS. Each thread takes one chunk of rows
+    and walks it in tiles of _BATCH_CELLS Gram values, filtered as in
+    _exact_topk: one matmul with the centroids' _GramBase gives f, and a
+    column survives when f_ij <= nextafter(min_j f_ij + 2 s_i). The exact
+    nearest centroid always survives, so a covered row with one survivor
+    takes it, its distance summed in sqdist_exact's per-dimension order.
+    Every other row (ties, near-ties, rows the bound does not cover) goes
+    through _exact_topk, which takes its full path when nlist <= 2.
     """
-    n = x.shape[0]
-    bb = _sqnorms(centroids)
+    n, dim = x.shape
+    base = _gram_base(centroids)
+    exact = _KERNELS["exact"]
     assign = np.empty(n, dtype=np.int64)
     dmin = np.empty(n, dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // max(centroids.shape[0], 1))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        d2 = sqdist_fast(x[start:stop], centroids, qq[start:stop], bb)
-        a = assign[start:stop] = np.argmin(d2, axis=1)
-        dmin[start:stop] = d2[np.arange(stop - start), a]
+    nlist = centroids.shape[0]
+    step = max(1, _BATCH_CELLS // nlist)
+
+    def work(start, stop):
+        # one Gram tile per chunk, reused by its tiles
+        f_tile = np.empty((min(step, stop - start), nlist), dtype=np.float64)
+        for r0 in range(start, stop, step):
+            q = x[r0 : min(r0 + step, stop)]
+            f = f_tile[: q.shape[0]]
+            qa, covered, slack2 = _gram_rows(q, base)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(qa, base.aug, out=f)
+                a = f.argmin(axis=1)
+                at = np.arange(q.shape[0])
+                thr = np.nextafter(f[at, a] + slack2, np.inf)
+                # a is the one survivor if the runner-up is above thr (an
+                # argmin and a gather beat a min reduce); a NaN compares
+                # false, so its row goes to _exact_topk
+                f[at, a] = np.inf
+                single = f[at, f.argmin(axis=1)] > thr
+            single &= covered & np.isfinite(thr)
+            i = np.flatnonzero(single)
+            diff = q[i] - centroids[a[i]]
+            diff *= diff
+            e = diff[:, 0].copy()
+            for d in range(1, dim):
+                e += diff[:, d]
+            assign[r0 + i] = a[i]
+            dmin[r0 + i] = e
+            rest = np.flatnonzero(~single)
+            if rest.size:
+                v, c = _exact_topk(q[rest], base, 1, exact)
+                assign[r0 + rest] = c[:, 0]
+                dmin[r0 + rest] = v[:, 0]
+
+    run_chunked(work, n, threads, -(-n // threads))
     return assign, dmin
 
 
@@ -580,26 +637,28 @@ def _seed_plus_plus(x, ncentroids, rng, qq):
     return centroids
 
 
-def kmeans_fit(points, ncentroids, max_iter=25, seed=0):
+def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
     """Lloyd's algorithm with k-means++ seeding.
 
     Stops when assignments repeat or after max_iter update rounds. An empty
     cell is re-seeded to the point currently farthest from its own centroid
     (ties toward the lower index), which keeps inertia non-increasing.
+    Assignments and distances are exact (_assign_nearest), so the result
+    does not depend on threads.
     """
+    threads = resolve_threads(threads)
     n = points.n
     if not 1 <= ncentroids <= n:
         raise ValueError(f"ncentroids must be in [1, n], got {ncentroids}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     x = points.data.astype(np.float64)
-    qq = _sqnorms(x)
     rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = _seed_plus_plus(x, ncentroids, rng, qq)
+    centroids = _seed_plus_plus(x, ncentroids, rng, _sqnorms(x))
     history = []
     prev = None
     for _ in range(max_iter):
-        assign, dmin = _assign_nearest(x, centroids, qq)
+        assign, dmin = _assign_nearest(x, centroids, threads)
         history.append(float(dmin.sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
@@ -617,7 +676,7 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0):
                 pick = int(np.argmax(far))
                 centroids[cell] = x[pick]
                 far[pick] = -np.inf
-    assign, dmin = _assign_nearest(x, centroids, qq)
+    assign, dmin = _assign_nearest(x, centroids, threads)
     return KMeansResult(
         centroids=centroids,
         assignments=assign,
@@ -635,12 +694,14 @@ def default_nprobe(nlist):
     return max(4, nlist // 16)
 
 
-def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None):
+def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None,
+              threads=1):
     """Coarse quantizer: k-means cells plus a posting list per cell.
 
     train_sample caps how many points the quantizer trains on (postings are
     always a full exact pass over every point).
     """
+    threads = resolve_threads(threads)
     n = points.n
     if not 1 <= nlist <= n:
         raise ValueError(f"nlist must be in [1, n], got {nlist}")
@@ -651,9 +712,10 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None):
         rng = np.random.Generator(np.random.PCG64(seed))
         idx = np.sort(rng.choice(n, size=train_sample, replace=False))
         train = PointSet(points.data[idx])
-    km = kmeans_fit(train, nlist, max_iter=max_iter, seed=seed)
-    x = points.data.astype(np.float64)
-    assign, _ = _assign_nearest(x, km.centroids, _sqnorms(x))
+    km = kmeans_fit(train, nlist, max_iter=max_iter, seed=seed,
+                    threads=threads)
+    assign, _ = _assign_nearest(
+        points.data.astype(np.float64), km.centroids, threads)
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
     bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -686,6 +748,7 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
     of k candidates probe additional cells in centroid-distance order. With
     nprobe = nlist the result is identical to brute_force_knn.
     """
+    threads = resolve_threads(threads)
     n = points.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")

@@ -96,10 +96,35 @@ def ivf_search_reference(points, centroids, assignments, k, nprobe):
     return ids, dists
 
 
-# The quantizer in its plainest form, the bitwise reference for every
-# fast-kernel decision: one Gram product per block of QUANTIZER_BLOCK_CELLS
-# cells, then one pass over the block per elementwise step, and k-means++
-# draws through rng.choice.
+def nearest_exact_reference(x, centroids):
+    """Nearest centroid per point and its squared distance, ties toward the
+    smaller index. Distances accumulate one dimension at a time in index
+    order, as dense_sqdist does; rows go 256 at a time only to bound
+    memory, which changes no value."""
+    x = np.asarray(x, dtype=np.float64)
+    ct = np.asarray(centroids, dtype=np.float64).T.copy()
+    n = x.shape[0]
+    assign = np.empty(n, dtype=np.int64)
+    dmin = np.empty(n, dtype=np.float64)
+    for start in range(0, n, 256):
+        block = x[start : start + 256]
+        d2 = np.zeros((block.shape[0], ct.shape[1]), dtype=np.float64)
+        for d in range(x.shape[1]):
+            diff = block[:, d, None] - ct[d]
+            diff *= diff
+            d2 += diff
+        # argmin keeps the first of equal values
+        a = np.argmin(d2, axis=1)
+        assign[start : start + 256] = a
+        dmin[start : start + 256] = d2[np.arange(block.shape[0]), a]
+    return assign, dmin
+
+
+# The fast-kernel quantizer in its plainest form, the bitwise reference for
+# k-means++ seeding and for the assignments the quantizer made before it
+# turned exact: one Gram product per block of QUANTIZER_BLOCK_CELLS cells,
+# then one pass over the block per elementwise step, and k-means++ draws
+# through rng.choice.
 QUANTIZER_BLOCK_CELLS = 4_000_000
 
 

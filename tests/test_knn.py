@@ -15,7 +15,7 @@ from riskcluster.parallel import run_chunked
 
 from oracle import (
     assign_nearest_reference, dense_knn, dense_sqdist, ivf_search_reference,
-    seed_plus_plus_reference)
+    nearest_exact_reference, seed_plus_plus_reference)
 
 
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
@@ -540,21 +540,20 @@ def _bits(a):
 
 
 class TestQuantizerSweep:
-    """The quantizer keeps the pre-tiling reference's bits on every shape.
+    """The quantizer decides the exact nearest centroid on every shape.
 
-    A Gram product of another shape may round differently (with OpenBLAS
-    0.3.31, products of 64-row tiles differ from the block's on some of
-    these shapes), so assignments, distances and seeds are compared bit for
-    bit against the verbatim reference in oracle.py.
+    Assignments and distances are compared bit for bit with the exact
+    reference in oracle.py, and k-means++ seeds with the verbatim
+    fast-kernel reference, as seeding weights are Gram values.
     """
 
     NS = (1, 2, 3, *range(60, 301, 7), 6401, 12865)
     DIMS = (1, 2, 5, 16, 28, 64)
     NLISTS = (1, 2, 3, 37, 256, 1024)
 
-    def _assert_assign(self, x, centroids):
-        want = assign_nearest_reference(x, centroids)
-        got = knn._assign_nearest(x, centroids, knn._sqnorms(x))
+    def _assert_assign(self, x, centroids, threads=1):
+        want = nearest_exact_reference(x, centroids)
+        got = knn._assign_nearest(x, centroids, threads)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
@@ -568,6 +567,19 @@ class TestQuantizerSweep:
         assert rng.random() == want_rng.random()
         return got
 
+    @staticmethod
+    def _fallback_rows(monkeypatch):
+        """Rows that _assign_nearest hands to _exact_topk, one per call."""
+        rows = []
+        topk = knn._exact_topk
+
+        def recording(queries, *args, **kwargs):
+            rows.append(queries.shape[0])
+            return topk(queries, *args, **kwargs)
+
+        monkeypatch.setattr(knn, "_exact_topk", recording)
+        return rows
+
     def test_shape_sweep(self):
         rng = np.random.Generator(np.random.PCG64(61))
         swept = 0
@@ -578,7 +590,7 @@ class TestQuantizerSweep:
                     np.float32).astype(np.float64)
                 for nlist in self.NLISTS:
                     centroids = rng.normal(size=(nlist, dim)) * 10
-                    self._assert_assign(x, centroids)
+                    self._assert_assign(x, centroids, 1 + swept % 2)
                     if nlist <= n:
                         self._assert_seeds(x, nlist, swept)
                     swept += 1
@@ -601,14 +613,46 @@ class TestQuantizerSweep:
         centroids = np.array([(0.0, b) for b in (0.0, 4.0, 8.0)]
                              + [(4.0, b) for b in (0.0, 4.0, 8.0)])
         self._assert_assign(x, centroids)
-        assign, _ = knn._assign_nearest(x, centroids, knn._sqnorms(x))
+        assign, _ = knn._assign_nearest(x, centroids)
         assert (assign[x[:, 0] == 2.0] < 3).all()
         self._assert_assign(x, centroids[::-1].copy())
+
+    def test_near_ties_at_a_large_offset_take_the_refine(self, monkeypatch):
+        # 40 points 3e6 from the centroids' mean, each 1 from one centroid
+        # and sqrt(1 + 1e-7) from another: the Gram slack (about 0.2 here)
+        # keeps both, so every row goes to the exact refine
+        rng = np.random.Generator(np.random.PCG64(62))
+        side = np.where(np.arange(40) % 2 == 0, 3e6, -3e6)
+        x = np.column_stack([side, 10.0 * np.arange(40)])
+        near = x + [1.0, 0.0]
+        far = x - [np.sqrt(1 + 1e-7), 0.0]
+        flip = rng.random(40) < 0.5
+        centroids = np.empty((80, 2))
+        centroids[0::2] = np.where(flip[:, None], far, near)
+        centroids[1::2] = np.where(flip[:, None], near, far)
+        rows = self._fallback_rows(monkeypatch)
+        self._assert_assign(x, centroids)
+        assert rows == [40]
+        assign, dmin = knn._assign_nearest(x, centroids)
+        assert np.array_equal(assign, 2 * np.arange(40) + flip)
+        assert (dmin == 1.0).all()
+
+    def test_duplicate_centroids_take_the_refine(self, monkeypatch):
+        # every centroid twice: exact ties, which the lower copy wins
+        rng = np.random.Generator(np.random.PCG64(63))
+        x = rng.normal(size=(300, 5)) * 10
+        centroids = np.repeat(rng.normal(size=(37, 5)) * 10, 2, axis=0)
+        rows = self._fallback_rows(monkeypatch)
+        self._assert_assign(x, centroids, 2)
+        assert sum(rows) == 300
+        assert (knn._assign_nearest(x, centroids)[0] % 2 == 0).all()
 
     @pytest.mark.parametrize("seed", [*range(1, 11), 1009])
     def test_ivf_blobs_training_inputs(self, seed, monkeypatch):
         # the benchmark's ivf_blobs inputs: 12.8k x 16 blobs, a 6400-point
-        # training sample, 256 cells and 10 Lloyd rounds
+        # training sample, 256 cells and 10 Lloyd rounds. The fast-kernel
+        # quantizer makes every decision the exact one does, so centroids
+        # and assignments keep its bits; inertia is an exact sum
         for j in range(3):
             pts, _ = generate(SyntheticSpec(
                 shape="blobs", n=12_800, dim=16, centers=64,
@@ -616,20 +660,25 @@ class TestQuantizerSweep:
             idx = np.sort(np.random.Generator(np.random.PCG64(0)).choice(
                 pts.n, size=6400, replace=False))
             train = PointSet(pts.data[idx])
-            got = kmeans_fit(train, 256, max_iter=10, seed=0)
-            with monkeypatch.context() as m:
-                m.setattr(knn, "_seed_plus_plus",
-                          lambda x, c, rng, qq: seed_plus_plus_reference(
-                              x, c, rng))
-                m.setattr(knn, "_assign_nearest",
-                          lambda x, c, qq: assign_nearest_reference(x, c))
-                want = kmeans_fit(train, 256, max_iter=10, seed=0)
+            got = kmeans_fit(train, 256, max_iter=10, seed=0, threads=2)
+            want = {}
+            for name, assign in (("fast", assign_nearest_reference),
+                                 ("exact", nearest_exact_reference)):
+                with monkeypatch.context() as m:
+                    m.setattr(knn, "_seed_plus_plus",
+                              lambda x, c, rng, qq: seed_plus_plus_reference(
+                                  x, c, rng))
+                    m.setattr(knn, "_assign_nearest",
+                              lambda x, c, threads, f=assign: f(x, c))
+                    want[name] = kmeans_fit(train, 256, max_iter=10, seed=0)
             assert np.array_equal(_bits(got.centroids),
-                                  _bits(want.centroids))
-            assert np.array_equal(got.assignments, want.assignments)
-            assert got.inertia_history == want.inertia_history
+                                  _bits(want["fast"].centroids))
+            assert np.array_equal(got.assignments,
+                                  want["fast"].assignments)
+            assert got.inertia_history == want["exact"].inertia_history
+            assert got.inertia == want["exact"].inertia
             self._assert_assign(
-                pts.data.astype(np.float64), got.centroids)
+                pts.data.astype(np.float64), got.centroids, 2)
 
 
 class TestIvf:
@@ -822,6 +871,37 @@ class TestIvf:
         assert np.array_equal(g1.neighbor_ids, g4.neighbor_ids)
         assert np.array_equal(g1.neighbor_dists, g4.neighbor_dists)
 
+    def test_thread_count_does_not_change_the_build(self, monkeypatch):
+        # 1500 training points and 3000 points in chunks of 750 and 1500
+        # rows; tiles of 64 rows split inside both, a short tile last
+        pts = _points(shape="varied_variance", n=3000, seed=18, dim=5)
+        builds = []
+        for batch_cells in (None, 37 * 64):
+            if batch_cells is not None:
+                monkeypatch.setattr(knn, "_BATCH_CELLS", batch_cells)
+            for threads in (1, 2):
+                builds.append(ivf_build(pts, 37, seed=3, train_sample=1500,
+                                        threads=threads))
+        first = builds[0]
+        for idx in builds[1:]:
+            assert np.array_equal(_bits(idx.centroids), _bits(first.centroids))
+            assert np.array_equal(idx.assignments, first.assignments)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(idx.postings, first.postings))
+
+    def test_quantizer_holds_no_block(self):
+        # 12.8k x 16 points to 256 centroids on 2 threads: one Gram block
+        # per call held 25.8 MB, two threads' 2 MB tiles about 5.3 MB
+        pts, index = _ivf_blobs_input(1, 0)
+        x = pts.data.astype(np.float64)
+        tracemalloc.start()
+        try:
+            knn._assign_nearest(x, index.centroids, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+
     def test_nlist_above_n_rejected(self):
         pts = _points(n=6)
         with pytest.raises(ValueError):
@@ -961,6 +1041,24 @@ class TestIvf:
             h.update(g.neighbor_dists.view(np.int64).astype("<i8").tobytes())
         assert h.hexdigest() == (
             "69ea43e69678fc0844d8ab58bb87bc87a09b3b705f3a2c15699c6c893aa72faf")
+
+
+class TestThreadCounts:
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("entry", [
+        "brute_force_knn", "ivf_search", "ivf_build", "kmeans_fit"])
+    def test_below_one_rejected(self, entry, threads):
+        pts = _points(n=60, seed=5)
+        calls = {
+            "brute_force_knn": lambda: brute_force_knn(
+                pts, 5, threads=threads),
+            "ivf_search": lambda: ivf_search(
+                ivf_build(pts, 4, seed=0), pts, 5, 2, threads=threads),
+            "ivf_build": lambda: ivf_build(pts, 4, seed=0, threads=threads),
+            "kmeans_fit": lambda: kmeans_fit(pts, 4, seed=0, threads=threads),
+        }
+        with pytest.raises(ValueError, match="thread count must be >= 1"):
+            calls[entry]()
 
 
 class TestDefaults:

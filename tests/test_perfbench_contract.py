@@ -89,11 +89,12 @@ def test_fraud_stream_loads_through_the_columns(perfbench, tmp_path, seed):
 
 
 # knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1:
-# seeding, every Lloyd assignment and the postings pass go through the
-# module's sqdist_fast, so the tracer sees the whole quantizer; the search
-# orders its probes with the exact filter and makes no call
-IVF_FAST_CALLS = 268
-IVF_FAST_CELLS = 22_937_600
+# only k-means++ seeding goes through the module's sqdist_fast, one call
+# of the 6400 training points per centroid (256 x 6400 cells); Lloyd
+# assignment, the postings pass and the search's probe order are exact
+# and make no call
+IVF_FAST_CALLS = 256
+IVF_FAST_CELLS = 1_638_400
 
 
 def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):
