@@ -27,11 +27,15 @@ weights still come from Gram products.
 Exact searches (brute-force fit, quantizer assignment, IVF probe order and
 candidate blocks, inductive assignment) filter and refine through
 _exact_topk, over blocks of rows that each search their own base columns
-(a brute-force or assignment block is a row tile of the whole base): a
-Gram block on centred data, with a proven bound on its gap to
-sqdist_exact, keeps every column that can reach the top k, and only those
-are scored in sqdist_exact's per-pair order, the survivors of many blocks
-in one pass. The top k by (value, column) then has the bits that
+(a brute-force, assignment or probe-order block is a row range of the
+whole base): a Gram block on centred data, with a proven bound on its gap
+to sqdist_exact, keeps every column that can reach the top k, and only
+those are scored in sqdist_exact's per-pair order, the survivors of many
+blocks in one pass. On a block of 2 _GROUPS_PER_K k columns or more,
+each row's threshold comes from the minima of strided column groups,
+about _GROUPS_PER_K k of them, whose k-th smallest bounds the row's k-th
+Gram value from above, so no pass sorts or compares the whole block. The
+top k by (value, column) then has the bits that
 _topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
 blocks whose k spans the row, take that full path itself. The centred base
 operands are built once per search and shared by its blocks.
@@ -69,18 +73,37 @@ _BLOCK_CELLS = 4_000_000
 # cells per sqdist_exact, sqdist_fast tail and _topk_rows tile: 512 KB per
 # float64 array, so the output tile and its one scratch tile (about 1 MB)
 # stay in L2 across all dimensions, and a partition's copy stays one tile.
+# It also sizes _exact_topk's refine chunks and how many survivors it holds.
 # On a 2-core Xeon VM, the fast kernel's nearest-centroid pass of 6400 x 16
 # points to 256 centroids took 6.9 ms with tail tiles of this size or half
 # of it, 8.2 ms at twice it, and 12.3 ms with the tail untiled
 _TILE_CELLS = 1 << 16
 # Gram values per batch of filter blocks in _exact_topk (2 MB of float64):
-# four row tiles, or one ivf_search group of 512 queries whose blocks score
-# up to 512 candidates each (ivf_blobs unions hold 56 to 651). It is also
+# one default block, or one ivf_search group of 512 queries whose blocks
+# score up to 512 candidates each (ivf_blobs unions hold 56 to 651). A
+# default block also keeps its group minima, which the partition copies,
+# within _TILE_CELLS, so that a block without groups is a row tile: on one
+# thread of a 2-core VM, the seed-1 fraud_inductive fit (3400 x 28, k 10)
+# without groups took a median 89 ms in row tiles and 119 ms in blocks of
+# _BATCH_CELLS (5 interleaved rounds of 15). It is also
 # _assign_nearest's tile, as short numpy calls do not overlap under the
 # GIL: on a 2-core VM, 25,600 x 16 points to 256 centroids ran a median
 # 1.29x (0.93-1.44x, 12 rounds) as fast on two threads as on one with
 # tiles of this size, and 0.98x (0.82-1.12x) with tiles of _TILE_CELLS
 _BATCH_CELLS = 4 * _TILE_CELLS
+# column groups per unit of k in _exact_topk's filter; a block narrower
+# than 2 _GROUPS_PER_K k has one column per group, which is the filter
+# without groups. On one thread of a 2-core VM, two or three columns per
+# group saved nothing: 60 probe-order calls of the 100k x 16 criterion-3
+# search (493 rows, 1024 centroids, k 16) took 204-226 ms with two and
+# 168-184 ms with one. Wide blocks gain: the seed-1 fraud_inductive fit
+# (3400 x 28, k 10) took a median 44.1 ms at 32 (10 columns per group)
+# and 47.7 ms at 64 (5), 8 interleaved rounds of 15, and 8 was about 20%
+# slower than 16 to 48; in another session, 48.2 ms at 64 against 65.2 ms
+# without groups (5 rounds). At 64 that fit keeps 10.04 survivors per row
+# (10.00 without groups), and the probe orders and candidate blocks of
+# ivf_blobs and of the 100k input run without groups
+_GROUPS_PER_K = 64
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 # cells ordered past nprobe per IVF query before the whole order is taken:
@@ -338,6 +361,12 @@ def _gram_rows(queries, base):
     return qa, covered, slack2
 
 
+def _groups(width, k):
+    """A filter block's columns per group and groups (see _exact_topk)."""
+    b = max(1, width // (_GROUPS_PER_K * k))
+    return b, width // b
+
+
 def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
@@ -351,8 +380,8 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
 
     Filter: both sides are centred on the mean of the whole base (the bound
     below holds for any shared centre), one matmul gives the Gram values
-    f = qq + bb - 2 qc.bc of a row tile, and column j survives
-    when f_ij <= F_i + 2 s_i, with F_i the k-th smallest f_ij and s_i a
+    f = qq + bb - 2 qc.bc of a block, and column j survives when
+    f_ij <= U_i + 2 s_i, with U_i >= F_i, the k-th smallest f_ij, and s_i a
     bound on |f_ij - e_ij| over all j, e being the exact kernel's value.
     With u = eps / 2, gamma_n = n u / (1 - n u) bounds the error of an
     n-term sum or inner product in any order, FMA included (Higham,
@@ -374,15 +403,26 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     d tiny covers products and squares that underflow (each off by at most
     2^-1075). A top-k column has e_ij <= T_i, the k-th exact value, and
     T_i <= F_i + s_i, as the k columns at or under F_i have exact values at
-    most F_i + s_i; so f_ij <= e_ij + s_i <= F_i + 2 s_i, and every top-k
-    column survives, ties at T_i included. The threshold is taken one ulp
-    up, as its addition may round down.
+    most F_i + s_i; so f_ij <= e_ij + s_i <= F_i + 2 s_i <= U_i + 2 s_i,
+    and every top-k column survives, ties at T_i included. The threshold is
+    taken one ulp up, as its addition may round down.
 
-    The filter runs block by block (by default, row tiles of _TILE_CELLS
-    over the whole base), each matmul, mask and partition on the block's
-    own rows and columns; the thresholds and the selection of survivors run
-    once per batch of consecutive blocks, up to _BATCH_CELLS Gram values,
-    which saves numpy calls where blocks are small.
+    U_i comes from groups: a block of width w has b = max(1, w //
+    (_GROUPS_PER_K k)) and W = w // b >= k groups, group j holding the
+    columns j, j + W, ..., j + (b - 1) W and the tail column b W + j if
+    that is below w, and g_ij is the group's smallest f. U_i is the k-th
+    smallest g_ij: the k smallest groups each hold a column at or under
+    it, so U_i >= F_i. A row whose U_i is not finite (its finite columns
+    fall in fewer than k groups) takes U_i = F_i, its own k-th value. Only
+    a group with g_ij <= U_i + 2 s_i can hold a survivor, so only the
+    members of those groups are compared. With b = 1, g is f itself.
+
+    The filter runs block by block (by default, row ranges over the whole
+    base of up to _BATCH_CELLS Gram values and _TILE_CELLS group minima),
+    each matmul, mask, group minimum and partition on the block's own rows
+    and columns; the thresholds and the selection of survivors run once per
+    batch of consecutive blocks, up to _BATCH_CELLS Gram values, which
+    saves numpy calls where blocks are small.
 
     Refine: the survivors of all blocks are scored together in the
     kernel's per-pair order on the uncentred data, _TILE_CELLS // d at a
@@ -398,10 +438,11 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     if blocks is None:
         if k + 1 >= n:
             return _block_topk(queries, base.data, k, kernel, self_cols)
-        step = max(1, _TILE_CELLS // n)
+        # a block's group minima, which the partition copies, fit in a tile
+        step = max(1, min(_BATCH_CELLS // n, _TILE_CELLS // _groups(n, k)[1]))
         blocks = [(r0, min(r0 + step, m), None, None)
                   for r0 in range(0, m, step)]
-    # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the tile;
+    # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the block;
     # where it overflows, the rows take the full path, which warns itself
     qa, covered, slack2 = _gram_rows(queries, base)
     qt = np.ascontiguousarray(queries.T)
@@ -441,36 +482,74 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
         start, stop = batch[0][0], batch[-1][1]
         counts = [b1 - b0 for b0, b1, _, _ in batch]
         widths = [n if cols is None else cols.size for _, _, cols, _ in batch]
+        members, groups = zip(*(_groups(w, k) for w in widths))
         row_width = np.repeat(widths, counts)
-        # where each row of the batch starts in the flat buffers f and keep
+        # where each row of the batch starts in the flat buffers f and g
         row_at = np.cumsum(row_width) - row_width
         f = np.empty(row_at[-1] + row_width[-1], dtype=np.float64)
-        keep = np.empty(f.size, dtype=bool)
+        grouped = max(members) > 1
+        if grouped:
+            row_groups = np.repeat(groups, counts)
+            group_at = np.cumsum(row_groups) - row_groups
+            g = np.empty(group_at[-1] + row_groups[-1], dtype=np.float64)
+        else:
+            group_at, g = row_at, f
+        keep = np.empty(g.size, dtype=bool)
         tiles = []
-        at = 0
-        for (b0, b1, cols, excluded), w in zip(batch, widths):
+        at = g_at = 0
+        for (b0, b1, cols, excluded), w, b, groups_w in zip(
+                batch, widths, members, groups):
             t = f[at : at + (b1 - b0) * w].reshape(b1 - b0, w)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(qa[b0:b1], base.aug if cols is None
                           else base.aug.take(cols, axis=1), out=t)
             if excluded is not None:
                 np.putmask(t, excluded, np.inf)
-            tiles.append((b0, b1, t,
-                          keep[at : at + t.size].reshape(t.shape)))
+            gt = g[g_at : g_at + (b1 - b0) * groups_w].reshape(
+                b1 - b0, groups_w)
+            tiles.append((b0, b1, t, b, gt,
+                          keep[g_at : g_at + gt.size].reshape(gt.shape)))
             at += t.size
+            g_at += gt.size
         if self_cols is not None:
             own = self_cols[start:stop]
             r = np.flatnonzero(own >= 0)
             f[row_at[r] + own[r]] = np.inf
-        for b0, b1, t, _ in tiles:
-            kth[b0:b1] = np.partition(t, k - 1, axis=1)[:, k - 1]
+        for b0, b1, t, b, gt, _ in tiles:
+            if grouped:
+                # group j's minimum: columns j + m W, then the tail b W + j
+                width = b * gt.shape[1]
+                np.min(t[:, :width].reshape(b1 - b0, b, -1), axis=1, out=gt)
+                tail = t.shape[1] - width
+                np.minimum(gt[:, :tail], t[:, width:], out=gt[:, :tail])
+            kth[b0:b1] = np.partition(gt, k - 1, axis=1)[:, k - 1]
+        if grouped:
+            # a row whose finite columns fall in fewer than k groups takes
+            # its own k-th value
+            lost = np.isinf(kth[start:stop]) & covered[start:stop]
+            if lost.any():
+                for b0, b1, t, _, _, _ in tiles:
+                    i = np.flatnonzero(lost[b0 - start : b1 - start])
+                    if i.size:
+                        kth[b0 + i] = np.partition(
+                            t[i], k - 1, axis=1)[:, k - 1]
         thr = np.nextafter(kth[start:stop] + slack2[start:stop], np.inf)
         ok = covered[start:stop] & np.isfinite(thr)
         # NaN compares false, so rows left to the full path keep nothing
         thr[~ok] = np.nan
-        for b0, b1, t, kt in tiles:
-            np.less_equal(t, thr[b0 - start : b1 - start, None], out=kt)
+        for b0, b1, _, _, gt, kt in tiles:
+            np.less_equal(gt, thr[b0 - start : b1 - start, None], out=kt)
         hit = np.flatnonzero(keep)
+        if grouped:
+            # a kept group's members j, j + W, ... below the row's width,
+            # those at or under the threshold in (row, column) order
+            r = np.searchsorted(group_at, hit, side="right") - 1
+            cand = (hit - group_at[r])[:, None] + (
+                row_groups[r, None] * np.arange(max(members) + 1))
+            inside = cand < row_width[r, None]
+            r = np.broadcast_to(r[:, None], cand.shape)[inside]
+            hit = cand[inside] + row_at[r]
+            hit = np.sort(hit[f[hit] <= thr[r]])
         r = np.searchsorted(row_at, hit, side="right") - 1
         j = hit - row_at[r]
         if batch[0][2] is not None:
@@ -644,7 +723,9 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
     cell is re-seeded to the point currently farthest from its own centroid
     (ties toward the lower index), which keeps inertia non-increasing.
     Assignments and distances are exact (_assign_nearest), so the result
-    does not depend on threads.
+    does not depend on threads. A fit that stops on repeated assignments
+    returns that pass, made at its final centroids; one that runs out of
+    rounds assigns once more after the last update.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -676,7 +757,9 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
                 pick = int(np.argmax(far))
                 centroids[cell] = x[pick]
                 far[pick] = -np.inf
-    assign, dmin = _assign_nearest(x, centroids, threads)
+    else:
+        # no break: the last round moved the centroids
+        assign, dmin = _assign_nearest(x, centroids, threads)
     return KMeansResult(
         centroids=centroids,
         assignments=assign,
@@ -698,8 +781,10 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None,
               threads=1):
     """Coarse quantizer: k-means cells plus a posting list per cell.
 
-    train_sample caps how many points the quantizer trains on (postings are
-    always a full exact pass over every point).
+    train_sample caps how many points the quantizer trains on. Postings
+    hold every point's exact nearest centroid: the training points keep
+    their k-means assignments, which are that, and only the other points
+    are assigned.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -707,15 +792,21 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None,
         raise ValueError(f"nlist must be in [1, n], got {nlist}")
     if train_sample is not None and train_sample < nlist:
         raise ValueError("train_sample must be >= nlist")
-    train = points
-    if train_sample is not None and train_sample < n:
+    if train_sample is None or train_sample >= n:
+        km = kmeans_fit(points, nlist, max_iter=max_iter, seed=seed,
+                        threads=threads)
+        assign = km.assignments
+    else:
         rng = np.random.Generator(np.random.PCG64(seed))
         idx = np.sort(rng.choice(n, size=train_sample, replace=False))
-        train = PointSet(points.data[idx])
-    km = kmeans_fit(train, nlist, max_iter=max_iter, seed=seed,
-                    threads=threads)
-    assign, _ = _assign_nearest(
-        points.data.astype(np.float64), km.centroids, threads)
+        km = kmeans_fit(PointSet(points.data[idx]), nlist,
+                        max_iter=max_iter, seed=seed, threads=threads)
+        rest = np.ones(n, dtype=bool)
+        rest[idx] = False
+        assign = np.empty(n, dtype=np.int64)
+        assign[idx] = km.assignments
+        assign[rest] = _assign_nearest(
+            points.data[rest].astype(np.float64), km.centroids, threads)[0]
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
     bounds = np.concatenate([[0], np.cumsum(counts)])

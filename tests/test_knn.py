@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskcluster import knn
-from riskcluster.datagen import SyntheticSpec, generate
+from riskcluster import knn, pipeline
+from riskcluster.datagen import SyntheticSpec, fraud_stream, generate
 from riskcluster.knn import (
     _topk_rows, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search, kmeans_fit, sqdist_exact, sqdist_fast)
 from riskcluster.model import PointSet
 from riskcluster.parallel import run_chunked
+from riskcluster.pipeline import ExperimentSpec, run_experiment
+from riskcluster.predict import assign_new_points
 
 from oracle import (
     assign_nearest_reference, dense_knn, dense_sqdist, ivf_search_reference,
@@ -222,6 +224,12 @@ def _exact_topk(q, b, k, own=None, excluded=None):
 class TestExactTopk:
     """_exact_topk filters by Gram value; results keep the full path's bits."""
 
+    # _GROUPS_PER_K settings: the module's keeps one column per group at
+    # n = 300 and k 5 to 7; 1, 3 and 7 give 6 to 60 columns per group, the
+    # last group taking a tail column at some of those k (see
+    # test_matches_full_path_bitwise)
+    GROUPINGS = (None, 1, 3, 7)
+
     def _bases(self, rng, dim):
         n = 300
         grid = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
@@ -260,9 +268,16 @@ class TestExactTopk:
     def _assert_full_path_bits(self, case):
         _assert_same_topk(_exact_topk(*case), _full_path(*case))
 
-    def test_matches_full_path_bitwise(self):
+    @pytest.mark.parametrize("groups_per_k", GROUPINGS)
+    def test_matches_full_path_bitwise(self, monkeypatch, groups_per_k):
         cases = list(self._cases())
         assert len(cases) == 4 * 7 * 3
+        if groups_per_k is not None:
+            monkeypatch.setattr(knn, "_GROUPS_PER_K", groups_per_k)
+            # b columns per group, and a tail when b does not divide 300
+            members = [300 // (groups_per_k * k) for _, _, k, _, _ in cases]
+            assert min(members) >= 2
+            assert any(300 % b for b in members)
         for case in cases:
             self._assert_full_path_bits(case)
 
@@ -279,14 +294,19 @@ class TestExactTopk:
             _assert_same_topk((vals, ids - 40),
                               _full_path(q, b, k, own, excluded))
 
+    @pytest.mark.parametrize("groups_per_k", GROUPINGS)
     @pytest.mark.parametrize("batch_cells", [None, 1, 2000])
-    def test_blocks_match_their_full_paths(self, monkeypatch, batch_cells):
+    def test_blocks_match_their_full_paths(self, monkeypatch, batch_cells,
+                                           groups_per_k):
         # an IVF group: consecutive blocks of rows, each on its own
         # ascending column subset with its own mask and self columns, one
         # of them too narrow for the filter; batches of one block, of
-        # several, and of the whole group
+        # several, and of the whole group, whose blocks may differ in
+        # their columns per group
         if batch_cells is not None:
             monkeypatch.setattr(knn, "_BATCH_CELLS", batch_cells)
+        if groups_per_k is not None:
+            monkeypatch.setattr(knn, "_GROUPS_PER_K", groups_per_k)
         rng = np.random.Generator(np.random.PCG64(49))
         k = 6
         for q, b, _, own, _ in list(self._cases())[1::3]:
@@ -316,18 +336,23 @@ class TestExactTopk:
                                          zip(*want)))
 
     def test_small_tiles_and_flushes(self, monkeypatch):
-        # a 97-cell tile gives one row per tile, ends in a partial tile and
-        # refines survivors every tile; a batch holds a few tiles
+        # a 97-cell tile makes one-row blocks of 300 columns, three to each
+        # 1000-cell batch and one in the last, and survivors are refined
+        # every few batches
         monkeypatch.setattr(knn, "_TILE_CELLS", 97)
         monkeypatch.setattr(knn, "_BATCH_CELLS", 1000)
         for case in list(self._cases())[::5]:
             self._assert_full_path_bits(case)
 
-    def test_zero_slack_loses_columns(self, monkeypatch):
+    @pytest.mark.parametrize("groups_per_k", GROUPINGS)
+    def test_zero_slack_loses_columns(self, monkeypatch, groups_per_k):
         # without the slack the filter drops tied and rounded columns, so
-        # the cases above must catch a bound that is too tight
+        # the cases above must catch a bound that is too tight, with
+        # groups too, though their minima can only loosen the threshold
         monkeypatch.setattr(
             knn, "_gram_slack", lambda qq, bb_max, dim: np.zeros_like(qq))
+        if groups_per_k is not None:
+            monkeypatch.setattr(knn, "_GROUPS_PER_K", groups_per_k)
         differ = 0
         for case in self._cases():
             differ += not np.array_equal(_exact_topk(*case)[1],
@@ -367,6 +392,31 @@ class TestExactTopk:
             kernel_rows.clear()
             knn._exact_topk(queries[:3], knn._gram_base(base[:6]), 5, kernel)
             assert kernel_rows == [3]
+
+    def test_rows_in_fewer_than_k_groups_keep_the_filter(self, monkeypatch):
+        # 300 columns at k 5 in 10 groups of 30 (columns j, j + 10, ...):
+        # row 0 may take only groups 0 and 1, 60 columns, so its k-th group
+        # minimum is inf and it takes its own k-th value instead; row 1 may
+        # take 4 columns in all, fewer than k, and only it goes to the
+        # full path
+        monkeypatch.setattr(knn, "_GROUPS_PER_K", 2)
+        rng = np.random.Generator(np.random.PCG64(50))
+        base = rng.normal(size=(300, 3))
+        queries = rng.normal(size=(6, 3))
+        excluded = np.zeros((6, 300), dtype=bool)
+        excluded[0] = np.arange(300) % 10 >= 2
+        excluded[1, 4:] = True
+        kernel_rows = []
+
+        def kernel(q, b):
+            kernel_rows.append(q.shape[0])
+            return sqdist_exact(q, b)
+
+        got = knn._exact_topk(queries, knn._gram_base(base), 5, kernel,
+                              None, [(0, 6, None, excluded)])
+        assert kernel_rows == [1]
+        _assert_same_topk(got, _full_path(queries, base, 5, None, excluded))
+        assert (got[1][0] % 10 < 2).all()
 
     def test_brute_force_holds_no_block(self):
         # one 3400 x 3400 float64 block is 92 MB, and one of the 1176-row
@@ -490,6 +540,47 @@ class TestBruteForce:
             for t in (1, 2, 3):
                 brute_force_knn(pts, k, threads=t)
         assert chunks == [1, 2, 3, 3, 3, 3]
+
+    FRAUD_DIGESTS = {
+        1: "d49f51bd9b93567e84ad3bc7a0f4daae2713a9827130a9e5543bfcc8c77602b6",
+        1009:
+        "29c8c36e2a95ce0b2cb0b714c129d3afe62e5f4bd1b6c8b1ab3e5a1b4b09eca0",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FRAUD_DIGESTS))
+    def test_fraud_inductive_exact_search_digest(self, seed, monkeypatch):
+        # the benchmark's fraud_inductive exact searches, pinned so that
+        # later search changes keep the bits: the brute-force kNN graph (k
+        # 10) of the train window's 3400 x 28 hybrid features, and
+        # assign_new_points (k_assign 5) of the test window's 1700 rows
+        # against the train window's clustering
+        records, truth = fraud_stream(
+            seed=seed, legit_blobs=8, legit_per_blob=200,
+            planted_per_snapshot=100, n_snapshots=3)
+        snaps = truth["snapshots"]
+        spec = ExperimentSpec(
+            mode="inductive", train_snapshots=tuple(snaps[:-1]),
+            test_snapshot=snaps[-1],
+            clustering={"min_cluster_size": 50, "min_samples": 10})
+        seen = {}
+
+        def assign(model, queries, threads=None):
+            seen["model"], seen["queries"] = model, queries
+            return assign_new_points(model, queries, threads)
+
+        monkeypatch.setattr(pipeline, "assign_new_points", assign)
+        run_experiment(spec, records)
+        model = seen["model"]
+        assert model.train_points.data.shape == (3400, 28)
+        assert model.k_assign == 5
+        h = hashlib.sha256()
+        g = brute_force_knn(model.train_points, 10, threads=2)
+        h.update(g.neighbor_ids.astype("<i8").tobytes())
+        h.update(_bits(g.neighbor_dists).astype("<i8").tobytes())
+        a = assign_new_points(model, seen["queries"], threads=2)
+        h.update(a.labels.astype("<i8").tobytes())
+        h.update(_bits(a.strengths).astype("<i8").tobytes())
+        assert h.hexdigest() == self.FRAUD_DIGESTS[seed]
 
 
 class TestKMeans:
@@ -888,6 +979,37 @@ class TestIvf:
             assert np.array_equal(idx.assignments, first.assignments)
             assert all(np.array_equal(a, b)
                        for a, b in zip(idx.postings, first.postings))
+
+    def test_build_assigns_each_point_once_after_training(self, monkeypatch):
+        # training points keep their k-means assignments, so the build
+        # assigns only the other points, and a fit that stops on repeated
+        # assignments makes no further pass; centroids and postings hash as
+        # when every point was assigned again after the fit
+        pts = _points(shape="varied_variance", n=3000, seed=18, dim=5)
+        seen = []
+        assign = knn._assign_nearest
+
+        def spy(x, centroids, threads=1):
+            seen.append(x.shape[0])
+            return assign(x, centroids, threads)
+
+        monkeypatch.setattr(knn, "_assign_nearest", spy)
+        h = hashlib.sha256()
+        # a 1000-point sample stops on repeated assignments in round 17;
+        # the whole set runs out of rounds, and its last round's update
+        # takes one more pass
+        for train_sample, max_iter, passes in (
+                (1000, 25, [1000] * 17 + [2000]), (None, 25, [3000] * 26),
+                (None, 2, [3000] * 3)):
+            seen.clear()
+            index = ivf_build(pts, 37, seed=3, max_iter=max_iter,
+                              train_sample=train_sample)
+            assert seen == passes
+            h.update(_bits(index.centroids).astype("<i8").tobytes())
+            for p in index.postings:
+                h.update(p.astype("<i8").tobytes())
+        assert h.hexdigest() == (
+            "2ea097879d1af3f3b6d6fe1f6efbd8c2b46e1734b81e929bcccfcdeb15f42ea3")
 
     def test_quantizer_holds_no_block(self):
         # 12.8k x 16 points to 256 centroids on 2 threads: one Gram block
