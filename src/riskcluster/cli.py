@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 contract violation.
 """
 
 import argparse
+import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import suppress
@@ -140,6 +142,12 @@ def _load_feature_csv(path):
     return np.asarray(rows, dtype=np.float64), names
 
 
+def _points_sha256(points):
+    """sha256 of a PointSet's values as little-endian float64 bytes."""
+    data = np.ascontiguousarray(points.data, dtype="<f8")
+    return hashlib.sha256(data.tobytes()).hexdigest()
+
+
 def cmd_cluster(args):
     fmt = _detect_format(args.input, args.format)
     points = load_points(args.input, fmt=fmt, header=args.header)
@@ -161,10 +169,16 @@ def cmd_cluster(args):
     for stage, secs in result.timings.items():
         print(f"timing {stage} {secs:.6f}s")
     print(f"clusters: {result.num_clusters}  noise: {result.noise_count}")
+    # predict resolves a relative input path against the model file's
+    # directory
+    path = args.input
+    if not os.path.isabs(path):
+        path = os.path.relpath(path, os.path.dirname(args.out) or ".")
     out = {
         "command": "cluster",
         "version": __version__,
-        "input": {"path": args.input, "format": fmt, "header": args.header},
+        "input": {"path": path, "format": fmt, "header": args.header,
+                  "sha256": _points_sha256(points)},
         "params": result.params,
         "n": points.n,
         "dim": points.dim,
@@ -194,8 +208,22 @@ def cmd_predict(args):
     src = model_obj["input"]
     if not isinstance(src, dict) or not {"path", "format"} <= src.keys():
         raise ValueError("model file input needs 'path' and 'format'")
+    path = src["path"]
+    if not isinstance(path, str):
+        raise ValueError("model file input path must be a string")
+    path = os.path.join(os.path.dirname(args.model), path)
     train = load_points(
-        src["path"], fmt=src["format"], header=src.get("header", False))
+        path, fmt=src["format"], header=src.get("header", False))
+    # a model file written before the hash was kept is checked by its
+    # n and dim alone
+    for key, have in (("n", train.n), ("dim", train.dim)):
+        if key in model_obj and model_obj[key] != have:
+            raise ValueError(
+                f"training points {path} have {key} {have}, the model file"
+                f" {model_obj[key]!r}")
+    if "sha256" in src and src["sha256"] != _points_sha256(train):
+        raise ValueError(
+            f"training points {path} do not match the model file's sha256")
     assignment = ClusterAssignment(
         labels=_integral_labels(model_obj["labels"], "model file"),
         strengths=_strengths(model_obj["strengths"]))

@@ -12,7 +12,8 @@ from .knn import (
 from .model import reject_non_numbers
 from .mst import attach_forest_root, kruskal_forest
 from .parallel import resolve_threads
-from .reach import EdgeList, core_distances, mutual_reach_edges
+from .reach import (
+    EdgeList, core_distances, full_graph_edges, mutual_reach_edges)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,14 @@ class ClusterResult:
 
 
 def cluster_points(points, params, threads=None):
-    """Run kNN -> reachability -> MST -> hierarchy -> stable clusters."""
+    """Run kNN -> reachability -> MST -> hierarchy -> stable clusters.
+
+    In exact mode with k = n - 1 (exact HDBSCAN*) no n - 1 neighbor rows
+    are sorted: the `knn` stage searches only min_samples neighbors, for
+    the core distances, and the `reach` stage builds every pair's edge
+    straight from exact distance rows (reach.full_graph_edges), with the
+    bits the full kNN graph would give.
+    """
     threads = resolve_threads(threads)
     n = points.n
     resolved = params.resolve(n)
@@ -116,6 +124,7 @@ def cluster_points(points, params, threads=None):
             component_count=1, condensed=condensed)
 
     t0 = time.perf_counter()
+    full = resolved["mode"] == "exact" and resolved["k"] == n - 1
     if resolved["mode"] == "ivf":
         index = ivf_build(
             points, resolved["nlist"], seed=resolved["seed"],
@@ -128,14 +137,19 @@ def cluster_points(points, params, threads=None):
             threads=threads, kernel=resolved["kernel"])
     else:
         timings["quantizer"] = 0.0
+        # the full graph needs only the core distances of its search
         knn = brute_force_knn(
-            points, resolved["k"], threads=threads,
-            kernel=resolved["kernel"])
+            points, resolved["min_samples"] if full else resolved["k"],
+            threads=threads, kernel=resolved["kernel"])
     timings["knn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     core = core_distances(knn, resolved["min_samples"])
-    edges = mutual_reach_edges(knn, core)
+    if full:
+        edges = full_graph_edges(
+            points, core, kernel=resolved["kernel"], threads=threads)
+    else:
+        edges = mutual_reach_edges(knn, core)
     timings["reach"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

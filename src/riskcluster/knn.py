@@ -597,6 +597,18 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     return vals, ids
 
 
+def _row_chunk(n, k, threads, kernel):
+    """Query rows per brute_force_knn task over n points."""
+    chunk = max(1, _BLOCK_CELLS // n)
+    if kernel != "exact":
+        return chunk
+    # each exact row is computed apart from the rows batched with it, so
+    # chunks may follow the thread count; only full rows hold a rows x n
+    # block. Fast values depend on the batch, so fast chunks stay fixed
+    threads_chunk = -(-n // threads)
+    return min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
+
+
 def brute_force_knn(points, k, threads=1, kernel="exact"):
     """Exact k nearest neighbors for every point, self excluded."""
     threads = resolve_threads(threads)
@@ -608,13 +620,7 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
     base = search = points.data.astype(np.float64)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
-    chunk = max(1, _BLOCK_CELLS // n)
     if kernel == "exact":
-        # each exact row is computed apart from the rows batched with it, so
-        # chunks may follow the thread count; only full rows hold a rows x n
-        # block. Fast values depend on the batch, so fast chunks stay fixed
-        threads_chunk = -(-n // threads)
-        chunk = min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
         search = _gram_base(base)
 
     def work(start, stop):
@@ -623,7 +629,7 @@ def brute_force_knn(points, k, threads=1, kernel="exact"):
         ids[start:stop] = c
         np.sqrt(v, out=dists[start:stop])
 
-    run_chunked(work, n, threads, chunk)
+    run_chunked(work, n, threads, _row_chunk(n, k, threads, kernel))
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import numbers
+import re
 import struct
 from collections.abc import Mapping, Sequence
 from contextlib import suppress
@@ -32,6 +33,8 @@ _PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
 _INT64_END = 2**63
 _CHUNK_LINES = 256
 _DECODER = json.JSONDecoder()
+# two objects side by side on one line
+_ADJACENT = re.compile(r"}[ \t]*,[ \t]*{")
 
 
 @dataclass(frozen=True)
@@ -457,31 +460,73 @@ def _json_line(line):
     return obj if end == len(line) else json.loads(line)
 
 
-def _decoded_chunks(fh):
-    """(objects, line numbers) of the nonblank lines of a file, up to
-    _CHUNK_LINES lines at a time. At the first line that cannot be read or
-    holds no JSON object, the chunk of the lines before it comes out, and
-    then that line's ValueError is raised."""
-    objs, linenos = [], []
+def _line_chunks(fh):
+    """[(line number, stripped line)] of the nonblank lines of a file, up to
+    _CHUNK_LINES lines at a time. A read error comes out after the list of
+    the lines before it."""
+    chunk = []
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                try:
-                    obj = _json_line(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                if type(obj) is not dict:
-                    _coerce(obj, lineno)  # raises: only objects have fields
-                objs.append(obj)
-                linenos.append(lineno)
+                chunk.append((lineno, line))
             if lineno % _CHUNK_LINES == 0:
-                yield objs, linenos
-                objs, linenos = [], []
+                yield chunk
+                chunk = []
     except ValueError:
-        yield objs, linenos
+        yield chunk
         raise
-    yield objs, linenos
+    yield chunk
+
+
+def _joined_objects(lines):
+    """The objects of a chunk of lines from one decode of "[" + ",".join(
+    lines) + "]", or None where that cannot stand for the lines one by one.
+
+    It is taken only when the array holds exactly one dict per line and no
+    line holds "}", a comma and "{" with only spaces or tabs between them.
+    Sound: a text-mode line holds no "\\r" or "\\n", so when no line has
+    that pattern, every top-level separator of the array is an inserted
+    comma, and each value spans exactly its own line. A value split over
+    lines joins fewer values than lines, and two values on one line need
+    the pattern, with any whitespace between them on that line.
+    """
+    if _ADJACENT.search("\n".join(lines)):
+        return None
+    try:
+        objs = _DECODER.decode("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(objs) != len(lines) or not all(type(o) is dict for o in objs):
+        return None
+    return objs
+
+
+def _decoded_chunks(fh):
+    """(objects, line numbers) of the nonblank lines of a file, a chunk of
+    _line_chunks at a time, each decoded at once where _joined_objects can
+    and line by line otherwise. At the first line that cannot be read or
+    holds no JSON object, the chunk of the lines before it comes out, and
+    then that line's ValueError is raised."""
+    for chunk in _line_chunks(fh):
+        linenos = [lineno for lineno, _ in chunk]
+        objs = _joined_objects([line for _, line in chunk])
+        if objs is None:
+            objs = []
+            try:
+                for lineno, line in chunk:
+                    try:
+                        obj = _json_line(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from None
+                    if type(obj) is not dict:
+                        # raises: only objects have fields
+                        _coerce(obj, lineno)
+                    objs.append(obj)
+            except ValueError:
+                yield objs, linenos[:len(objs)]
+                raise
+        yield objs, linenos
 
 
 # the plain kinds of the id, timestamp, amount, risk_seed, features and

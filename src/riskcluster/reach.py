@@ -4,15 +4,18 @@ Core distance is the distance to the min_samples-th nearest OTHER point (self
 never counts). Mutual reachability of a kNN pair (i, j) is
 max(core_i, core_j, d_ij). Deduplication keeps the pair's copy in the row of
 its smaller end u: the fast kernel's BLAS rounding may give d_ij != d_ji.
-When k = n - 1 every row holds every other point, so the row-u copies are
-the entries with src < dst and no sort is needed. Shorter rows may hold a
-pair once, so they take one unstable sort of the distinct keys
-2 * (u * n + v) + (src > dst), which puts any row-u copy first.
+A row may hold a pair once, so the rows take one unstable sort of the
+distinct keys 2 * (u * n + v) + (src > dst), which puts any row-u copy
+first. The full graph of exact HDBSCAN* needs no kNN graph: its edges come
+straight from exact distance rows (full_graph_edges).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .knn import _KERNELS, _row_chunk
+from .parallel import resolve_threads, run_chunked
 
 
 @dataclass(frozen=True)
@@ -60,18 +63,15 @@ def mutual_reach_edges(knn, core):
         raise ValueError("core distances not aligned with the kNN graph")
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = knn.neighbor_ids.ravel().astype(np.int64)
-    if k == n - 1:
-        keep = np.flatnonzero(src < dst)
-    else:
-        # keys are distinct (a row names each neighbor once), so the
-        # unstable order is unique; n < 2^31 keeps them in range
-        key = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst))
-        key += src > dst
-        keep = np.argsort(key)
-        pair = key[keep] >> 1
-        first = np.ones(keep.size, dtype=bool)
-        first[1:] = pair[1:] != pair[:-1]
-        keep = keep[first]
+    # keys are distinct (a row names each neighbor once), so the unstable
+    # order is unique; n < 2^31 keeps them in range
+    key = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst))
+    key += src > dst
+    keep = np.argsort(key)
+    pair = key[keep] >> 1
+    first = np.ones(keep.size, dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    keep = keep[first]
     src, dst = src[keep], dst[keep]
     c = core.values
     # np.maximum returns its second operand on equal values, so -0.0 and
@@ -80,3 +80,39 @@ def mutual_reach_edges(knn, core):
                    np.maximum(c[src], c[dst]))
     return EdgeList(
         u=np.minimum(src, dst), v=np.maximum(src, dst), w=w)
+
+
+def full_graph_edges(points, core, kernel="exact", threads=1):
+    """Every pair's mutual reachability edge, from exact distance rows.
+
+    The edge set of mutual_reach_edges(brute_force_knn(points, n - 1), core)
+    bit for bit, in row-major (u, v) order and without sorting a row: row u
+    takes sqrt(kernel) against every point, and its pairs v > u take
+    max(d_uv, max(core_u, core_v)), the row-u copy. Rows go in
+    brute_force_knn's chunks for k = n - 1, so fast-kernel values keep
+    their bits too.
+    """
+    threads = resolve_threads(threads)
+    x = points.data.astype(np.float64)
+    n = x.shape[0]
+    if core.n != n:
+        raise ValueError("core distances not aligned with the points")
+    sq = _KERNELS[kernel]
+    c = core.values
+    u, v = np.triu_indices(n, 1)
+    w = np.empty(u.size, dtype=np.float64)
+    cols = np.arange(n)
+
+    def work(start, stop):
+        # rows before `start` hold start (2n - start - 1) / 2 pairs
+        a = start * (2 * n - start - 1) // 2
+        b = stop * (2 * n - stop - 1) // 2
+        d = sq(x[start:stop], x)
+        np.sqrt(d, out=d)
+        cu = c[u[a:b]]
+        np.maximum(cu, c[v[a:b]], out=cu)
+        # the operands in mutual_reach_edges' order (see there)
+        np.maximum(d[cols > cols[start:stop, None]], cu, out=w[a:b])
+
+    run_chunked(work, n, threads, _row_chunk(n, n - 1, threads, kernel))
+    return EdgeList(u=u, v=v, w=w)

@@ -127,6 +127,96 @@ class TestClusterPredictAri:
         assert code == 0
         assert float(out.strip().splitlines()[-1]) >= 0.99
 
+    @staticmethod
+    def _model_beside_points(tmp_path, capsys, monkeypatch):
+        """A cluster run in tmp_path/a with a relative input path; returns
+        the training points' path and the model document."""
+        home = tmp_path / "a"
+        home.mkdir()
+        monkeypatch.chdir(home)
+        code, _, _ = run(
+            capsys, "gen", "--shape", "blobs", "--n", "120", "--seed", "3",
+            "--out-prefix", "train")
+        assert code == 0
+        code, _, err = run(
+            capsys, "cluster", "--input", "train.points.csv",
+            "--min-cluster-size", "10", "--out", "labels.json")
+        assert code == 0, err
+        doc = json.loads((home / "labels.json").read_text())
+        return home / "train.points.csv", doc
+
+    def _predict_from(self, tmp_path, capsys, model):
+        return run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.json"))
+
+    def test_moved_model_directory_finds_its_points(
+            self, tmp_path, capsys, monkeypatch):
+        points, doc = self._model_beside_points(
+            tmp_path, capsys, monkeypatch)
+        assert doc["input"]["path"] == "train.points.csv"
+        assert len(doc["input"]["sha256"]) == 64
+        (tmp_path / "q.csv").write_bytes(points.read_bytes())
+        moved = tmp_path / "elsewhere" / "b"
+        moved.parent.mkdir()
+        points.parent.rename(moved)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = self._predict_from(
+            tmp_path, capsys, moved / "labels.json")
+        assert code == 0, err
+        pred = json.loads((tmp_path / "p.json").read_text())
+        assert pred["labels"] == doc["labels"]
+
+    def test_relative_input_written_against_the_model_directory(
+            self, tmp_path, capsys, monkeypatch):
+        points, doc = self._model_beside_points(
+            tmp_path, capsys, monkeypatch)
+        (tmp_path / "out").mkdir()
+        code, _, err = run(
+            capsys, "cluster", "--input", "train.points.csv",
+            "--min-cluster-size", "10", "--out", "../out/labels.json")
+        assert code == 0, err
+        model = tmp_path / "out" / "labels.json"
+        moved = json.loads(model.read_text())
+        assert moved["input"]["path"] == "../a/train.points.csv"
+        assert moved["labels"] == doc["labels"]
+        (tmp_path / "q.csv").write_bytes(points.read_bytes())
+        code, _, err = self._predict_from(tmp_path, capsys, model)
+        assert code == 0, err
+
+    def test_swapped_points_of_the_same_shape_are_refused(
+            self, tmp_path, capsys, monkeypatch):
+        points, _ = self._model_beside_points(tmp_path, capsys, monkeypatch)
+        (tmp_path / "q.csv").write_text("0,0\n")
+        rows = points.read_text().splitlines()
+        points.write_text("\n".join(rows[1:] + rows[:1]) + "\n")
+        code, _, err = self._predict_from(
+            tmp_path, capsys, points.parent / "labels.json")
+        assert code == 4
+        assert "do not match the model file's sha256" in err
+
+    def test_model_without_hash_is_checked_by_n_and_dim(
+            self, tmp_path, capsys, monkeypatch):
+        points, doc = self._model_beside_points(
+            tmp_path, capsys, monkeypatch)
+        (tmp_path / "q.csv").write_text("0,0\n")
+        del doc["input"]["sha256"]
+        model = points.parent / "labels.json"
+        model.write_text(json.dumps(doc))
+        rows = points.read_text().splitlines()
+        points.write_text("\n".join(rows[1:] + rows[:1]) + "\n")
+        code, _, err = self._predict_from(tmp_path, capsys, model)
+        assert code == 0, err
+        points.write_text("\n".join(rows[1:]) + "\n")
+        code, _, err = self._predict_from(tmp_path, capsys, model)
+        assert code == 4
+        assert "have n 119, the model file 120" in err
+        points.write_text("".join(f"{r},0\n" for r in rows))
+        code, _, err = self._predict_from(tmp_path, capsys, model)
+        assert code == 4
+        assert "have dim 3, the model file 2" in err
+
     def test_emit_timings_opt_in(self, blob_files, tmp_path, capsys):
         out_json = str(tmp_path / "timed.json")
         code, _, _ = run(

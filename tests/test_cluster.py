@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from riskcluster import cluster, knn
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
+from riskcluster.hierarchy import (
+    condense_tree, extract_clusters, single_linkage)
+from riskcluster.knn import brute_force_knn
 from riskcluster.model import PointSet
+from riskcluster.mst import attach_forest_root, kruskal_forest
+from riskcluster.reach import core_distances, mutual_reach_edges
 
 from oracle import pair_counting_ari, reference_cluster
 
@@ -141,3 +149,84 @@ class TestEndToEnd:
         if res.num_clusters:
             assert labels.max() == res.num_clusters - 1
         assert res.component_count >= 1
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestFullGraph:
+    """k = n - 1 keeps every bit of the explicit full kNN pipeline.
+
+    cluster_points searches only min_samples neighbors there and builds the
+    edges from distance rows; the reference sorts all n - 1 neighbors of
+    every row and dedupes them in mutual_reach_edges.
+    """
+
+    @staticmethod
+    def _inputs():
+        named = {shape: generate(SyntheticSpec(shape=shape, n=300, seed=1))[0]
+                 for shape in SHAPES}
+        # a quarter grid with duplicated points gives tied distances
+        rng = np.random.Generator(np.random.PCG64(7))
+        x = np.round(rng.normal(size=(300, 2)) * 4.0) / 4.0
+        x[:40] = x[40:80]
+        named["grid"] = PointSet(x)
+        named["pair"] = PointSet(np.array([[0.0, 1.0], [2.0, 1.5]]))
+        return named
+
+    @staticmethod
+    def _explicit(points, params, threads):
+        r = params.resolve(points.n)
+        n = points.n
+        g = brute_force_knn(points, n - 1, threads=threads, kernel=r["kernel"])
+        edges = mutual_reach_edges(g, core_distances(g, r["min_samples"]))
+        forest = kruskal_forest(edges, n)
+        condensed = condense_tree(
+            single_linkage(attach_forest_root(forest), n),
+            r["min_cluster_size"])
+        return forest, extract_clusters(condensed, r["allow_single_cluster"])
+
+    @pytest.mark.parametrize("rows", [None, 37])
+    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    @pytest.mark.parametrize("name", [*SHAPES, "grid", "pair"])
+    def test_matches_explicit_pipeline_bitwise(
+            self, monkeypatch, name, kernel, rows):
+        points = self._inputs()[name]
+        if rows is not None:
+            # several chunks per thread, fast-kernel rows included
+            monkeypatch.setattr(knn, "_BLOCK_CELLS", points.n * rows)
+        forests = []
+        original = cluster.kruskal_forest
+
+        def capture(*args):
+            forests.append(original(*args))
+            return forests[-1]
+
+        monkeypatch.setattr(cluster, "kruskal_forest", capture)
+        for threads in (1, 2):
+            for min_samples in (1, 5, 10):
+                params = ClusterParams(
+                    min_cluster_size=5, min_samples=min_samples,
+                    k=points.n - 1, kernel=kernel)
+                got = cluster_points(points, params, threads=threads)
+                forest, want = self._explicit(points, params, threads)
+                for attr in ("u", "v", "w", "labels"):
+                    assert _bits(getattr(forests[-1], attr)) == _bits(
+                        getattr(forest, attr)), (threads, min_samples, attr)
+                assert _bits(got.labels) == _bits(want.labels)
+                assert _bits(got.strengths) == _bits(want.strengths)
+
+    def test_full_graph_memory_bound(self):
+        # one n = 1500 op of the benchmark's exact_full_graph: the explicit
+        # pipeline peaked at 100-108 MB, the row-built edges at 58-69 MB
+        pts, _ = generate(SyntheticSpec(shape="moons", n=1500, seed=1))
+        params = ClusterParams(
+            min_cluster_size=15, min_samples=10, k=pts.n - 1)
+        tracemalloc.start()
+        try:
+            cluster_points(pts, params, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 85e6

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -215,6 +216,36 @@ class TestTransactionIO:
                 with pytest.raises(
                         ValueError, match="^line 2: unknown risk_seed 'bad'$"):
                     load_transactions(path)
+
+
+    def test_joined_decode_cannot_hide_a_split_line(self, tmp_path):
+        # joined, the first two lines are one value and the third two, so
+        # the array holds one dict per line; the load still names line 2
+        path = tmp_path / "split.ndjson"
+        path.write_text(
+            '{"id":"a","timestamp":1,"amount":2}\n'
+            '{"a": [[{"b": 1}\n'
+            '{"c": 2}]]}\n'
+            '{"x": 1}, {"y": 2}\n')
+        lines = path.read_text().splitlines()
+        assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+        with pytest.raises(ValueError) as exc:
+            json.loads(lines[1])
+        with pytest.raises(
+                ValueError, match=f"^line 2: {re.escape(str(exc.value))}$"):
+            load_transactions(path)
+
+    def test_clean_chunks_take_one_decode(self, tmp_path):
+        records = [TransactionRecord(
+            id=f"r{i}", timestamp=i + 1, amount=1.5, features={"f": i})
+            for i in range(600)]
+        path = tmp_path / "clean.ndjson"
+        save_transactions(str(path), records)
+        with mock.patch.object(
+                model, "_json_line", wraps=model._json_line) as line:
+            batch = load_transactions(path)
+        assert line.call_count == 0
+        assert list(batch) == records
 
 
 def _session_reference(obj):

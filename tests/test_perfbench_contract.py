@@ -88,6 +88,27 @@ def test_fraud_stream_loads_through_the_columns(perfbench, tmp_path, seed):
     assert len(batch) == 5100
 
 
+def test_exact_full_graph_op_hands_over_an_exact_graph(perfbench, tmp_path):
+    # the run's knn_recall comes from the graph GraphCapture takes off
+    # cluster.brute_force_knn; the full-graph op must still search through
+    # it, and the graph it searches (min_samples wide) must be exact
+    _, workloads = perfbench
+    wl = workloads.ExactFullGraph()
+    wl.setup(1, tmp_path)
+    capture = workloads.GraphCapture()
+    capture.install()
+    try:
+        capture.armed = True
+        out = wl.op(0)
+    finally:
+        capture.restore()
+    points, graph = capture.take()
+    assert graph is not None
+    assert points is wl.data[0][0]
+    assert workloads.knn_recall(points, graph, 1) == 1.0
+    assert wl.check(0, out) is None
+
+
 # knn.sqdist_fast calls and cells of one traced ivf_blobs op on seed 1:
 # only k-means++ seeding goes through the module's sqdist_fast, one call
 # of the 6400 training points per centroid (256 x 6400 cells); Lloyd

@@ -5,7 +5,8 @@ from riskcluster import knn
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
-from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
+from riskcluster.reach import (
+    EdgeList, core_distances, full_graph_edges, mutual_reach_edges)
 
 from oracle import (
     dense_core_distances, dense_mutual_reachability, mutual_reach_reference)
@@ -113,7 +114,8 @@ class TestMutualReachEdges:
 
 
 class TestDedupeMatchesUniqueReference:
-    """The sort-free and unstable-sort dedupes keep np.unique's edges.
+    """The unstable-sort dedupe and the row-built full graph keep
+    np.unique's edges.
 
     Edge order is free, so both sides are compared in (u, v) order; weights
     are compared as int64 views, so every bit counts.
@@ -142,6 +144,34 @@ class TestDedupeMatchesUniqueReference:
         g = brute_force_knn(self._points(n, seed=n), n - 1)
         self._assert_matches_reference(g, min_samples=min(4, n - 1))
 
+    @staticmethod
+    def _wide_points():
+        rng = np.random.Generator(np.random.PCG64(9))
+        return PointSet(rng.normal(size=(257, 28)) + 3.0)
+
+    @pytest.mark.parametrize("rows", [None, 37])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    @pytest.mark.parametrize("n", [2, 3, 40, 301, "wide"])
+    def test_full_graph_edges_from_distance_rows(
+            self, monkeypatch, n, kernel, threads, rows):
+        # fast-kernel values depend on the rows batched with them (see
+        # test_fast_kernel_graphs), so the rows must go in the search's
+        # chunks: on two threads an exact-kernel grid would halve the one
+        # default chunk of the wide points
+        pts = self._wide_points() if n == "wide" else self._points(n, seed=n)
+        n = pts.n
+        if rows is not None:
+            monkeypatch.setattr(knn, "_BLOCK_CELLS", n * rows)
+        g = brute_force_knn(pts, n - 1, threads=threads, kernel=kernel)
+        core = core_distances(g, min(4, n - 1))
+        edges = full_graph_edges(pts, core, kernel=kernel, threads=threads)
+        u, v, w = mutual_reach_reference(
+            g.neighbor_ids, g.neighbor_dists, core.values)
+        assert np.array_equal(edges.u, u)
+        assert np.array_equal(edges.v, v)
+        assert np.array_equal(edges.w.view(np.int64), w.view(np.int64))
+
     @pytest.mark.parametrize("k", [1, 7, 150, 299])
     def test_exact_short_rows(self, k):
         g = brute_force_knn(self._points(301, seed=k, dim=3), k)
@@ -157,8 +187,7 @@ class TestDedupeMatchesUniqueReference:
         # 37-row fast-kernel blocks may round a pair differently in its two
         # rows (on OpenBLAS 0.3 Haswell, 82 pairs of this full graph differ)
         monkeypatch.setattr(knn, "_BLOCK_CELLS", 257 * 37)
-        rng = np.random.Generator(np.random.PCG64(9))
-        pts = PointSet(rng.normal(size=(257, 28)) + 3.0)
+        pts = self._wide_points()
         self._assert_matches_reference(
             brute_force_knn(pts, k, kernel="fast"))
         self._assert_matches_reference(
