@@ -10,10 +10,10 @@ from .knn import (
     _KERNELS, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search)
 from .model import reject_non_numbers
-from .mst import attach_forest_root, kruskal_forest
+from .mst import attach_forest_root, kruskal_forest, prim_forest
 from .parallel import resolve_threads
 from .reach import (
-    EdgeList, core_distances, full_graph_edges, mutual_reach_edges)
+    EdgeList, core_distances, mutual_reach_edges, mutual_reach_matrix)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,12 @@ def cluster_points(points, params, threads=None):
     """Run kNN -> reachability -> MST -> hierarchy -> stable clusters.
 
     In exact mode with k = n - 1 (exact HDBSCAN*) no n - 1 neighbor rows
-    are sorted: the `knn` stage searches only min_samples neighbors, for
-    the core distances, and the `reach` stage builds every pair's edge
-    straight from exact distance rows (reach.full_graph_edges), with the
-    bits the full kNN graph would give.
+    are sorted and no edge list is built: the `knn` stage searches only
+    min_samples neighbors, for the core distances, the `reach` stage fills
+    an n x n mutual reachability matrix straight from exact distance rows
+    (reach.mutual_reach_matrix, 8 n^2 bytes), with the bits the full kNN
+    graph would give, and the `mst` stage takes its tree by Prim
+    (mst.prim_forest). Other graphs go through kruskal_forest.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -146,14 +148,14 @@ def cluster_points(points, params, threads=None):
     t0 = time.perf_counter()
     core = core_distances(knn, resolved["min_samples"])
     if full:
-        edges = full_graph_edges(
+        weights = mutual_reach_matrix(
             points, core, kernel=resolved["kernel"], threads=threads)
     else:
         edges = mutual_reach_edges(knn, core)
     timings["reach"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    forest = kruskal_forest(edges, n)
+    forest = prim_forest(weights) if full else kruskal_forest(edges, n)
     tree_edges = attach_forest_root(forest)
     timings["mst"] = time.perf_counter() - t0
 

@@ -5,14 +5,18 @@ into ascending (w, u, v) order and each edge's position is its rank. Ranks
 are distinct, so the minimum forest is unique, and it equals edge for edge
 the forest Kruskal's greedy pass or a Prim over the same order builds.
 
-A dense graph goes in rank-prefix blocks, as in Filter-Kruskal (Osipov,
+A dense edge list goes in rank-prefix blocks, as in Filter-Kruskal (Osipov,
 Sanders & Singler, ALENEX 2009): while more than _PREFIX_DEGREE * n edges
 remain, the block is every edge with w <= t, t the weight at that rank, so
 ties at t come along and the block is a prefix of the (w, u, v) order. Only
 the block is sorted and joined; then every remaining edge inside one
-component is dropped unsorted, which on a full graph is most of them. A
-sparser graph, as a kNN graph with small k is, takes one block: a partition
-and a filter pass would only add to its one sort.
+component is dropped unsorted. A sparser graph, as a kNN graph with small k
+is, takes one block: a partition and a filter pass would only add to its
+one sort.
+
+The complete graph of exact HDBSCAN* comes as a weight matrix instead and
+takes Prim's algorithm (prim_forest), which compares the same (w, u, v)
+order without materializing, sorting or filtering an edge.
 """
 
 from dataclasses import dataclass
@@ -29,8 +33,9 @@ _PREFIX_DEGREE = 16
 class SpanningForest:
     """Forest edges in ascending (w, u, v) order.
 
-    labels holds one component label per vertex: two vertices share a label
-    exactly when the forest connects them.
+    labels holds one component label per vertex, the lowest vertex of its
+    component: two vertices share a label exactly when the forest connects
+    them.
     """
 
     n: int
@@ -143,6 +148,10 @@ def kruskal_forest(edges, n):
         # the block along with every other edge inside one component
         cross = labels[u] != labels[v]
         u, v, w = u[cross], v[cross], w[cross]
+    # each component takes its lowest vertex as its label
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, labels, np.arange(n, dtype=np.int64))
+    labels = lowest[labels]
     fu, fv, fw = (np.concatenate(a) for a in zip(*out))
     return SpanningForest(
         n=n,
@@ -151,6 +160,62 @@ def kruskal_forest(edges, n):
         w=fw,
         component_count=n - fu.size,
         labels=labels,
+    )
+
+
+def prim_forest(m):
+    """Minimum spanning tree of a complete graph by Prim's algorithm.
+
+    m is a symmetric n x n weight matrix (reach.mutual_reach_matrix); its
+    diagonal is ignored. No edge is materialized, sorted or filtered: best
+    and src hold, for every vertex outside the tree, its lightest edge to
+    the tree under the (w, u, v) order. The vertex whose edge is least
+    joins next; a row that ties best takes it where its end is the smaller,
+    since for a fixed x the smaller tree end gives the smaller (w, u, v)
+    edge. The tree is the unique minimum forest kruskal_forest builds over
+    the same edges, in the same order.
+    """
+    n = m.shape[0]
+    best = m[0].copy()
+    src = np.zeros(n, dtype=np.int64)
+    open_ = np.ones(n, dtype=bool)
+    open_[0] = False
+    best[0] = np.inf
+    tu, tv, tw = [], [], []
+    for _ in range(n - 1):
+        x = int(best.argmin())
+        w = best[x]
+        best[x] = np.inf
+        if best[best.argmin()] == w:
+            # tied on w: the least (min(src, x), max(src, x)) joins
+            best[x] = w
+            tied = np.flatnonzero(best == w)
+            s = src[tied]
+            lo, hi = np.minimum(s, tied), np.maximum(s, tied)
+            x = int(tied[np.lexsort((hi, lo))[0]])
+            best[x] = np.inf
+        s = int(src[x])
+        tu.append(min(s, x))
+        tv.append(max(s, x))
+        tw.append(w)
+        open_[x] = False
+        row = m[x]
+        take = row < best
+        take |= (row == best) & (x < src)
+        take &= open_
+        src[take] = x
+        np.copyto(best, row, where=take)
+    u = np.array(tu, dtype=np.int64)
+    v = np.array(tv, dtype=np.int64)
+    w = np.array(tw, dtype=np.float64)
+    order = sorted_edge_order(u, v, w)
+    return SpanningForest(
+        n=n,
+        u=u[order],
+        v=v[order],
+        w=w[order],
+        component_count=1,
+        labels=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -163,10 +228,8 @@ def attach_forest_root(forest):
     """
     if forest.component_count == 1:
         return EdgeList(u=forest.u, v=forest.v, w=forest.w)
-    # first index of each label is its component's lowest vertex; the
-    # smallest of those is 0 itself
-    _, lowest = np.unique(forest.labels, return_index=True)
-    anchors = np.sort(lowest)[1:]
+    # a component's lowest vertex is its label; the first of them is 0
+    anchors = np.flatnonzero(forest.labels == np.arange(forest.n))[1:]
     return EdgeList(
         u=np.concatenate([forest.u, np.zeros(anchors.size, dtype=np.int64)]),
         v=np.concatenate([forest.v, anchors.astype(np.int64)]),

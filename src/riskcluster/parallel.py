@@ -10,9 +10,15 @@ thread or 16.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .model import is_integer
+
 
 def resolve_threads(threads=None):
-    """Explicit argument, else RC_THREADS, else available cores."""
+    """Explicit argument, else RC_THREADS, else available cores.
+
+    An explicit count must be an integer, numpy's included: a bool, float
+    or str is refused, not truncated.
+    """
     if threads is None:
         env = os.environ.get("RC_THREADS")
         if env is not None and env.strip():
@@ -22,6 +28,8 @@ def resolve_threads(threads=None):
                 raise ValueError(f"RC_THREADS is not an integer: {env!r}")
         else:
             threads = os.cpu_count() or 1
+    elif not is_integer(threads):
+        raise ValueError(f"thread count must be an integer, got {threads!r}")
     threads = int(threads)
     if threads < 1:
         raise ValueError("thread count must be >= 1")

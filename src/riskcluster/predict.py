@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .knn import _BLOCK_CELLS, _exact_topk, _gram_base, sqdist_exact
-from .model import ClusterAssignment
+from .model import ClusterAssignment, reject_non_numbers
 from .parallel import resolve_threads, run_chunked
 
 
@@ -23,6 +23,7 @@ class InductiveModel:
     k_assign: int = 5
 
     def __post_init__(self):
+        reject_non_numbers(self, integers=("k_assign",))
         if self.train_labels.labels.shape[0] != self.train_points.n:
             raise ValueError("labels not aligned with training points")
         if self.k_assign < 1:

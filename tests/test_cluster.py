@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskcluster import cluster, knn
+from riskcluster import cluster, knn, reach
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.hierarchy import (
@@ -158,9 +158,10 @@ def _bits(a):
 class TestFullGraph:
     """k = n - 1 keeps every bit of the explicit full kNN pipeline.
 
-    cluster_points searches only min_samples neighbors there and builds the
-    edges from distance rows; the reference sorts all n - 1 neighbors of
-    every row and dedupes them in mutual_reach_edges.
+    cluster_points searches only min_samples neighbors there, fills a
+    mutual reachability matrix from distance rows and takes its tree by
+    Prim; the reference sorts all n - 1 neighbors of every row, dedupes
+    them in mutual_reach_edges and joins them in kruskal_forest.
     """
 
     @staticmethod
@@ -194,16 +195,18 @@ class TestFullGraph:
             self, monkeypatch, name, kernel, rows):
         points = self._inputs()[name]
         if rows is not None:
-            # several chunks per thread, fast-kernel rows included
+            # several chunks per thread, fast-kernel rows and the exact
+            # matrix's tiles included
             monkeypatch.setattr(knn, "_BLOCK_CELLS", points.n * rows)
+            monkeypatch.setattr(reach, "_BATCH_CELLS", points.n * 5)
         forests = []
-        original = cluster.kruskal_forest
+        original = cluster.prim_forest
 
         def capture(*args):
             forests.append(original(*args))
             return forests[-1]
 
-        monkeypatch.setattr(cluster, "kruskal_forest", capture)
+        monkeypatch.setattr(cluster, "prim_forest", capture)
         for threads in (1, 2):
             for min_samples in (1, 5, 10):
                 params = ClusterParams(
@@ -219,7 +222,8 @@ class TestFullGraph:
 
     def test_full_graph_memory_bound(self):
         # one n = 1500 op of the benchmark's exact_full_graph: the explicit
-        # pipeline peaked at 100-108 MB, the row-built edges at 58-69 MB
+        # pipeline peaked at 100-108 MB, a row-built edge list at 58-69 MB
+        # and the 18 MB mutual reachability matrix at 21-24 MB
         pts, _ = generate(SyntheticSpec(shape="moons", n=1500, seed=1))
         params = ClusterParams(
             min_cluster_size=15, min_samples=10, k=pts.n - 1)
@@ -229,4 +233,4 @@ class TestFullGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 85e6
+        assert peak < 36e6

@@ -6,8 +6,9 @@ from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.mst import (
-    attach_forest_root, kruskal_forest, sorted_edge_order)
-from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
+    attach_forest_root, kruskal_forest, prim_forest, sorted_edge_order)
+from riskcluster.reach import (
+    EdgeList, core_distances, mutual_reach_edges, mutual_reach_matrix)
 
 from oracle import (
     dense_mutual_reachability, kruskal_reference, prim_canonical, prim_dense)
@@ -207,11 +208,8 @@ def _assert_same_forest(edges, n):
     got = list(zip(forest.u.tolist(), forest.v.tolist(), forest.w.tolist()))
     assert got == want
     assert forest.component_count == len(set(lowest))
-    # labels partition the vertices exactly like the reference trees
-    _, by_label = np.unique(forest.labels, return_inverse=True)
-    _, by_lowest = np.unique(lowest, return_inverse=True)
-    pairs = set(zip(by_label.tolist(), by_lowest.tolist()))
-    assert len(pairs) == forest.component_count
+    # each vertex is labeled with the lowest vertex of its tree
+    assert forest.labels.tolist() == lowest
     return forest, lowest
 
 
@@ -339,3 +337,48 @@ class TestRankPrefixBlocks:
             edges = EdgeList(u=pairs[:, 0].copy(), v=pairs[:, 1].copy(), w=w)
             self._record_blocks(monkeypatch, degree * n)
             _assert_same_forest(edges, n)
+
+
+_SHAPES = ("blobs", "moons", "circles", "varied_variance", "anisotropic",
+           "uniform_noise")
+
+
+def _prim_inputs():
+    named = {shape: generate(SyntheticSpec(shape=shape, n=300, seed=1))[0]
+             for shape in _SHAPES}
+    # a quarter grid with duplicated points gives tied distances
+    rng = np.random.Generator(np.random.PCG64(7))
+    x = np.round(rng.normal(size=(300, 2)) * 4.0) / 4.0
+    x[:40] = x[40:80]
+    named["grid"] = PointSet(x)
+    named["identical"] = PointSet(np.ones((50, 2)))
+    named["pair"] = PointSet(np.array([[0.0, 1.0], [2.0, 1.5]]))
+    return named
+
+
+class TestPrimForest:
+    """Prim over the mutual reachability matrix keeps the full graph's
+    forest bit for bit: Borůvka over the explicit edges and the dense
+    oracle Prim over the same weights build it too."""
+
+    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    @pytest.mark.parametrize(
+        "name", [*_SHAPES, "grid", "identical", "pair"])
+    def test_matches_kruskal_and_prim_oracle(self, name, kernel):
+        pts = _prim_inputs()[name]
+        n = pts.n
+        for threads in (1, 2):
+            g = brute_force_knn(pts, n - 1, threads=threads, kernel=kernel)
+            core = core_distances(g, min(5, n - 1))
+            edges = mutual_reach_edges(g, core)
+            want = kruskal_forest(edges, n)
+            got = prim_forest(mutual_reach_matrix(
+                pts, core, kernel=kernel, threads=threads))
+            for attr in ("u", "v", "w", "labels"):
+                assert getattr(got, attr).tobytes() == (
+                    getattr(want, attr).tobytes()), (threads, attr)
+            assert got.component_count == want.component_count == 1
+            dense = np.zeros((n, n))
+            dense[edges.u, edges.v] = dense[edges.v, edges.u] = edges.w
+            assert list(zip(got.u.tolist(), got.v.tolist(),
+                            got.w.tolist())) == prim_canonical(dense)

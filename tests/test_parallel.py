@@ -1,6 +1,7 @@
 import os
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from riskcluster import parallel
@@ -42,3 +43,15 @@ def test_run_chunked_clamps_workers(monkeypatch, threads, n, chunk, cpus,
     parallel.run_chunked(lambda a, b: seen.append((a, b)), n, threads, chunk)
     assert _RecordingPool.created == ([] if workers is None else [workers])
     assert seen == parallel.chunk_ranges(n, chunk)
+
+
+@pytest.mark.parametrize("threads", [2.9, 2.0, True, False, "3"])
+def test_resolve_threads_refuses_non_integers(threads):
+    with pytest.raises(ValueError, match="integer"):
+        parallel.resolve_threads(threads)
+
+
+@pytest.mark.parametrize("threads", [3, np.int64(3), np.int32(3)])
+def test_resolve_threads_takes_integers(threads):
+    got = parallel.resolve_threads(threads)
+    assert got == 3 and type(got) is int

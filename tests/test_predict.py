@@ -34,6 +34,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="k_assign"):
             _model([[0.0], [1.0]], [0, 1], k_assign=0)
 
+    @pytest.mark.parametrize("k_assign", [2.5, True, "3", None])
+    def test_rejects_non_integer_k(self, k_assign):
+        with pytest.raises(ValueError, match="k_assign must be an integer"):
+            _model([[0.0], [1.0]], [0, 1], k_assign=k_assign)
+
+    def test_accepts_numpy_integer_k(self):
+        model = _model([[0.0], [1.0]], [0, 1], k_assign=np.int64(1))
+        got = assign_new_points(model, PointSet(np.array([[0.9]])))
+        assert got.labels.tolist() == [1]
+
     def test_rejects_dim_mismatch(self):
         model = _model([[0.0, 0.0], [1.0, 1.0]], [0, 1])
         with pytest.raises(ValueError, match="dim"):
