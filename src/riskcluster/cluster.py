@@ -12,8 +12,7 @@ from .knn import (
 from .model import reject_non_numbers
 from .mst import attach_forest_root, kruskal_forest, prim_forest
 from .parallel import resolve_threads
-from .reach import (
-    EdgeList, core_distances, mutual_reach_edges, mutual_reach_matrix)
+from .reach import EdgeList, core_distances, mutual_reach_edges
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,14 @@ class ClusterResult:
 def cluster_points(points, params, threads=None):
     """Run kNN -> reachability -> MST -> hierarchy -> stable clusters.
 
-    In exact mode with k = n - 1 (exact HDBSCAN*) no n - 1 neighbor rows
-    are sorted and no edge list is built: the `knn` stage searches only
-    min_samples neighbors, for the core distances, the `reach` stage fills
-    an n x n mutual reachability matrix straight from exact distance rows
-    (reach.mutual_reach_matrix, 8 n^2 bytes), with the bits the full kNN
-    graph would give, and the `mst` stage takes its tree by Prim
-    (mst.prim_forest). Other graphs go through kruskal_forest.
+    In exact mode with the exact kernel and k = n - 1 (exact HDBSCAN*) no
+    n - 1 neighbor rows are sorted and no edge list is built: the `knn`
+    stage searches only min_samples neighbors, the `reach` stage takes
+    their core distances, and the `mst` stage runs Prim over mutual
+    reachability rows computed on demand (mst.prim_forest), in O(n d)
+    memory and with the bits the full kNN graph would give. Other graphs,
+    a fast-kernel full graph included, go through mutual_reach_edges and
+    kruskal_forest.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -126,7 +126,8 @@ def cluster_points(points, params, threads=None):
             component_count=1, condensed=condensed)
 
     t0 = time.perf_counter()
-    full = resolved["mode"] == "exact" and resolved["k"] == n - 1
+    prim = (resolved["mode"] == "exact" and resolved["kernel"] == "exact"
+            and resolved["k"] == n - 1)
     if resolved["mode"] == "ivf":
         index = ivf_build(
             points, resolved["nlist"], seed=resolved["seed"],
@@ -139,23 +140,20 @@ def cluster_points(points, params, threads=None):
             threads=threads, kernel=resolved["kernel"])
     else:
         timings["quantizer"] = 0.0
-        # the full graph needs only the core distances of its search
+        # Prim needs only the core distances of its search
         knn = brute_force_knn(
-            points, resolved["min_samples"] if full else resolved["k"],
+            points, resolved["min_samples"] if prim else resolved["k"],
             threads=threads, kernel=resolved["kernel"])
     timings["knn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     core = core_distances(knn, resolved["min_samples"])
-    if full:
-        weights = mutual_reach_matrix(
-            points, core, kernel=resolved["kernel"], threads=threads)
-    else:
+    if not prim:
         edges = mutual_reach_edges(knn, core)
     timings["reach"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    forest = prim_forest(weights) if full else kruskal_forest(edges, n)
+    forest = prim_forest(points, core) if prim else kruskal_forest(edges, n)
     tree_edges = attach_forest_root(forest)
     timings["mst"] = time.perf_counter() - t0
 

@@ -14,9 +14,10 @@ component is dropped unsorted. A sparser graph, as a kNN graph with small k
 is, takes one block: a partition and a filter pass would only add to its
 one sort.
 
-The complete graph of exact HDBSCAN* comes as a weight matrix instead and
-takes Prim's algorithm (prim_forest), which compares the same (w, u, v)
-order without materializing, sorting or filtering an edge.
+The complete graph of exact HDBSCAN* takes Prim's algorithm (prim_forest)
+instead, over mutual reachability rows computed on demand from the points
+and core distances, in O(n d) memory. It compares the same (w, u, v) order
+without materializing, sorting or filtering an edge.
 """
 
 from dataclasses import dataclass
@@ -163,51 +164,79 @@ def kruskal_forest(edges, n):
     )
 
 
-def prim_forest(m):
-    """Minimum spanning tree of a complete graph by Prim's algorithm.
+def prim_forest(points, core):
+    """Minimum spanning tree of the complete mutual reachability graph.
 
-    m is a symmetric n x n weight matrix (reach.mutual_reach_matrix); its
-    diagonal is ignored. No edge is materialized, sorted or filtered: best
-    and src hold, for every vertex outside the tree, its lightest edge to
-    the tree under the (w, u, v) order. The vertex whose edge is least
-    joins next; a row that ties best takes it where its end is the smaller,
-    since for a fixed x the smaller tree end gives the smaller (w, u, v)
-    edge. The tree is the unique minimum forest kruskal_forest builds over
-    the same edges, in the same order.
+    Prim's algorithm over rows computed on demand, in O(n d) memory: no
+    n x n matrix, and no edge materialized, sorted or filtered. The open
+    vertices stay contiguous, one column each: their coordinates (one row
+    per dimension), core distance and id in a float64 block, where ids
+    below 2^53 are exact, and best + 1j * src, each one's lightest edge to
+    the tree and its tree end. A joined vertex is swap-removed. Its row
+    against the open vertices b takes sqdist_exact's arithmetic,
+    (x_0 - b_0)^2 then += (x_d - b_d)^2, then sqrt and
+    max(d, max(core_x, core_b)), so each weight has the bits of the pair's
+    edge in mutual_reach_edges(brute_force_knn(points, n - 1), core).
+
+    numpy orders complex numbers lexicographically, so one minimum updates
+    best and src: a row that ties best takes it where its end is the
+    smaller, since for a fixed x the smaller tree end gives the smaller
+    (w, u, v) edge. The vertex whose edge is least joins next. Both rules
+    look at ids only, so the order of the positions does not matter. The
+    tree is the unique minimum forest kruskal_forest builds over the same
+    edges, in the same order.
     """
-    n = m.shape[0]
-    best = m[0].copy()
-    src = np.zeros(n, dtype=np.int64)
-    open_ = np.ones(n, dtype=bool)
-    open_[0] = False
-    best[0] = np.inf
-    tu, tv, tw = [], [], []
-    for _ in range(n - 1):
-        x = int(best.argmin())
-        w = best[x]
-        best[x] = np.inf
-        if best[best.argmin()] == w:
-            # tied on w: the least (min(src, x), max(src, x)) joins
-            best[x] = w
-            tied = np.flatnonzero(best == w)
-            s = src[tied]
-            lo, hi = np.minimum(s, tied), np.maximum(s, tied)
-            x = int(tied[np.lexsort((hi, lo))[0]])
-            best[x] = np.inf
-        s = int(src[x])
-        tu.append(min(s, x))
-        tv.append(max(s, x))
-        tw.append(w)
-        open_[x] = False
-        row = m[x]
-        take = row < best
-        take |= (row == best) & (x < src)
-        take &= open_
-        src[take] = x
-        np.copyto(best, row, where=take)
-    u = np.array(tu, dtype=np.int64)
-    v = np.array(tv, dtype=np.int64)
-    w = np.array(tw, dtype=np.float64)
+    x = np.asarray(points.data, dtype=np.float64)
+    n, dim = x.shape
+    if core.n != n:
+        raise ValueError("core distances not aligned with the points")
+    f = np.empty((dim + 2, n))
+    coords, (c, ids) = f[:dim], f[dim:]
+    coords[:] = x.T
+    c[:] = core.values
+    ids[:] = np.arange(n)
+    best = np.full(n, np.inf, dtype=np.complex128)
+    row = np.empty(n, dtype=np.complex128)
+    sq, tmp = np.empty((2, n))
+    tree = []
+    # vertex 0 joins first
+    j, m = 0, n
+    while True:
+        m -= 1
+        *xq, cx, xid = f[:, j].tolist()
+        f[:, j] = f[:, m]
+        best[j] = best[m]
+        if not m:
+            break
+        r, t, b, rc = sq[:m], tmp[:m], best[:m], row[:m]
+        w = b.real
+        np.subtract(xq[0], coords[0, :m], out=r)
+        r *= r
+        for d in range(1, dim):
+            np.subtract(xq[d], coords[d, :m], out=t)
+            t *= t
+            r += t
+        np.sqrt(r, out=r)
+        # the operands in mutual_reach_edges' order (see there)
+        np.maximum(cx, c[:m], out=t)
+        np.maximum(r, t, out=rc.real)
+        rc.imag = xid
+        np.minimum(b, rc, out=b)
+        j = int(w.argmin())
+        e = b[j]
+        b[j] = np.inf
+        if w[w.argmin()] == e.real:
+            # tied on w: the least (min(src, id), max(src, id)) joins
+            b[j] = e
+            tied = np.flatnonzero(w == e.real)
+            lo = np.minimum(b[tied].imag, ids[tied])
+            hi = np.maximum(b[tied].imag, ids[tied])
+            j = int(tied[np.lexsort((hi, lo))[0]])
+            e = b[j]
+        tree.append((e.imag, ids[j], e.real))
+    p, q, w = np.array(tree).reshape(-1, 3).T
+    u = np.minimum(p, q).astype(np.int64)
+    v = np.maximum(p, q).astype(np.int64)
     order = sorted_edge_order(u, v, w)
     return SpanningForest(
         n=n,

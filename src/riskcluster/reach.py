@@ -6,17 +6,14 @@ max(core_i, core_j, d_ij). Deduplication keeps the pair's copy in the row of
 its smaller end u: the fast kernel's BLAS rounding may give d_ij != d_ji.
 A row may hold a pair once, so the rows take one unstable sort of the
 distinct keys 2 * (u * n + v) + (src > dst), which puts any row-u copy
-first. The full graph of exact HDBSCAN* needs no kNN graph and no edge
-list: its weights fill an n x n matrix straight from exact distance rows
-(mutual_reach_matrix), 8 n^2 bytes.
+first. The full graph of exact HDBSCAN* needs no edge list here: Prim
+(mst.prim_forest) computes its weights row by row from the points and the
+core distances.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .knn import _BATCH_CELLS, _KERNELS, _row_chunk
-from .parallel import resolve_threads, run_chunked
 
 
 @dataclass(frozen=True)
@@ -82,42 +79,3 @@ def mutual_reach_edges(knn, core):
     return EdgeList(
         u=np.minimum(src, dst), v=np.maximum(src, dst), w=w)
 
-
-def mutual_reach_matrix(points, core, kernel="exact", threads=1):
-    """Every pair's mutual reachability as a symmetric n x n float64 matrix.
-
-    Cell (u, v) with u < v holds the weight of the pair's edge in
-    mutual_reach_edges(brute_force_knn(points, n - 1), core), bit for bit:
-    row u takes sqrt(kernel) against every point, then
-    max(d_uv, max(core_u, core_v)). Exact rows are computed apart from the
-    rows batched with them and go in _BATCH_CELLS tiles; fast rows go in
-    brute_force_knn's chunks for k = n - 1, so they keep their bits too.
-    Exact rows are symmetric bit for bit ((q - b)^2 = (b - q)^2, summed in
-    the same order); fast rows are not, so their upper triangle, the row-u
-    copies, is copied onto the lower one. The diagonal is not an edge.
-    """
-    threads = resolve_threads(threads)
-    x = points.data.astype(np.float64)
-    n = x.shape[0]
-    if core.n != n:
-        raise ValueError("core distances not aligned with the points")
-    sq = _KERNELS[kernel]
-    c = core.values
-    m = np.empty((n, n), dtype=np.float64)
-
-    def work(start, stop):
-        d = sq(x[start:stop], x)
-        np.sqrt(d, out=d)
-        out = m[start:stop]
-        np.maximum(c[start:stop, None], c, out=out)
-        # the operands in mutual_reach_edges' order (see there)
-        np.maximum(d, out, out=out)
-
-    if kernel == "exact":
-        # on a 2-core VM, n = 1500 took a median 21 ms in these tiles and
-        # 27 ms in the search's chunks (1500 rows on one thread, 750 on two)
-        run_chunked(work, n, threads, max(1, _BATCH_CELLS // n))
-    else:
-        run_chunked(work, n, threads, _row_chunk(n, n - 1, threads, kernel))
-        np.copyto(m, m.T, where=np.tri(n, k=-1, dtype=bool))
-    return m

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskcluster import cluster, knn, reach
+from riskcluster import cluster, knn
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.hierarchy import (
@@ -158,10 +158,11 @@ def _bits(a):
 class TestFullGraph:
     """k = n - 1 keeps every bit of the explicit full kNN pipeline.
 
-    cluster_points searches only min_samples neighbors there, fills a
-    mutual reachability matrix from distance rows and takes its tree by
-    Prim; the reference sorts all n - 1 neighbors of every row, dedupes
-    them in mutual_reach_edges and joins them in kruskal_forest.
+    With the exact kernel, cluster_points searches only min_samples
+    neighbors there and takes its tree by Prim over mutual reachability
+    rows computed on demand; the fast kernel takes the explicit path. The
+    reference sorts all n - 1 neighbors of every row, dedupes them in
+    mutual_reach_edges and joins them in kruskal_forest.
     """
 
     @staticmethod
@@ -195,18 +196,18 @@ class TestFullGraph:
             self, monkeypatch, name, kernel, rows):
         points = self._inputs()[name]
         if rows is not None:
-            # several chunks per thread, fast-kernel rows and the exact
-            # matrix's tiles included
+            # several chunks per thread, fast-kernel rows included
             monkeypatch.setattr(knn, "_BLOCK_CELLS", points.n * rows)
-            monkeypatch.setattr(reach, "_BATCH_CELLS", points.n * 5)
         forests = []
-        original = cluster.prim_forest
+        # Prim builds the exact kernel's forest, kruskal_forest the fast one's
+        routine = "prim_forest" if kernel == "exact" else "kruskal_forest"
+        original = getattr(cluster, routine)
 
         def capture(*args):
             forests.append(original(*args))
             return forests[-1]
 
-        monkeypatch.setattr(cluster, "prim_forest", capture)
+        monkeypatch.setattr(cluster, routine, capture)
         for threads in (1, 2):
             for min_samples in (1, 5, 10):
                 params = ClusterParams(
@@ -220,17 +221,26 @@ class TestFullGraph:
                 assert _bits(got.labels) == _bits(want.labels)
                 assert _bits(got.strengths) == _bits(want.strengths)
 
-    def test_full_graph_memory_bound(self):
-        # one n = 1500 op of the benchmark's exact_full_graph: the explicit
-        # pipeline peaked at 100-108 MB, a row-built edge list at 58-69 MB
-        # and the 18 MB mutual reachability matrix at 21-24 MB
-        pts, _ = generate(SyntheticSpec(shape="moons", n=1500, seed=1))
+    @staticmethod
+    def _traced_peak(pts):
         params = ClusterParams(
             min_cluster_size=15, min_samples=10, k=pts.n - 1)
         tracemalloc.start()
         try:
             cluster_points(pts, params, threads=2)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36e6
+
+    def test_full_graph_memory_bound(self):
+        # one n = 1500 op of the benchmark's exact_full_graph: the explicit
+        # pipeline peaked at 100-108 MB, a row-built edge list at 58-69 MB,
+        # an 18 MB mutual reachability matrix at 21-24 MB and Prim over
+        # rows computed on demand at 4.7-8.5 MB
+        pts, _ = generate(SyntheticSpec(shape="moons", n=1500, seed=1))
+        assert self._traced_peak(pts) < 12e6
+
+    def test_full_graph_memory_is_linear(self):
+        # a mutual reachability matrix alone would take 800 MB here
+        rng = np.random.Generator(np.random.PCG64(3))
+        assert self._traced_peak(PointSet(rng.normal(size=(10_000, 2)))) < 32e6

@@ -7,8 +7,7 @@ from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.mst import (
     attach_forest_root, kruskal_forest, prim_forest, sorted_edge_order)
-from riskcluster.reach import (
-    EdgeList, core_distances, mutual_reach_edges, mutual_reach_matrix)
+from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
 from oracle import (
     dense_mutual_reachability, kruskal_reference, prim_canonical, prim_dense)
@@ -353,32 +352,40 @@ def _prim_inputs():
     named["grid"] = PointSet(x)
     named["identical"] = PointSet(np.ones((50, 2)))
     named["pair"] = PointSet(np.array([[0.0, 1.0], [2.0, 1.5]]))
+    # wide rows check the per-dimension summation order at d > 2
+    rng = np.random.Generator(np.random.PCG64(9))
+    named["wide"] = PointSet(rng.normal(size=(257, 28)) + 3.0)
     return named
 
 
 class TestPrimForest:
-    """Prim over the mutual reachability matrix keeps the full graph's
-    forest bit for bit: Borůvka over the explicit edges and the dense
-    oracle Prim over the same weights build it too."""
+    """Prim over mutual reachability rows computed on demand keeps the full
+    graph's forest bit for bit: Borůvka over the explicit edges and the
+    dense oracle Prim over the same weights build it too."""
 
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    # min_samples 1 puts many weights on a core distance, so they tie
+    @pytest.mark.parametrize("min_samples", [1, 5])
     @pytest.mark.parametrize(
-        "name", [*_SHAPES, "grid", "identical", "pair"])
-    def test_matches_kruskal_and_prim_oracle(self, name, kernel):
+        "name", [*_SHAPES, "grid", "identical", "pair", "wide"])
+    def test_matches_kruskal_and_prim_oracle(self, name, min_samples):
         pts = _prim_inputs()[name]
         n = pts.n
-        for threads in (1, 2):
-            g = brute_force_knn(pts, n - 1, threads=threads, kernel=kernel)
-            core = core_distances(g, min(5, n - 1))
-            edges = mutual_reach_edges(g, core)
-            want = kruskal_forest(edges, n)
-            got = prim_forest(mutual_reach_matrix(
-                pts, core, kernel=kernel, threads=threads))
-            for attr in ("u", "v", "w", "labels"):
-                assert getattr(got, attr).tobytes() == (
-                    getattr(want, attr).tobytes()), (threads, attr)
-            assert got.component_count == want.component_count == 1
-            dense = np.zeros((n, n))
-            dense[edges.u, edges.v] = dense[edges.v, edges.u] = edges.w
-            assert list(zip(got.u.tolist(), got.v.tolist(),
-                            got.w.tolist())) == prim_canonical(dense)
+        g = brute_force_knn(pts, n - 1)
+        core = core_distances(g, min(min_samples, n - 1))
+        edges = mutual_reach_edges(g, core)
+        want = kruskal_forest(edges, n)
+        got = prim_forest(pts, core)
+        for attr in ("u", "v", "w", "labels"):
+            assert getattr(got, attr).tobytes() == (
+                getattr(want, attr).tobytes()), attr
+        assert got.component_count == want.component_count == 1
+        dense = np.zeros((n, n))
+        dense[edges.u, edges.v] = dense[edges.v, edges.u] = edges.w
+        assert list(zip(got.u.tolist(), got.v.tolist(),
+                        got.w.tolist())) == prim_canonical(dense)
+
+    def test_rejects_misaligned_core(self):
+        pts = _prim_inputs()["pair"]
+        core = core_distances(brute_force_knn(pts, 1), 1)
+        with pytest.raises(ValueError, match="not aligned with the points"):
+            prim_forest(PointSet(np.zeros((3, 2))), core)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from riskcluster import knn, reach
+from riskcluster import knn
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
-from riskcluster.reach import (
-    EdgeList, core_distances, mutual_reach_edges, mutual_reach_matrix)
+from riskcluster.mst import kruskal_forest, prim_forest
+from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
 from oracle import (
     dense_core_distances, dense_mutual_reachability, mutual_reach_reference)
@@ -153,27 +153,32 @@ class TestDedupeMatchesUniqueReference:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kernel", ["exact", "fast"])
     @pytest.mark.parametrize("n", [2, 3, 40, 301, "wide"])
-    def test_mutual_reach_matrix_from_distance_rows(
+    def test_full_graph_forest_weights_from_distance_rows(
             self, monkeypatch, n, kernel, threads, rows):
-        # fast-kernel values depend on the rows batched with them (see
-        # test_fast_kernel_graphs), so the rows must go in the search's
-        # chunks: on two threads the search's exact-kernel grid would halve
-        # the one default chunk of the wide points, and the exact matrix's
-        # 5-row tiles split the search's 37-row chunks
+        # the exact kernel's forest comes from Prim, whose rows hold one
+        # joined vertex against the open vertices; the search's hold a chunk
+        # of rows against every point: exact values must not depend on
+        # either. The fast kernel's forest comes from the search's own rows
+        # through mutual_reach_edges and kruskal_forest, as in cluster_points
         pts = self._wide_points() if n == "wide" else self._points(n, seed=n)
         n = pts.n
         if rows is not None:
             monkeypatch.setattr(knn, "_BLOCK_CELLS", n * rows)
-            monkeypatch.setattr(reach, "_BATCH_CELLS", n * 5)
         g = brute_force_knn(pts, n - 1, threads=threads, kernel=kernel)
         core = core_distances(g, min(4, n - 1))
-        m = mutual_reach_matrix(pts, core, kernel=kernel, threads=threads)
         u, v, w = mutual_reach_reference(
             g.neighbor_ids, g.neighbor_dists, core.values)
         # the reference's (u, v) order is the upper triangle's row order
         assert np.array_equal(np.triu_indices(n, 1), (u, v))
-        assert np.array_equal(m[u, v].view(np.int64), w.view(np.int64))
-        assert np.array_equal(m.view(np.int64), m.T.view(np.int64))
+        if kernel == "exact":
+            tree = prim_forest(pts, core)
+        else:
+            tree = kruskal_forest(mutual_reach_edges(g, core), n)
+        assert tree.component_count == 1
+        want = np.zeros((n, n))
+        want[u, v] = w
+        assert np.array_equal(
+            want[tree.u, tree.v].view(np.int64), tree.w.view(np.int64))
 
     @pytest.mark.parametrize("k", [1, 7, 150, 299])
     def test_exact_short_rows(self, k):
