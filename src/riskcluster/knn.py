@@ -40,12 +40,11 @@ _topk_rows(sqdist_exact(...)) gives; rows the bound cannot cover, and
 blocks whose k spans the row, take that full path itself. The centred base
 operands are built once per search and shared by its blocks.
 
-Every search selects its top k by (value, column), NaN last, through one of
-two routines: a whole-row sort with its ties re-sorted by column (full kNN
-rows), or _first_k, one stable sort of candidates given in (row, column)
-order (the refine step, and _topk_rows for smaller k, which keeps the
-entries at or under each row's k-th value, or every entry of a row whose
-k-th value is NaN).
+Every search selects its top k by (value, column), NaN last, through one
+routine, _first_k: one stable sort of candidates given in (row, column)
+order. The refine step hands it the survivors, and _topk_rows, for every
+k, the entries at or under each row's k-th value, or every entry of a row
+whose k-th value is NaN.
 
 An IVF query probes its cells in (centroid distance, cell id) order, the
 distances being exact values that _exact_topk selects over the centroids'
@@ -244,39 +243,13 @@ def _first_k(r, j, e, k):
 def _topk_rows(d2, k):
     """k smallest entries per row by (value, column), rows returned sorted.
 
-    Equal values resolve toward the smaller column and NaN sorts last. When
-    k leaves out at most one column (a full kNN row, whose self column is
-    inf), whole rows are sorted; the sort is unstable, so only its tied
-    positions are re-sorted, by (run, column). Smaller k takes each row
-    tile's k-th value with a partition and hands the entries at or under it
-    to _first_k; a row whose k-th value is NaN (fewer than k non-NaN
-    entries) hands over all of its columns.
+    Equal values resolve toward the smaller column and NaN sorts last.
+    Each row tile takes its k-th value with a partition and hands the
+    entries at or under it to _first_k; a row whose k-th value is NaN
+    (fewer than k non-NaN entries) hands over all of its columns. Every k
+    up to the full width takes this path, full kNN rows included.
     """
     m, width = d2.shape
-    if k + 1 >= width:
-        cols = np.argsort(d2, axis=1)
-        # a flat take gathers faster than take_along_axis
-        vals = d2.reshape(-1).take(cols + (np.arange(m) * width)[:, None])
-        tie = vals[:, 1:] == vals[:, :-1]
-        if np.isnan(vals[:, -1]).any():
-            # NaN sorts last and equals nothing; its run is repaired too
-            nan = np.isnan(vals)
-            tie |= nan[:, 1:] & nan[:, :-1]
-        if tie.any():
-            tied = np.zeros((m, width), dtype=bool)
-            tied[:, 1:] = tie
-            tied[:, :-1] |= tie
-            # a run starts wherever a value differs from its left neighbor
-            starts = np.ones((m, width), dtype=bool)
-            starts[:, 1:] = ~tie
-            pos = np.flatnonzero(tied)
-            run = np.cumsum(starts.ravel())[pos]
-            flat = cols.reshape(-1)
-            seg = flat[pos]
-            flat[pos] = seg = seg[np.argsort(run * width + seg)]
-            # equal values may still differ in bits (-0.0 and 0.0)
-            vals.reshape(-1)[pos] = d2[pos // width, seg]
-        return vals[:, :k], cols[:, :k]
     # the partition copy, mask and candidates of one row tile are alive at
     # a time, so no index block as large as d2 is
     vals = np.empty((m, k), dtype=np.float64)

@@ -32,7 +32,6 @@ _SEED_CODES = {seed: code for code, seed in enumerate(RISK_SEEDS)}
 _PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
 _INT64_END = 2**63
 _CHUNK_LINES = 256
-_DECODER = json.JSONDecoder()
 # two objects side by side on one line
 _ADJACENT = re.compile(r"}[ \t]*,[ \t]*{")
 
@@ -449,17 +448,6 @@ def _coerce(obj, lineno):
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _json_line(line):
-    """json.loads of a stripped line, without the whitespace scans: only a
-    line that raw_decode rejects or leaves unfinished goes to json.loads,
-    which raises its own error for it."""
-    try:
-        obj, end = _DECODER.raw_decode(line)
-    except json.JSONDecodeError:
-        end = None
-    return obj if end == len(line) else json.loads(line)
-
-
 def _line_chunks(fh):
     """[(line number, stripped line)] of the nonblank lines of a file, up to
     _CHUNK_LINES lines at a time. A read error comes out after the list of
@@ -494,7 +482,7 @@ def _joined_objects(lines):
     if _ADJACENT.search("\n".join(lines)):
         return None
     try:
-        objs = _DECODER.decode("[" + ",".join(lines) + "]")
+        objs = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError):
         return None
     if len(objs) != len(lines) or not all(type(o) is dict for o in objs):
@@ -516,7 +504,7 @@ def _decoded_chunks(fh):
             try:
                 for lineno, line in chunk:
                     try:
-                        obj = _json_line(line)
+                        obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise ValueError(f"line {lineno}: {exc}") from None
                     if type(obj) is not dict:

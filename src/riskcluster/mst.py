@@ -5,14 +5,8 @@ into ascending (w, u, v) order and each edge's position is its rank. Ranks
 are distinct, so the minimum forest is unique, and it equals edge for edge
 the forest Kruskal's greedy pass or a Prim over the same order builds.
 
-A dense edge list goes in rank-prefix blocks, as in Filter-Kruskal (Osipov,
-Sanders & Singler, ALENEX 2009): while more than _PREFIX_DEGREE * n edges
-remain, the block is every edge with w <= t, t the weight at that rank, so
-ties at t come along and the block is a prefix of the (w, u, v) order. Only
-the block is sorted and joined; then every remaining edge inside one
-component is dropped unsorted. A sparser graph, as a kNN graph with small k
-is, takes one block: a partition and a filter pass would only add to its
-one sort.
+A kNN graph takes one sort of its whole edge list and one Borůvka pass
+over it.
 
 The complete graph of exact HDBSCAN* takes Prim's algorithm (prim_forest)
 instead, over mutual reachability rows computed on demand from the points
@@ -25,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reach import EdgeList
-
-# edges per vertex in a rank-prefix block
-_PREFIX_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -79,18 +70,18 @@ def sorted_edge_order(u, v, w):
     return order
 
 
-def _boruvka(lu, lv, labels):
-    """Borůvka rounds over edges in rank order between distinct components.
+def _boruvka(lu, lv, n):
+    """Borůvka rounds over the edges (lu, lv) of n vertices in rank order.
 
-    lu and lv are the component labels of each edge's ends; labels holds a
-    vertex id per vertex. Each round, every component takes its lowest-rank
-    outgoing edge and hooks to the component at the other end. Distinct
-    ranks allow no cycle but a mutual pick, which is rooted at the lower
-    label; pointer jumping then flattens the hooks. Components with
-    outgoing edges at least halve per round. Returns the new labels and the
-    ascending positions of the edges Kruskal's greedy pass would accept.
+    Every vertex starts as its own component, labeled by its id. Each
+    round, every component takes its lowest-rank outgoing edge and hooks to
+    the component at the other end. Distinct ranks allow no cycle but a
+    mutual pick, which is rooted at the lower label; pointer jumping then
+    flattens the hooks. Components with outgoing edges at least halve per
+    round. Returns each vertex's component label and the ascending
+    positions of the edges Kruskal's greedy pass would accept.
     """
-    n = labels.size
+    labels = np.arange(n, dtype=np.int64)
     m = lu.size
     rank = positions = np.arange(m, dtype=np.int64)
     picked = []
@@ -126,40 +117,26 @@ def _boruvka(lu, lv, labels):
 def kruskal_forest(edges, n):
     """Minimum spanning forest by Borůvka over ranks in (w, u, v) order.
 
-    It equals the forest Kruskal's greedy pass accepts over the same order,
-    and comes back in that order. The name stays because the public API and
-    the benchmark's tracer look this function up by it.
+    One sort of the whole edge list gives the ranks, and one Borůvka pass
+    joins them. The forest equals the one Kruskal's greedy pass accepts
+    over the same order, and comes back in that order. The name stays
+    because the public API and the benchmark's tracer look this function
+    up by it.
     """
     u, v, w = edges.u, edges.v, edges.w
-    labels = np.arange(n, dtype=np.int64)
-    cap = _PREFIX_DEGREE * n
-    out = [(u[:0], v[:0], w[:0])]
-    while u.size:
-        last = u.size <= cap
-        block = slice(None) if last else w <= np.partition(w, cap)[cap]
-        bu, bv, bw = u[block], v[block], w[block]
-        order = sorted_edge_order(bu, bv, bw)
-        labels, taken = _boruvka(
-            labels[bu[order]], labels[bv[order]], labels)
-        taken = order[taken]
-        out.append((bu[taken], bv[taken], bw[taken]))
-        if last:
-            break
-        # the block joined both ends of each of its edges, so this drops
-        # the block along with every other edge inside one component
-        cross = labels[u] != labels[v]
-        u, v, w = u[cross], v[cross], w[cross]
+    order = sorted_edge_order(u, v, w)
+    labels, taken = _boruvka(u[order], v[order], n)
+    taken = order[taken]
     # each component takes its lowest vertex as its label
     lowest = np.full(n, n, dtype=np.int64)
     np.minimum.at(lowest, labels, np.arange(n, dtype=np.int64))
     labels = lowest[labels]
-    fu, fv, fw = (np.concatenate(a) for a in zip(*out))
     return SpanningForest(
         n=n,
-        u=fu,
-        v=fv,
-        w=fw,
-        component_count=n - fu.size,
+        u=u[taken],
+        v=v[taken],
+        w=w[taken],
+        component_count=n - taken.size,
         labels=labels,
     )
 

@@ -167,7 +167,7 @@ class TestTopkRows:
             assert straddled > 100
             assert short > 50
 
-    def test_whole_row_sort_matches_per_row_lexsort(self):
+    def test_full_width_rows_match_per_row_lexsort(self):
         # width 1500 puts more rows in the block than one partition tile
         # holds; rows tie heavily, all-equal rows, -0.0 against 0.0 and runs
         # of inf and NaN included; k leaves out one column (a full kNN row)

@@ -241,10 +241,11 @@ class TestTransactionIO:
             for i in range(600)]
         path = tmp_path / "clean.ndjson"
         save_transactions(str(path), records)
-        with mock.patch.object(
-                model, "_json_line", wraps=model._json_line) as line:
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
             batch = load_transactions(path)
-        assert line.call_count == 0
+        # one joined decode per 256-line chunk, none line by line
+        assert model._CHUNK_LINES == 256
+        assert loads.call_count == 3
         assert list(batch) == records
 
 

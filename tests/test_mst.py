@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from riskcluster import mst
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
@@ -240,27 +239,8 @@ class TestBoruvkaMatchesKruskalReference:
             _assert_same_forest(edges, n)
 
 
-class TestRankPrefixBlocks:
-    """Dense graphs go through the MST in rank-prefix blocks."""
-
-    @staticmethod
-    def _record_blocks(monkeypatch, cap):
-        """Check each block as it arrives, so a loop that makes no progress
-        fails at once: every block but the last holds all ties at its
-        threshold, so it has more than cap edges, and it is lighter than
-        every later block."""
-        blocks = []
-
-        def recording(u, v, w):
-            assert u.size > 0
-            if blocks:
-                assert blocks[-1].size > cap
-                assert blocks[-1].max() < w.min()
-            blocks.append(w.copy())
-            return sorted_edge_order(u, v, w)
-
-        monkeypatch.setattr(mst, "sorted_edge_order", recording)
-        return blocks
+class TestDenseGraphsMatchKruskalReference:
+    """Dense, tied and disconnected graphs give Kruskal's forest."""
 
     @staticmethod
     def _cliques(rng, sizes, cross):
@@ -287,45 +267,34 @@ class TestRankPrefixBlocks:
                         w=weights[pick]), n
 
     @pytest.mark.parametrize("cross", [0, 40])
-    def test_cliques_take_three_or_more_blocks(self, monkeypatch, cross):
-        # the two larger cliques hold more than 16n edges each, so each
-        # fills a block of its own and leaves its heaviest edges to the
-        # filter, and the third makes the last block; without cross links
-        # the forest has one tree per clique, plus the isolated vertices 0
-        # and n-1
+    def test_cliques_with_and_without_cross_links(self, cross):
+        # without cross links the forest has one tree per clique, plus the
+        # isolated vertices 0 and n-1
         rng = np.random.Generator(np.random.PCG64(31 + cross))
         edges, n = self._cliques(rng, [1, 110, 105, 100, 1], cross)
-        blocks = self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * n)
         forest, _ = _assert_same_forest(edges, n)
-        assert len(blocks) >= 3
         if cross == 0:
             assert forest.component_count == 5
 
-    def test_complete_graphs_with_tied_thresholds(self, monkeypatch):
+    def test_complete_graphs_with_tied_weights(self):
         rng = np.random.Generator(np.random.PCG64(32))
         for n in (40, 75):
             a, b = np.triu_indices(n, 1)
             pick = rng.permutation(a.size)
             for levels in (1, 3, 50):
                 w = rng.integers(0, levels, a.size).astype(np.float64)
-                edges = EdgeList(u=a[pick], v=b[pick], w=w)
-                self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * n)
-                _assert_same_forest(edges, n)
+                _assert_same_forest(EdgeList(u=a[pick], v=b[pick], w=w), n)
 
-    def test_sparse_graphs_take_one_block(self, monkeypatch):
+    def test_sparse_knn_graph(self):
         pts, _ = generate(SyntheticSpec(shape="blobs", n=400, seed=4))
-        g = brute_force_knn(pts, mst._PREFIX_DEGREE)
-        edges = mutual_reach_edges(g, core_distances(g, 5))
-        blocks = self._record_blocks(monkeypatch, mst._PREFIX_DEGREE * pts.n)
-        _assert_same_forest(edges, pts.n)
-        assert len(blocks) == 1
+        g = brute_force_knn(pts, 16)
+        _assert_same_forest(
+            mutual_reach_edges(g, core_distances(g, 5)), pts.n)
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_seeded_random_graphs_in_small_blocks(self, monkeypatch, degree):
-        # a small block size puts many blocks, disconnected parts and tie
-        # runs across thresholds into small graphs
-        monkeypatch.setattr(mst, "_PREFIX_DEGREE", degree)
-        rng = np.random.Generator(np.random.PCG64(40 + degree))
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_seeded_random_graphs_with_ties_and_disconnected_parts(
+            self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
         for trial in range(40):
             n = int(rng.integers(1, 60))
             pairs = np.unique(rng.integers(0, n, size=(int(rng.integers(
@@ -334,7 +303,6 @@ class TestRankPrefixBlocks:
             rng.shuffle(pairs)
             w = rng.integers(0, 4, len(pairs)).astype(np.float64)
             edges = EdgeList(u=pairs[:, 0].copy(), v=pairs[:, 1].copy(), w=w)
-            self._record_blocks(monkeypatch, degree * n)
             _assert_same_forest(edges, n)
 
 
