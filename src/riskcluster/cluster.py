@@ -10,7 +10,7 @@ from .knn import (
     _KERNELS, brute_force_knn, default_nlist, default_nprobe, ivf_build,
     ivf_search)
 from .model import reject_non_numbers
-from .mst import attach_forest_root, kruskal_forest, prim_forest
+from .mst import attach_forest_root, full_graph_forest, kruskal_forest
 from .parallel import resolve_threads
 from .reach import EdgeList, core_distances, mutual_reach_edges
 
@@ -98,13 +98,15 @@ def cluster_points(points, params, threads=None):
     """Run kNN -> reachability -> MST -> hierarchy -> stable clusters.
 
     In exact mode with the exact kernel and k = n - 1 (exact HDBSCAN*) no
-    n - 1 neighbor rows are sorted and no edge list is built: the `knn`
-    stage searches only min_samples neighbors, the `reach` stage takes
-    their core distances, and the `mst` stage runs Prim over mutual
-    reachability rows computed on demand (mst.prim_forest), in O(n d)
-    memory and with the bits the full kNN graph would give. Other graphs,
-    a fast-kernel full graph included, go through mutual_reach_edges and
-    kruskal_forest.
+    n - 1 neighbor rows are sorted and no n(n - 1)/2-edge list is built:
+    the `knn` stage searches k' = max(min_samples + 1, 2 min_samples)
+    neighbors (at most n - 1), the `reach` stage takes their core
+    distances and mutual reachability edges, and the `mst` stage runs
+    mst.full_graph_forest: Borůvka over those edges, certified by each
+    point's last listed distance, then Prim over the components left, in
+    O(n k') memory and with the bits the full kNN graph would give. Other
+    graphs, a fast-kernel full graph included, go through
+    mutual_reach_edges and kruskal_forest.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -126,7 +128,7 @@ def cluster_points(points, params, threads=None):
             component_count=1, condensed=condensed)
 
     t0 = time.perf_counter()
-    prim = (resolved["mode"] == "exact" and resolved["kernel"] == "exact"
+    full = (resolved["mode"] == "exact" and resolved["kernel"] == "exact"
             and resolved["k"] == n - 1)
     if resolved["mode"] == "ivf":
         index = ivf_build(
@@ -140,20 +142,31 @@ def cluster_points(points, params, threads=None):
             threads=threads, kernel=resolved["kernel"])
     else:
         timings["quantizer"] = 0.0
-        # Prim needs only the core distances of its search
+        k = resolved["k"]
+        if full:
+            # the full graph's tree needs only short lists to bound its
+            # unlisted edges. On the six seed-1 shapes at n = 1500 and
+            # min_samples 10 (2 threads of a 2-core VM, best of 5), knn,
+            # reach and mst took 29.1 ms a shape with 11 neighbors, 19.7
+            # with 15, 19.5 with 20, 21.0 with 30 and 23.1 with 40; 20
+            # leave 4 to 9 components for Prim
+            ms = resolved["min_samples"]
+            k = min(n - 1, max(ms + 1, 2 * ms))
         knn = brute_force_knn(
-            points, resolved["min_samples"] if prim else resolved["k"],
-            threads=threads, kernel=resolved["kernel"])
+            points, k, threads=threads, kernel=resolved["kernel"])
     timings["knn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     core = core_distances(knn, resolved["min_samples"])
-    if not prim:
-        edges = mutual_reach_edges(knn, core)
+    edges = mutual_reach_edges(knn, core)
     timings["reach"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    forest = prim_forest(points, core) if prim else kruskal_forest(edges, n)
+    if full:
+        forest = full_graph_forest(
+            points, core, edges, knn.neighbor_dists[:, -1], threads)
+    else:
+        forest = kruskal_forest(edges, n)
     tree_edges = attach_forest_root(forest)
     timings["mst"] = time.perf_counter() - t0
 

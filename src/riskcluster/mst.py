@@ -8,16 +8,22 @@ the forest Kruskal's greedy pass or a Prim over the same order builds.
 A kNN graph takes one sort of its whole edge list and one Borůvka pass
 over it.
 
-The complete graph of exact HDBSCAN* takes Prim's algorithm (prim_forest)
-instead, over mutual reachability rows computed on demand from the points
-and core distances, in O(n d) memory. It compares the same (w, u, v) order
-without materializing, sorting or filtering an edge.
+The complete graph of exact HDBSCAN* (full_graph_forest) takes two steps
+instead, in O(n k) memory for short kNN lists of length k plus two tiles
+per thread: a Borůvka over the lists' edges that hooks a component only
+along an edge no unlisted edge can undercut, then Prim over the few
+components left, with their mutual reachability computed in tiles from
+the points and core distances. Both compare the same (w, u, v) order without
+materializing, sorting or filtering the n(n - 1)/2 edges.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .knn import _BLOCK_CELLS, _TILE_CELLS
+from .parallel import run_chunked
 from .reach import EdgeList
 
 
@@ -70,7 +76,7 @@ def sorted_edge_order(u, v, w):
     return order
 
 
-def _boruvka(lu, lv, n):
+def _boruvka(lu, lv, n, bound=None):
     """Borůvka rounds over the edges (lu, lv) of n vertices in rank order.
 
     Every vertex starts as its own component, labeled by its id. Each
@@ -80,6 +86,12 @@ def _boruvka(lu, lv, n):
     flattens the hooks. Components with outgoing edges at least halve per
     round. Returns each vertex's component label and the ascending
     positions of the edges Kruskal's greedy pass would accept.
+
+    bound, if given, holds one edge position per vertex. A component then
+    hooks only along an edge whose position lies below every member's
+    bound, and the rounds stop when no component hooks. So the edges
+    given may be a subset of the graph's, as long as every edge left out
+    ranks after each given edge that lies below the bounds of its ends.
     """
     labels = np.arange(n, dtype=np.int64)
     m = lu.size
@@ -93,6 +105,13 @@ def _boruvka(lu, lv, n):
         np.minimum.at(best, lv, pos)
         comps = np.flatnonzero(best < m)
         e = best[comps]
+        if bound is not None:
+            cap = np.full(n, m, dtype=np.int64)
+            np.minimum.at(cap, labels, bound)
+            hooks = rank[e] < cap[comps]
+            if not hooks.any():
+                break
+            comps, e = comps[hooks], e[hooks]
         other = np.where(lu[e] == comps, lv[e], lu[e])
         hook = np.arange(n, dtype=np.int64)
         hook[comps] = other
@@ -141,79 +160,32 @@ def kruskal_forest(edges, n):
     )
 
 
-def prim_forest(points, core):
+def full_graph_forest(points, core, edges, bound, threads=1):
     """Minimum spanning tree of the complete mutual reachability graph.
 
-    Prim's algorithm over rows computed on demand, in O(n d) memory: no
-    n x n matrix, and no edge materialized, sorted or filtered. The open
-    vertices stay contiguous, one column each: their coordinates (one row
-    per dimension), core distance and id in a float64 block, where ids
-    below 2^53 are exact, and best + 1j * src, each one's lightest edge to
-    the tree and its tree end. A joined vertex is swap-removed. Its row
-    against the open vertices b takes sqdist_exact's arithmetic,
-    (x_0 - b_0)^2 then += (x_d - b_d)^2, then sqrt and
-    max(d, max(core_x, core_b)), so each weight has the bits of the pair's
-    edge in mutual_reach_edges(brute_force_knn(points, n - 1), core).
+    edges holds the mutual reachability edges of a kNN graph of the points
+    (mutual_reach_edges), and bound[x] is x's distance to its last listed
+    neighbor, so no unlisted edge out of x weighs less than bound[x]. The
+    tree comes in two steps, in O(n k) memory plus two tiles per thread:
 
-    numpy orders complex numbers lexicographically, so one minimum updates
-    best and src: a row that ties best takes it where its end is the
-    smaller, since for a fixed x the smaller tree end gives the smaller
-    (w, u, v) edge. The vertex whose edge is least joins next. Both rules
-    look at ids only, so the order of the positions does not matter. The
-    tree is the unique minimum forest kruskal_forest builds over the same
-    edges, in the same order.
+    - Borůvka over the listed edges (_hooked_edges). A component
+      hooks along its lightest listed edge only when that edge is strictly
+      lighter than every member's bound. It is then the component's
+      lightest outgoing edge of the complete graph in (w, u, v) order, so
+      it belongs to the unique tree. The rounds stop when no component
+      hooks.
+    - Prim over the components left (_prim_components).
+
+    The tree is the unique minimum forest kruskal_forest builds over the
+    full graph's edges, and comes back in the same order.
     """
     x = np.asarray(points.data, dtype=np.float64)
-    n, dim = x.shape
-    if core.n != n:
+    n = x.shape[0]
+    if core.n != n or np.shape(bound) != (n,):
         raise ValueError("core distances not aligned with the points")
-    f = np.empty((dim + 2, n))
-    coords, (c, ids) = f[:dim], f[dim:]
-    coords[:] = x.T
-    c[:] = core.values
-    ids[:] = np.arange(n)
-    best = np.full(n, np.inf, dtype=np.complex128)
-    row = np.empty(n, dtype=np.complex128)
-    sq, tmp = np.empty((2, n))
-    tree = []
-    # vertex 0 joins first
-    j, m = 0, n
-    while True:
-        m -= 1
-        *xq, cx, xid = f[:, j].tolist()
-        f[:, j] = f[:, m]
-        best[j] = best[m]
-        if not m:
-            break
-        r, t, b, rc = sq[:m], tmp[:m], best[:m], row[:m]
-        w = b.real
-        np.subtract(xq[0], coords[0, :m], out=r)
-        r *= r
-        for d in range(1, dim):
-            np.subtract(xq[d], coords[d, :m], out=t)
-            t *= t
-            r += t
-        np.sqrt(r, out=r)
-        # the operands in mutual_reach_edges' order (see there)
-        np.maximum(cx, c[:m], out=t)
-        np.maximum(r, t, out=rc.real)
-        rc.imag = xid
-        np.minimum(b, rc, out=b)
-        j = int(w.argmin())
-        e = b[j]
-        b[j] = np.inf
-        if w[w.argmin()] == e.real:
-            # tied on w: the least (min(src, id), max(src, id)) joins
-            b[j] = e
-            tied = np.flatnonzero(w == e.real)
-            lo = np.minimum(b[tied].imag, ids[tied])
-            hi = np.maximum(b[tied].imag, ids[tied])
-            j = int(tied[np.lexsort((hi, lo))[0]])
-            e = b[j]
-        tree.append((e.imag, ids[j], e.real))
-    p, q, w = np.array(tree).reshape(-1, 3).T
-    u = np.minimum(p, q).astype(np.int64)
-    v = np.maximum(p, q).astype(np.int64)
+    labels, *hooked = _hooked_edges(edges, bound)
+    joins = _prim_components(x, core.values, labels, threads)
+    u, v, w = (np.concatenate(pair) for pair in zip(hooked, joins))
     order = sorted_edge_order(u, v, w)
     return SpanningForest(
         n=n,
@@ -223,6 +195,105 @@ def prim_forest(points, core):
         component_count=1,
         labels=np.zeros(n, dtype=np.int64),
     )
+
+
+def _hooked_edges(edges, bound):
+    """Borůvka over listed edges, bounded by each vertex's bound.
+
+    Returns each vertex's component label and the (u, v, w) arrays of the
+    edges hooked.
+    """
+    order = sorted_edge_order(edges.u, edges.v, edges.w)
+    u, v, w = edges.u[order], edges.v[order], edges.w[order]
+    # w sorts ascending, so w < bound holds exactly below searchsorted's
+    labels, taken = _boruvka(u, v, bound.size, np.searchsorted(w, bound))
+    return labels, u[taken], v[taken], w[taken]
+
+
+def _prim_components(x, c, labels, threads):
+    """The edges joining the components of labels into one minimum tree.
+
+    Prim's algorithm, where a component joins whole. Its members' mutual
+    reachability to every open vertex comes in tiles of up to _TILE_CELLS
+    cells: open vertices are the rows and the members, in ascending id,
+    the columns. Each weight takes sqdist_exact's arithmetic,
+    (x_0 - y_0)^2 then += (x_d - y_d)^2, then sqrt and
+    max(d, max(core_x, core_y)), so it has the bits of the pair's edge in
+    mutual_reach_edges(brute_force_knn(points, n - 1), core). A row's
+    first argmin is then its least (u, v) pair, and its key
+    w + 1j * (u n + v) compares in (w, u, v) order: numpy orders complex
+    numbers lexicographically, and u n + v is exact below 2^53. One
+    np.minimum.reduceat gives each open component's lightest edge to the
+    members, and the component whose edge to the tree is least joins next.
+    Every pair of components is tiled once, whichever joins first, so
+    Prim starts at the component of vertex 0. Rows are independent, so a
+    join of _BLOCK_CELLS cells or more splits its rows across threads,
+    each with its own two tiles. Returns (u, v, w) arrays.
+    """
+    n, dim = x.shape
+    if n * n >= 1 << 53:
+        raise ValueError("n^2 must lie below 2^53 for exact pair keys")
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # vertices grouped by component, ascending ids within each
+    ids = np.argsort(comp, kind="stable")
+    comp = comp[ids]
+    ends = np.cumsum(sizes)
+    f = np.empty((dim + 1, n))
+    f[:dim] = x[ids].T
+    f[dim] = c[ids]
+    open_ = np.ones(sizes.size, dtype=bool)
+    best = np.full(sizes.size, np.inf, dtype=np.complex128)
+    keys = np.empty(n, dtype=np.complex128)
+    parts = min(threads, os.cpu_count() or 1)
+    scratch = np.empty((parts, 2, max(_TILE_CELLS, sizes.max())))
+    tree = np.empty(sizes.size - 1, dtype=np.complex128)
+    j = 0
+    for step in range(tree.size):
+        open_[j] = False
+        cols = sizes[j]
+        joined = slice(ends[j] - cols, ends[j])
+        xm, cm, idm = f[:dim, joined], f[dim, joined], ids[joined]
+        at = np.flatnonzero(open_[comp])
+        fo, io, k = f[:, at], ids[at], keys[: at.size]
+        rows = max(1, _TILE_CELLS // cols)
+        # a join splits from the cells of one brute_force_knn block. On a
+        # 2-core VM, splitting every join past one tile (the largest held
+        # 0.6 M cells) made the seed-1 exact_full_graph op 6% slower
+        # (0.0335 against 0.0317 s, 4 perfbench pairs), while at
+        # 10,000 x 16 splits from this size took the mst stage from
+        # 1.06-1.14 s to 0.79-0.94 s (5 alternating runs)
+        split = parts if at.size * cols >= _BLOCK_CELLS else 1
+        chunk = -(-at.size // split)
+
+        def tiles(start, stop):
+            sq, tmp = scratch[start // chunk]
+            for a in range(start, stop, rows):
+                b = min(a + rows, stop)
+                s = sq[: (b - a) * cols].reshape(b - a, cols)
+                t = tmp[: s.size].reshape(s.shape)
+                np.subtract(xm[0], fo[0, a:b, None], out=s)
+                s *= s
+                for d in range(1, dim):
+                    np.subtract(xm[d], fo[d, a:b, None], out=t)
+                    t *= t
+                    s += t
+                np.sqrt(s, out=s)
+                # the operands in mutual_reach_edges' order (see there)
+                np.maximum(cm, fo[dim, a:b, None], out=t)
+                np.maximum(s, t, out=s)
+                arg = s.argmin(axis=1)
+                k.real[a:b] = s[np.arange(b - a), arg]
+                xa, ya = idm[arg], io[a:b]
+                k.imag[a:b] = np.minimum(xa, ya) * n + np.maximum(xa, ya)
+
+        run_chunked(tiles, at.size, parts, chunk)
+        live = np.flatnonzero(open_)
+        heads = np.cumsum(sizes[live]) - sizes[live]
+        best[live] = np.minimum(best[live], np.minimum.reduceat(k, heads))
+        j = live[best[live].argmin()]
+        tree[step] = best[j]
+    u, v = np.divmod(tree.imag.astype(np.int64), n)
+    return u, v, tree.real
 
 
 def attach_forest_root(forest):

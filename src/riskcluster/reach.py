@@ -6,9 +6,9 @@ max(core_i, core_j, d_ij). Deduplication keeps the pair's copy in the row of
 its smaller end u: the fast kernel's BLAS rounding may give d_ij != d_ji.
 A row may hold a pair once, so the rows take one unstable sort of the
 distinct keys 2 * (u * n + v) + (src > dst), which puts any row-u copy
-first. The full graph of exact HDBSCAN* needs no edge list here: Prim
-(mst.prim_forest) computes its weights row by row from the points and the
-core distances.
+first. The full graph of exact HDBSCAN* takes the edges of short kNN lists
+here, and mst.full_graph_forest computes the weights it needs beyond them
+in tiles from the points and the core distances.
 """
 
 from dataclasses import dataclass

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskcluster import cluster, knn
+from riskcluster import cluster, knn, mst
 from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.hierarchy import (
@@ -158,11 +158,12 @@ def _bits(a):
 class TestFullGraph:
     """k = n - 1 keeps every bit of the explicit full kNN pipeline.
 
-    With the exact kernel, cluster_points searches only min_samples
-    neighbors there and takes its tree by Prim over mutual reachability
-    rows computed on demand; the fast kernel takes the explicit path. The
-    reference sorts all n - 1 neighbors of every row, dedupes them in
-    mutual_reach_edges and joins them in kruskal_forest.
+    With the exact kernel, cluster_points searches short lists there and
+    takes its tree by Borůvka over their edges, certified by each vertex's
+    last listed distance, then Prim over the components left; the fast
+    kernel takes the explicit path. The reference sorts all n - 1
+    neighbors of every row, dedupes them in mutual_reach_edges and joins
+    them in kruskal_forest.
     """
 
     @staticmethod
@@ -196,11 +197,15 @@ class TestFullGraph:
             self, monkeypatch, name, kernel, rows):
         points = self._inputs()[name]
         if rows is not None:
-            # several chunks per thread, fast-kernel rows included
+            # several chunks per thread, fast-kernel rows included, and
+            # joins of the exact kernel's tree split across threads
             monkeypatch.setattr(knn, "_BLOCK_CELLS", points.n * rows)
+            monkeypatch.setattr(mst, "_BLOCK_CELLS", points.n * rows)
         forests = []
-        # Prim builds the exact kernel's forest, kruskal_forest the fast one's
-        routine = "prim_forest" if kernel == "exact" else "kruskal_forest"
+        # full_graph_forest builds the exact kernel's forest, kruskal_forest
+        # the fast one's
+        routine = "full_graph_forest" if kernel == "exact" else (
+            "kruskal_forest")
         original = getattr(cluster, routine)
 
         def capture(*args):
@@ -232,6 +237,33 @@ class TestFullGraph:
         finally:
             tracemalloc.stop()
 
+    def test_short_lists_clamp_to_n_minus_one(self, monkeypatch):
+        # n <= 2 min_samples: the search takes every other point
+        rng = np.random.Generator(np.random.PCG64(5))
+        points = PointSet(np.round(rng.normal(size=(9, 2)), 1))
+        searched, forests = [], []
+        original = cluster.full_graph_forest
+
+        def search(pts, k, **kwargs):
+            searched.append(k)
+            return brute_force_knn(pts, k, **kwargs)
+
+        def capture(*args):
+            forests.append(original(*args))
+            return forests[-1]
+
+        monkeypatch.setattr(cluster, "brute_force_knn", search)
+        monkeypatch.setattr(cluster, "full_graph_forest", capture)
+        params = ClusterParams(min_cluster_size=2, min_samples=5, k=8)
+        got = cluster_points(points, params)
+        assert searched == [8]
+        forest, want = self._explicit(points, params, 1)
+        for attr in ("u", "v", "w", "labels"):
+            assert _bits(getattr(forests[0], attr)) == _bits(
+                getattr(forest, attr)), attr
+        assert _bits(got.labels) == _bits(want.labels)
+        assert _bits(got.strengths) == _bits(want.strengths)
+
     def test_full_graph_memory_bound(self):
         # one n = 1500 op of the benchmark's exact_full_graph: the explicit
         # pipeline peaked at 100-108 MB, a row-built edge list at 58-69 MB,
@@ -244,3 +276,10 @@ class TestFullGraph:
         # a mutual reachability matrix alone would take 800 MB here
         rng = np.random.Generator(np.random.PCG64(3))
         assert self._traced_peak(PointSet(rng.normal(size=(10_000, 2)))) < 32e6
+
+    def test_full_graph_memory_guard(self):
+        # an n x n float64 matrix would take 128 MB here; short lists, their
+        # edges and two tiles per thread peaked at 9.8 MB (Prim over rows
+        # computed on demand at 7.9 MB)
+        pts, _ = generate(SyntheticSpec(shape="blobs", n=4000, seed=1))
+        assert self._traced_peak(pts) < 20e6

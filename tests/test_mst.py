@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from riskcluster import mst
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
 from riskcluster.mst import (
-    attach_forest_root, kruskal_forest, prim_forest, sorted_edge_order)
+    _boruvka, _hooked_edges, _prim_components, attach_forest_root,
+    full_graph_forest, kruskal_forest, sorted_edge_order)
 from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
 from oracle import (
@@ -326,10 +328,49 @@ def _prim_inputs():
     return named
 
 
-class TestPrimForest:
-    """Prim over mutual reachability rows computed on demand keeps the full
-    graph's forest bit for bit: Borůvka over the explicit edges and the
-    dense oracle Prim over the same weights build it too."""
+def _short_lists(pts, min_samples, k=None):
+    """The lists cluster_points searches for a full graph, and their edges."""
+    n = pts.n
+    if k is None:
+        k = min(n - 1, max(min_samples + 1, 2 * min_samples))
+    g = brute_force_knn(pts, k)
+    core = core_distances(g, min_samples)
+    return g, core, mutual_reach_edges(g, core)
+
+
+def _step_one(g, edges):
+    """The labels and (u, v) pairs of full_graph_forest's Borůvka step."""
+    labels, u, v, _ = _hooked_edges(edges, g.neighbor_dists[:, -1])
+    return labels, set(zip(u.tolist(), v.tolist()))
+
+
+def _explicit_forest(pts, min_samples):
+    """kruskal_forest over the explicit full graph, and its dense weights."""
+    n = pts.n
+    g = brute_force_knn(pts, n - 1)
+    edges = mutual_reach_edges(g, core_distances(g, min_samples))
+    dense = np.zeros((n, n))
+    dense[edges.u, edges.v] = dense[edges.v, edges.u] = edges.w
+    return kruskal_forest(edges, n), dense
+
+
+class TestFullGraphForest:
+    """Borůvka over short kNN lists, certified by each vertex's last listed
+    distance, then Prim over the components left, keeps the full graph's
+    forest bit for bit: Borůvka over the explicit edges and the dense
+    oracle Prim over the same weights build it too."""
+
+    def _assert_full_forest(self, pts, min_samples, k=None):
+        g, core, edges = _short_lists(pts, min_samples, k)
+        got = full_graph_forest(pts, core, edges, g.neighbor_dists[:, -1])
+        want, dense = _explicit_forest(pts, min_samples)
+        for attr in ("u", "v", "w", "labels"):
+            assert getattr(got, attr).tobytes() == (
+                getattr(want, attr).tobytes()), attr
+        assert got.component_count == want.component_count == 1
+        assert list(zip(got.u.tolist(), got.v.tolist(),
+                        got.w.tolist())) == prim_canonical(dense)
+        return g, edges
 
     # min_samples 1 puts many weights on a core distance, so they tie
     @pytest.mark.parametrize("min_samples", [1, 5])
@@ -337,23 +378,92 @@ class TestPrimForest:
         "name", [*_SHAPES, "grid", "identical", "pair", "wide"])
     def test_matches_kruskal_and_prim_oracle(self, name, min_samples):
         pts = _prim_inputs()[name]
-        n = pts.n
-        g = brute_force_knn(pts, n - 1)
-        core = core_distances(g, min(min_samples, n - 1))
-        edges = mutual_reach_edges(g, core)
-        want = kruskal_forest(edges, n)
-        got = prim_forest(pts, core)
+        self._assert_full_forest(pts, min(min_samples, pts.n - 1))
+
+    @pytest.mark.parametrize("name", [*_SHAPES, "grid", "wide"])
+    def test_joins_split_across_threads_keep_the_forest(
+            self, monkeypatch, name):
+        # every join past one cell splits its rows between two threads
+        monkeypatch.setattr(mst, "_BLOCK_CELLS", 1)
+        pts = _prim_inputs()[name]
+        g, core, edges = _short_lists(pts, 5)
+        bound = g.neighbor_dists[:, -1]
+        got = full_graph_forest(pts, core, edges, bound, threads=2)
+        want = full_graph_forest(pts, core, edges, bound)
         for attr in ("u", "v", "w", "labels"):
             assert getattr(got, attr).tobytes() == (
                 getattr(want, attr).tobytes()), attr
-        assert got.component_count == want.component_count == 1
-        dense = np.zeros((n, n))
-        dense[edges.u, edges.v] = dense[edges.v, edges.u] = edges.w
-        assert list(zip(got.u.tolist(), got.v.tolist(),
-                        got.w.tolist())) == prim_canonical(dense)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 299])
+    def test_any_list_length_keeps_the_forest(self, k):
+        self._assert_full_forest(_prim_inputs()["grid"], 1, k)
+
+    def test_step_one_takes_nothing_on_identical_points(self):
+        # every weight is 0 and ties its bound, so Prim joins all 50
+        pts = _prim_inputs()["identical"]
+        g, edges = self._assert_full_forest(pts, 5)
+        labels, taken = _step_one(g, edges)
+        assert not taken
+        assert labels.tolist() == list(range(pts.n))
+
+    def test_step_one_stops_at_two_far_apart_clusters(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        pts = PointSet(np.concatenate([
+            rng.normal(size=(60, 2)), rng.normal(size=(60, 2)) + 1000.0]))
+        g, edges = self._assert_full_forest(pts, 5)
+        labels, taken = _step_one(g, edges)
+        assert len(taken) == pts.n - 2
+        assert np.unique(labels[:60]).size == np.unique(labels[60:]).size == 1
+        assert labels[0] != labels[60]
 
     def test_rejects_misaligned_core(self):
         pts = _prim_inputs()["pair"]
-        core = core_distances(brute_force_knn(pts, 1), 1)
+        g, core, edges = _short_lists(pts, 1)
         with pytest.raises(ValueError, match="not aligned with the points"):
-            prim_forest(PointSet(np.zeros((3, 2))), core)
+            full_graph_forest(
+                PointSet(np.zeros((3, 2))), core, edges,
+                g.neighbor_dists[:, -1])
+
+    def test_rejects_inexact_pair_keys(self):
+        # u n + v needs n^2 below 2^53; zero-stride views cost no memory
+        n = 94_906_266
+        assert n * n >= 1 << 53 > (n - 1) ** 2
+        with pytest.raises(ValueError, match="2\\^53"):
+            _prim_components(np.broadcast_to(0.0, (n, 1)),
+                             np.broadcast_to(0.0, n), np.broadcast_to(0, n), 1)
+
+
+class TestBoundedBoruvkaIsSound:
+    """Every edge the bounded Borůvka takes from short lists is a tree edge
+    of the full graph, also where weights tie their bounds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_taken_edges_in_dense_oracle_tree(self, seed):
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        n = int(rng.integers(40, 160))
+        # coarse rounding gives many tied distances and duplicate points
+        pts = PointSet(np.round(rng.normal(size=(n, 2)) * 2.0) / 2.0)
+        for min_samples in (1, 3):
+            g, core, edges = _short_lists(pts, min_samples)
+            _, taken = _step_one(g, edges)
+            _, dense = _explicit_forest(pts, min_samples)
+            tree = {(u, v) for u, v, _ in prim_canonical(dense)}
+            assert taken <= tree
+            assert taken
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unbounded_call_keeps_kruskal_forest(self, seed):
+        rng = np.random.Generator(np.random.PCG64(200 + seed))
+        pts = PointSet(np.round(rng.normal(size=(150, 2)) * 2.0) / 2.0)
+        _, _, edges = _short_lists(pts, 2)
+        order = sorted_edge_order(edges.u, edges.v, edges.w)
+        lu, lv = edges.u[order], edges.v[order]
+        labels, taken = _boruvka(lu, lv, pts.n)
+        want, _ = kruskal_reference(edges.u, edges.v, edges.w, pts.n)
+        got = list(zip(lu[taken].tolist(), lv[taken].tolist(),
+                       edges.w[order][taken].tolist()))
+        assert got == want
+        # a bound no edge reaches changes nothing
+        again = _boruvka(lu, lv, pts.n, np.full(pts.n, lu.size))
+        assert again[0].tobytes() == labels.tobytes()
+        assert again[1].tobytes() == taken.tobytes()

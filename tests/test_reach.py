@@ -5,7 +5,7 @@ from riskcluster import knn
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.knn import brute_force_knn, ivf_build, ivf_search
 from riskcluster.model import PointSet
-from riskcluster.mst import kruskal_forest, prim_forest
+from riskcluster.mst import full_graph_forest, kruskal_forest
 from riskcluster.reach import EdgeList, core_distances, mutual_reach_edges
 
 from oracle import (
@@ -155,11 +155,12 @@ class TestDedupeMatchesUniqueReference:
     @pytest.mark.parametrize("n", [2, 3, 40, 301, "wide"])
     def test_full_graph_forest_weights_from_distance_rows(
             self, monkeypatch, n, kernel, threads, rows):
-        # the exact kernel's forest comes from Prim, whose rows hold one
-        # joined vertex against the open vertices; the search's hold a chunk
-        # of rows against every point: exact values must not depend on
-        # either. The fast kernel's forest comes from the search's own rows
-        # through mutual_reach_edges and kruskal_forest, as in cluster_points
+        # the exact kernel's forest comes from short lists and Prim, whose
+        # tiles hold open vertices against one component's members; the
+        # search's hold a chunk of rows against every point: exact values
+        # must not depend on either. The fast kernel's forest comes from
+        # the search's own rows through mutual_reach_edges and
+        # kruskal_forest, as in cluster_points
         pts = self._wide_points() if n == "wide" else self._points(n, seed=n)
         n = pts.n
         if rows is not None:
@@ -171,7 +172,10 @@ class TestDedupeMatchesUniqueReference:
         # the reference's (u, v) order is the upper triangle's row order
         assert np.array_equal(np.triu_indices(n, 1), (u, v))
         if kernel == "exact":
-            tree = prim_forest(pts, core)
+            short = brute_force_knn(pts, min(n - 1, 8), threads=threads)
+            tree = full_graph_forest(
+                pts, core, mutual_reach_edges(short, core),
+                short.neighbor_dists[:, -1])
         else:
             tree = kruskal_forest(mutual_reach_edges(g, core), n)
         assert tree.component_count == 1
