@@ -38,6 +38,16 @@ def _write_json(path, obj):
         fh.write(text + "\n")
 
 
+def _read_json(path):
+    """The JSON value of a file; ValueError for one nested too deep to
+    decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _fmt(value):
     return np.format_float_positional(value, unique=True, trim="0")
 
@@ -195,8 +205,7 @@ def cmd_cluster(args):
 
 
 def cmd_predict(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model_obj = json.load(fh)
+    model_obj = _read_json(args.model)
     if not isinstance(model_obj, dict):
         raise ValueError("model file must be an object")
     for key in ("input", "labels", "strengths"):
@@ -286,8 +295,8 @@ def cmd_ari(args):
 
 
 def cmd_experiment(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = ExperimentSpec.from_json(fh.read())
+    # config_of, not from_json, which would decode a JSON string value again
+    spec = config_of(ExperimentSpec, _read_json(args.config), "experiment")
     records = load_transactions(args.data)
     _print_header("experiment", spec.seed, {
         "config": args.config, "data": args.data, "mode": spec.mode,
@@ -337,8 +346,8 @@ def cmd_explain(args):
         raise ValueError("target length does not match feature rows")
     config = ExplainConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = config_of(ExplainConfig, json.load(fh), "explain config")
+        config = config_of(
+            ExplainConfig, _read_json(args.config), "explain config")
     _print_header("explain", args.seed, asdict(config))
     rules = fit_rules(x, names, y, config, seed=args.seed)
     for rule in rules:
@@ -356,8 +365,7 @@ def cmd_explain(args):
 
 def cmd_sankey(args):
     batch = load_transactions(args.data)
-    with open(args.labels, "r", encoding="utf-8") as fh:
-        labels_obj = json.load(fh)
+    labels_obj = _read_json(args.labels)
     labels = _integral_labels(
         labels_obj.get("labels") if isinstance(labels_obj, dict) else None,
         "labels file")

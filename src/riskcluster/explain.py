@@ -239,18 +239,24 @@ def fit_rules(x, names, y, config=None, seed=0):
     bootstrap resample of that pool and is scored on its out-of-bag rows.
     Candidate rules that clear min_precision and min_recall out-of-bag are
     deduplicated and returned sorted by (precision desc, recall desc).
+    x must be finite and y hold only 0 and 1 (or False and True).
     """
     if config is None:
         config = ExplainConfig()
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-d")
+    if not np.isfinite(x).all():
+        raise ValueError("feature matrix contains non-finite values")
     names = tuple(str(n) for n in names)
     if len(names) != x.shape[1]:
         raise ValueError("names length does not match feature count")
     if len(set(names)) != len(names):
         raise ValueError("feature names must be unique")
-    y = np.asarray(y).astype(bool)
+    y = np.asarray(y)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("target must hold only 0 and 1")
+    y = y.astype(bool)
     if y.shape != (x.shape[0],):
         raise ValueError("target not aligned with feature matrix")
     pos_idx = np.flatnonzero(y)

@@ -771,21 +771,18 @@ def ivf_build(points, nlist, seed=0, max_iter=25, train_sample=None,
         raise ValueError(f"nlist must be in [1, n], got {nlist}")
     if train_sample is not None and train_sample < nlist:
         raise ValueError("train_sample must be >= nlist")
-    if train_sample is None or train_sample >= n:
-        km = kmeans_fit(points, nlist, max_iter=max_iter, seed=seed,
-                        threads=threads)
-        assign = km.assignments
-    else:
+    train = np.ones(n, dtype=bool)
+    if train_sample is not None and train_sample < n:
         rng = np.random.Generator(np.random.PCG64(seed))
-        idx = np.sort(rng.choice(n, size=train_sample, replace=False))
-        km = kmeans_fit(PointSet(points.data[idx]), nlist,
-                        max_iter=max_iter, seed=seed, threads=threads)
-        rest = np.ones(n, dtype=bool)
-        rest[idx] = False
-        assign = np.empty(n, dtype=np.int64)
-        assign[idx] = km.assignments
-        assign[rest] = _assign_nearest(
-            points.data[rest].astype(np.float64), km.centroids, threads)[0]
+        train[:] = False
+        train[rng.choice(n, size=train_sample, replace=False)] = True
+    km = kmeans_fit(PointSet(points.data[train]), nlist, max_iter=max_iter,
+                    seed=seed, threads=threads)
+    assign = np.empty(n, dtype=np.int64)
+    assign[train] = km.assignments
+    if not train.all():
+        assign[~train] = _assign_nearest(
+            points.data[~train].astype(np.float64), km.centroids, threads)[0]
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
     bounds = np.concatenate([[0], np.cumsum(counts)])

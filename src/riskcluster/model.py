@@ -1,8 +1,8 @@
 """Shared domain types and dataset ingestion.
 
 Points live in a single contiguous float32 row-major matrix; every distance
-accumulation downstream runs in float64. Transactions arrive as
-newline-delimited JSON, one object per line, and load into one
+accumulation downstream runs in float64. Transactions arrive as JSON
+Lines, one object per UTF-8 line ended by "\\n", and load into one
 TransactionBatch: a column per field, decoded and checked once. A
 TransactionRecord is the per-record form: what code builds a transaction
 from, and the view that indexing a batch returns.
@@ -33,7 +33,7 @@ _PAGE_CODES = {page: code for code, page in enumerate(PAGE_TYPES)}
 _INT64_END = 2**63
 _CHUNK_LINES = 256
 # two objects side by side on one line
-_ADJACENT = re.compile(r"}[ \t]*,[ \t]*{")
+_ADJACENT = re.compile(r"}[ \t\r]*,[ \t\r]*{")
 
 
 @dataclass(frozen=True)
@@ -449,21 +449,14 @@ def _coerce(obj, lineno):
 
 
 def _line_chunks(fh):
-    """[(line number, stripped line)] of the nonblank lines of a file, up to
-    _CHUNK_LINES lines at a time. A read error comes out after the list of
-    the lines before it."""
+    """[(line number, raw line)] of the lines of a binary file, _CHUNK_LINES
+    lines at a time; the last chunk may be short or empty."""
     chunk = []
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                chunk.append((lineno, line))
-            if lineno % _CHUNK_LINES == 0:
-                yield chunk
-                chunk = []
-    except ValueError:
-        yield chunk
-        raise
+    for lineno, line in enumerate(fh, start=1):
+        chunk.append((lineno, line))
+        if lineno % _CHUNK_LINES == 0:
+            yield chunk
+            chunk = []
     yield chunk
 
 
@@ -472,12 +465,13 @@ def _joined_objects(lines):
     lines) + "]", or None where that cannot stand for the lines one by one.
 
     It is taken only when the array holds exactly one dict per line and no
-    line holds "}", a comma and "{" with only spaces or tabs between them.
-    Sound: a text-mode line holds no "\\r" or "\\n", so when no line has
-    that pattern, every top-level separator of the array is an inserted
-    comma, and each value spans exactly its own line. A value split over
-    lines joins fewer values than lines, and two values on one line need
-    the pattern, with any whitespace between them on that line.
+    line holds "}", a comma and "{" with only spaces, tabs or "\\r" between
+    them. Sound: a line holds no "\\n", so the JSON whitespace within a line
+    is spaces, tabs and "\\r". When no line has that pattern, every
+    top-level separator of the array is an inserted comma, and each value
+    spans exactly its own line. A value split over lines joins fewer values
+    than lines, and two dicts on one line need the pattern, with any
+    whitespace between them on that line.
     """
     if _ADJACENT.search("\n".join(lines)):
         return None
@@ -488,33 +482,6 @@ def _joined_objects(lines):
     if len(objs) != len(lines) or not all(type(o) is dict for o in objs):
         return None
     return objs
-
-
-def _decoded_chunks(fh):
-    """(objects, line numbers) of the nonblank lines of a file, a chunk of
-    _line_chunks at a time, each decoded at once where _joined_objects can
-    and line by line otherwise. At the first line that cannot be read or
-    holds no JSON object, the chunk of the lines before it comes out, and
-    then that line's ValueError is raised."""
-    for chunk in _line_chunks(fh):
-        linenos = [lineno for lineno, _ in chunk]
-        objs = _joined_objects([line for _, line in chunk])
-        if objs is None:
-            objs = []
-            try:
-                for lineno, line in chunk:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"line {lineno}: {exc}") from None
-                    if type(obj) is not dict:
-                        # raises: only objects have fields
-                        _coerce(obj, lineno)
-                    objs.append(obj)
-            except ValueError:
-                yield objs, linenos[:len(objs)]
-                raise
-        yield objs, linenos
 
 
 # the plain kinds of the id, timestamp, amount, risk_seed, features and
@@ -540,51 +507,67 @@ def _plain(columns):
             and _kinds(map(itemgetter(1), flat)) <= {int})
 
 
-def _rows_to_batch(objs, linenos):
-    """The batch of a chunk of decoded objects, or the ValueError "line N:
-    ..." of the first one that breaks the record contract.
+def _chunk_batch(chunk):
+    """The batch of a chunk of (line number, raw line) pairs, or the
+    ValueError "line N: ..." of its first line that is not UTF-8, not JSON,
+    nested too deep to decode or against the record contract.
 
-    A chunk whose values are all of their plain kinds and pass the column
-    checks is its columns as they are; any other chunk is built row by row
-    through the record constructor.
+    A chunk whose lines are all UTF-8, decode at once (_joined_objects),
+    hold values of their plain kinds only and pass the column checks is its
+    columns as they are. Any other chunk is read line by line, each line
+    through the TransactionRecord constructor.
     """
-    columns = [list(map(dict.get, objs, repeat(key), repeat(default)))
-               for key, default in (
-                   ("id", None), ("timestamp", None), ("amount", None),
-                   ("risk_seed", "unknown"), ("features", {}),
-                   ("session", None))]
-    # a session's event list, () for no session; a session of another kind,
-    # or one without events, stays for the record constructor to judge
-    columns[5] = [() if s is None else s.get("events") if type(s) is dict
-                  else s for s in columns[5]]
-    plain = _plain(columns)
+    objs = None
+    with suppress(UnicodeDecodeError):
+        objs = _joined_objects(
+            [line for _, raw in chunk if (line := raw.decode().strip())])
+    plain = False
+    if objs is not None:
+        columns = [list(map(dict.get, objs, repeat(key), repeat(default)))
+                   for key, default in (
+                       ("id", None), ("timestamp", None), ("amount", None),
+                       ("risk_seed", "unknown"), ("features", {}),
+                       ("session", None))]
+        # a session's event list, () for no session; a session of another
+        # kind, or one without events, stays for the record constructor
+        columns[5] = [() if s is None else s.get("events")
+                      if type(s) is dict else s for s in columns[5]]
+        plain = _plain(columns)
     if plain:
         with suppress(OverflowError):
             batch, bad = _batch_of_rows(*columns)
             if not bad.any():
                 return batch
-    batch = TransactionBatch.of(map(_coerce, objs, linenos))
+    records = []
+    for lineno, raw in chunk:
+        try:
+            line = raw.decode().strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        records.append(_coerce(obj, lineno))
+    batch = TransactionBatch.of(records)
     if plain:
         raise AssertionError(
-            f"the chunk from line {linenos[0]} passed the record checks but"
+            f"the chunk from line {chunk[0][0]} passed the record checks but"
             " failed the column checks")
     return batch
 
 
 def load_transactions(path):
-    """Read newline-delimited JSON transactions into a TransactionBatch,
-    preserving file order.
+    """Read JSON Lines transactions (UTF-8, one object per line, lines
+    ended by "\\n") into a TransactionBatch, preserving file order.
 
-    Lines are decoded and checked a column at a time, in chunks of
-    _CHUNK_LINES lines, so that only one chunk of decoded JSON is held at
-    once. A chunk that holds a value of no plain kind goes through the
-    TransactionRecord constructor row by row. The first bad line in file
-    order raises ValueError "line N: ...", with the message its
-    TransactionRecord constructor gives.
+    Lines are read in chunks of _CHUNK_LINES (_chunk_batch), so that only
+    one chunk of decoded JSON is held at once. The first line in file order
+    that cannot be read or breaks the record contract raises ValueError
+    "line N: ...", with the message its decoder or TransactionRecord
+    constructor gives.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _concat([_rows_to_batch(objs, linenos)
-                        for objs, linenos in _decoded_chunks(fh)])
+    with open(path, "rb") as fh:
+        return _concat(list(map(_chunk_batch, _line_chunks(fh))))
 
 
 def save_transactions(path, records):

@@ -13,6 +13,10 @@ from riskcluster.datagen import fraud_stream
 from riskcluster.model import save_transactions
 
 
+# one JSON value nested past the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -416,6 +420,16 @@ class TestClusterPredictAri:
         assert code == 4
         assert "error: model file must be an object" in err
 
+    def test_model_file_nested_too_deep(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(DEEP)
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--queries", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "error: " in err and "maximum recursion depth" in err
+
     @staticmethod
     def _predict(tmp_path, capsys, labels, strengths):
         """Exit code, stderr and output document of predict with a model of
@@ -717,6 +731,40 @@ class TestExperiment:
         assert code == 4
         assert f"error: line 2: {message}" in err
 
+    def test_config_nested_too_deep(self, stream_files, tmp_path, capsys):
+        data, _, _ = stream_files
+        config = tmp_path / "deep.json"
+        config.write_text(DEEP)
+        code, _, err = run(
+            capsys, "experiment", "--config", str(config), "--data", data,
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert "error: " in err and "maximum recursion depth" in err
+
+    def test_data_line_nested_too_deep_names_the_line(
+            self, stream_files, tmp_path, capsys):
+        _, config, _ = stream_files
+        data = tmp_path / "deep.ndjson"
+        data.write_text('{"id": "a", "timestamp": 5, "amount": 1}\n'
+                        + DEEP + "\n")
+        code, _, err = run(
+            capsys, "experiment", "--config", config, "--data", str(data),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert "error: line 2: maximum recursion depth exceeded" in err
+
+    def test_data_line_not_utf8_names_the_line(
+            self, stream_files, tmp_path, capsys):
+        _, config, _ = stream_files
+        data = tmp_path / "latin1.ndjson"
+        data.write_bytes(b'{"id": "a", "timestamp": 5, "amount": 1}\n'
+                         b'{"id": "\xe9", "timestamp": 5, "amount": 1}\n')
+        code, _, err = run(
+            capsys, "experiment", "--config", config, "--data", str(data),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert "error: line 2: 'utf-8' codec can't decode byte 0xe9" in err
+
     @pytest.mark.parametrize("dwell", [2**63, 10**400],
                              ids=["2**63", "10**400"])
     def test_dwell_overflow_names_the_record(self, tmp_path, capsys, dwell):
@@ -846,6 +894,42 @@ class TestExplain:
         assert code == 4
         assert f"error: {message}" in err
 
+    def test_config_nested_too_deep(self, planted, tmp_path, capsys):
+        feats, target = planted
+        config = tmp_path / "explain.json"
+        config.write_text(DEEP)
+        code, _, err = run(
+            capsys, "explain", "--features", feats, "--target", target,
+            "--config", str(config), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert "error: " in err and "maximum recursion depth" in err
+
+    def test_target_other_than_0_and_1(self, tmp_path, capsys):
+        feats = tmp_path / "features.csv"
+        feats.write_text("f1\n" + "".join(f"{i}\n" for i in range(8)))
+        target = tmp_path / "target.csv"
+        target.write_text("0\n2\n0\n-1\n0\n2\n0\n5\n")
+        out = tmp_path / "r.json"
+        code, _, err = run(
+            capsys, "explain", "--features", str(feats),
+            "--target", str(target), "--out", str(out))
+        assert code == 4
+        assert "error: target must hold only 0 and 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell(self, planted, tmp_path, capsys, cell):
+        feats, target = planted
+        lines = Path(feats).read_text().splitlines()
+        lines[5] = f"{cell},1"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "explain", "--features", str(bad), "--target", target,
+            "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert "error: feature matrix contains non-finite values" in err
+
     def test_bad_cell_line_counts_blank_lines(self, tmp_path, capsys):
         feats = tmp_path / "features.csv"
         feats.write_text("f1,f2\n1,2\n\n3,x\n")
@@ -925,6 +1009,17 @@ class TestSankey:
             "--cluster", "0", "--out", str(tmp_path / "f.json"))
         assert code == 4
         assert "error: labels file lacks a labels list" in err
+
+    def test_labels_file_nested_too_deep(self, tmp_path, capsys):
+        data = tmp_path / "recs.ndjson"
+        data.write_text('{"id": "a", "timestamp": 10, "amount": 5}\n')
+        path = tmp_path / "labels.json"
+        path.write_text(DEEP)
+        code, _, err = run(
+            capsys, "sankey", "--data", str(data), "--labels", str(path),
+            "--cluster", "0", "--out", str(tmp_path / "f.json"))
+        assert code == 4
+        assert "error: " in err and "maximum recursion depth" in err
 
     @pytest.fixture()
     def mixed_stream(self, tmp_path):

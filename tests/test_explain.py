@@ -198,6 +198,21 @@ class TestFitRules:
         with pytest.raises(ValueError, match="single class"):
             fit_rules(x, ("a", "b"), np.ones(10, dtype=bool))
 
+    @pytest.mark.parametrize("target", [
+        [0, 2, 0, -1, 0, 2, 0, 5], [0, 1, 0, 1, 0, 1, 0, 0.5],
+        [0, 1, 0, 1, 0, 1, 0, np.nan]])
+    def test_rejects_target_values_other_than_0_and_1(self, target):
+        x = np.arange(16.0).reshape(8, 2)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            fit_rules(x, ("a", "b"), np.array(target))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, cell):
+        x, names, y = self._planted()
+        x[17, 2] = cell
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_rules(x, names, y)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="2-d"):
             fit_rules(np.zeros(5), ("a",), np.zeros(5, dtype=bool))

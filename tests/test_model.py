@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcluster import model
+from riskcluster.datagen import fraud_stream
 from riskcluster.model import (
     ClickSession, ClusterAssignment, PointSet, TransactionBatch,
     TransactionRecord, load_points, load_transactions, save_points,
@@ -228,6 +230,71 @@ class TestTransactionIO:
             '{"c": 2}]]}\n'
             '{"x": 1}, {"y": 2}\n')
         lines = path.read_text().splitlines()
+        assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+        with pytest.raises(ValueError) as exc:
+            json.loads(lines[1])
+        with pytest.raises(
+                ValueError, match=f"^line 2: {re.escape(str(exc.value))}$"):
+            load_transactions(path)
+
+    def test_first_fault_comes_before_a_later_utf8_error(self, tmp_path):
+        # a record fault on line 2 and a byte that is not UTF-8 on line 4,
+        # in one chunk and across chunks
+        path = tmp_path / "mixed.ndjson"
+        path.write_bytes(
+            b'{"id":"a","timestamp":1,"amount":2}\n'
+            b'{"id":"b","timestamp":1,"amount":-2}\n'
+            b'{"id":"c","timestamp":1,"amount":2}\n'
+            b'{"id":"\xff","timestamp":1,"amount":2}\n')
+        for chunk in (1, 3, 1024):
+            with mock.patch.object(model, "_CHUNK_LINES", chunk):
+                with pytest.raises(ValueError, match=(
+                        "^line 2: amount must be nonnegative$")):
+                    load_transactions(path)
+
+    def test_line_not_utf8_is_numbered(self, tmp_path):
+        path = tmp_path / "latin1.ndjson"
+        path.write_bytes(
+            b'{"id":"a","timestamp":1,"amount":2}\n\n'
+            b'{"id":"\xff","timestamp":1,"amount":2}\n')
+        with pytest.raises(ValueError, match=(
+                "^line 3: 'utf-8' codec can't decode byte 0xff in position 7:"
+                " invalid start byte$")):
+            load_transactions(path)
+
+    def test_line_nested_too_deep_is_numbered(self, tmp_path):
+        path = tmp_path / "deep.ndjson"
+        path.write_text('{"id":"a","timestamp":1,"amount":2}\n'
+                        + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(
+                ValueError, match="^line 2: maximum recursion depth exceeded"):
+            load_transactions(path)
+
+    def test_crlf_and_lf_load_the_same_batch(self, tmp_path):
+        records, _ = fraud_stream(seed=3)
+        lf, crlf = tmp_path / "lf.ndjson", tmp_path / "crlf.ndjson"
+        save_transactions(str(lf), records[:700])
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_transactions(lf), load_transactions(crlf)
+        assert a.feature_names == b.feature_names
+        for f in dataclasses.fields(TransactionBatch):
+            if f.name != "feature_names":
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        assert list(a) == records[:700]
+
+    def test_lone_cr_does_not_end_a_line(self, tmp_path):
+        # "\r" is JSON whitespace, so line 2 holds two objects; joined with
+        # the split value of lines 3 and 4, the chunk would decode to one
+        # valid record per line if a "}\r,{" were not caught
+        path = tmp_path / "cr.ndjson"
+        path.write_text(
+            '{"id":"a","timestamp":1,"amount":2}\n'
+            '{"id":"b","timestamp":1,"amount":2}\r,'
+            '{"id":"c","timestamp":1,"amount":2}\n'
+            '{"id":"d","timestamp":1,"amount":2,"session":[["view",1]\n'
+            '["cart",2]]}\n', newline="")
+        lines = path.read_bytes().decode().split("\n")[:-1]
         assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
         with pytest.raises(ValueError) as exc:
             json.loads(lines[1])
