@@ -5,6 +5,7 @@ explain, sankey. Every run prints a reproducibility header (version,
 command, seed, parameters) to stdout. Output files are byte-identical for
 identical command and seed: JSON is written with sorted keys, and timing
 measurements stay on stdout unless --emit-timings opts them into the file.
+Input files are read by model, from bytes, so that every fault names its line.
 
 Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 contract violation.
 """
@@ -12,10 +13,10 @@ Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 contract violation.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
-from contextlib import suppress
 from dataclasses import asdict
 
 import numpy as np
@@ -26,8 +27,8 @@ from .datagen import SyntheticSpec, generate
 from .explain import ExplainConfig, fit_rules, render_rule, rules_to_json
 from .metrics import adjusted_rand_index
 from .model import (
-    MAGIC, ClusterAssignment, config_of, load_points, load_transactions,
-    save_points)
+    MAGIC, ClusterAssignment, config_of, load_points, load_table,
+    load_transactions, read_json, save_points, text_lines)
 from .pipeline import ExperimentSpec, run_experiment
 from .predict import InductiveModel, assign_new_points
 
@@ -38,14 +39,11 @@ def _write_json(path, obj):
         fh.write(text + "\n")
 
 
-def _read_json(path):
-    """The JSON value of a file; ValueError for one nested too deep to
-    decode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+def _csv_cell(text):
+    """text as an RFC 4180 cell, quoted if it has a comma, quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _fmt(value):
@@ -64,56 +62,46 @@ def _detect_format(path, fmt):
         return fmt
     if path.endswith(".csv"):
         return "csv"
-    try:
-        with open(path, "rb") as fh:
-            return "binary" if fh.read(4) == MAGIC else "csv"
-    except OSError:
-        return "csv"
+    with open(path, "rb") as fh:
+        return "binary" if fh.read(4) == MAGIC else "csv"
+
+
+def _label(value, where, shown):
+    """value as an int if it is an integral int or float that fits in int64;
+    else ValueError "<where>: ..." that shows shown."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{where}: non-integral label {shown!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{where}: label {shown!r} must fit in a signed"
+                         " 64-bit integer")
+    return int(value)
 
 
 def _load_label_column(path):
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cell = line.strip()
-            if not cell:
-                continue
+    for lineno, cell in text_lines(path):
+        try:
+            value = int(cell)  # exact where a float would round
+        except ValueError:
             try:
                 value = float(cell)
-                label = int(value)
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: non-numeric label {cell!r}") from None
-            except OverflowError:
-                raise ValueError(
-                    f"line {lineno}: non-finite label {cell!r}") from None
-            if label != value:
-                raise ValueError(
-                    f"line {lineno}: non-integral label {cell!r}")
-            with suppress(ValueError):
-                label = int(cell)  # exact where the float rounds
-            if not -2**63 <= label < 2**63:
-                raise ValueError(f"line {lineno}: label {cell!r} must fit"
-                                 " in a signed 64-bit integer")
-            labels.append(label)
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite label {cell!r}")
+        labels.append(_label(value, f"line {lineno}", cell))
     if not labels:
         raise ValueError(f"no labels in {path}")
     return np.asarray(labels, dtype=np.int64)
 
 
 def _integral_labels(labels, what):
-    """labels as int64 if it is a JSON list of integral numbers that fit in
-    int64, the rule of _load_label_column; else ValueError."""
+    """labels as int64 if it is a JSON list of labels _label takes."""
     if not isinstance(labels, list):
         raise ValueError(f"{what} lacks a labels list")
-    for i, label in enumerate(labels):
-        if not (type(label) is int
-                or type(label) is float and label.is_integer()):
-            raise ValueError(f"labels[{i}]: non-integral label {label!r}")
-        if not -2**63 <= label < 2**63:
-            raise ValueError(f"labels[{i}]: label {label!r} must fit in a"
-                             " signed 64-bit integer")
-    return np.array(labels, dtype=np.int64)
+    return np.array([_label(label, f"labels[{i}]", label)
+                     for i, label in enumerate(labels)], dtype=np.int64)
 
 
 def _strengths(values):
@@ -127,29 +115,6 @@ def _strengths(values):
         return np.array(values, dtype=np.float64)
     except OverflowError:
         raise ValueError("strengths must lie in [0, 1]") from None
-
-
-def _load_feature_csv(path):
-    """Header row of names, then float rows; blank lines are skipped but
-    still counted in the line numbers of errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln.strip())
-                 for lineno, ln in enumerate(fh, start=1) if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: need a header row and data rows")
-    names = tuple(cell.strip() for cell in lines[0][1].split(","))
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ValueError(
-                f"line {lineno}: expected {len(names)} columns,"
-                f" got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric cell") from None
-    return np.asarray(rows, dtype=np.float64), names
 
 
 def _points_sha256(points):
@@ -205,7 +170,7 @@ def cmd_cluster(args):
 
 
 def cmd_predict(args):
-    model_obj = _read_json(args.model)
+    model_obj = read_json(args.model)
     if not isinstance(model_obj, dict):
         raise ValueError("model file must be an object")
     for key in ("input", "labels", "strengths"):
@@ -296,7 +261,7 @@ def cmd_ari(args):
 
 def cmd_experiment(args):
     # config_of, not from_json, which would decode a JSON string value again
-    spec = config_of(ExperimentSpec, _read_json(args.config), "experiment")
+    spec = config_of(ExperimentSpec, read_json(args.config), "experiment")
     records = load_transactions(args.data)
     _print_header("experiment", spec.seed, {
         "config": args.config, "data": args.data, "mode": spec.mode,
@@ -325,14 +290,14 @@ def cmd_experiment(args):
                 "cluster_stats")}
             for w in artifacts["windows"]],
     })
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,window,label,strength,predicted_fraud\n")
         for widx, w in enumerate(artifacts["windows"]):
             for rid, lab, s, pred in zip(
                     w["test_ids"], w["test_labels"], w["test_strengths"],
                     w["predicted_fraud"]):
-                fh.write(
-                    f"{rid},{widx},{lab},{_fmt(s)},{int(pred)}\n")
+                fh.write(f"{_csv_cell(rid)},{widx},{lab},{_fmt(s)},"
+                         f"{int(pred)}\n")
     print(report.to_text())
     for path in (report_path, clusters_path, labels_path):
         print(f"wrote {path}")
@@ -340,14 +305,14 @@ def cmd_experiment(args):
 
 
 def cmd_explain(args):
-    x, names = _load_feature_csv(args.features)
+    names, x = load_table(args.features, header=True)
     y = _load_label_column(args.target)
     if y.shape[0] != x.shape[0]:
         raise ValueError("target length does not match feature rows")
     config = ExplainConfig()
     if args.config:
         config = config_of(
-            ExplainConfig, _read_json(args.config), "explain config")
+            ExplainConfig, read_json(args.config), "explain config")
     _print_header("explain", args.seed, asdict(config))
     rules = fit_rules(x, names, y, config, seed=args.seed)
     for rule in rules:
@@ -365,7 +330,7 @@ def cmd_explain(args):
 
 def cmd_sankey(args):
     batch = load_transactions(args.data)
-    labels_obj = _read_json(args.labels)
+    labels_obj = read_json(args.labels)
     labels = _integral_labels(
         labels_obj.get("labels") if isinstance(labels_obj, dict) else None,
         "labels file")

@@ -6,10 +6,11 @@ Lines, one object per UTF-8 line ended by "\\n", and load into one
 TransactionBatch: a column per field, decoded and checked once. A
 TransactionRecord is the per-record form: what code builds a transaction
 from, and the view that indexing a batch returns.
+
+Input files are read here as bytes, so that a fault names its line: CSV
+tables by load_table, label columns by text_lines, JSON by read_json.
 """
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -352,35 +353,64 @@ def reject_non_numbers(obj, integers=(), reals=()):
             raise ValueError(f"{name} must be {what}")
 
 
-def _parse_csv_points(text, header):
-    reader = csv.reader(io.StringIO(text))
+def text_lines(path):
+    """(line number, stripped line) of each line of a file that is not
+    blank. Lines end with "\\n", and are read as bytes and decoded one by
+    one, so that a line that is not UTF-8 raises ValueError "line N: ..."."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if line:
+                yield lineno, line
+
+
+def load_table(path, header):
+    """(names or None, float64 rows) of a CSV file of decimals: text_lines
+    split on ",", unquoted. With header, the first line that is not blank
+    holds the names. Every line must be as wide as the first."""
+    lines = text_lines(path)
+    names = width = None
+    if header and (first := next(lines, None)):
+        names = tuple(cell.strip() for cell in first[1].split(","))
+        width = len(names)
     rows = []
-    width = None
-    for lineno, row in enumerate(reader, start=1):
-        if header and lineno == 1:
-            continue
-        if not row:
-            continue
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+    for lineno, line in lines:
+        cells = line.split(",")
+        width = width or len(cells)
+        if len(cells) != width:
             raise ValueError(
-                f"line {lineno}: ragged row, expected {width} columns,"
-                f" got {len(row)}")
+                f"line {lineno}: expected {width} columns, got {len(cells)}")
         try:
-            rows.append([float(cell) for cell in row])
+            rows.append([float(cell) for cell in cells])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric cell") from None
     if not rows:
-        raise ValueError("no data rows in points file")
-    return np.asarray(rows, dtype=np.float64).astype(np.float32)
+        raise ValueError(f"{path}: no data rows")
+    return names, np.array(rows, dtype=np.float64)
+
+
+def read_json(path):
+    """The JSON value of a UTF-8 file; ValueError "<path>: ..." for one that
+    is not UTF-8, naming the line of the first bad byte, or nested too deep
+    to decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    except RecursionError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_points(path, fmt="csv", header=False):
     """Read a PointSet from CSV or the RCPT binary format."""
     if fmt == "csv":
-        with open(path, "r", encoding="utf-8") as fh:
-            return PointSet(_parse_csv_points(fh.read(), header))
+        return PointSet(load_table(path, header)[1].astype(np.float32))
     if fmt != "binary":
         raise ValueError(f"unknown points format {fmt!r}")
     with open(path, "rb") as fh:

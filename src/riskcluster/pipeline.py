@@ -280,6 +280,8 @@ class ExperimentSpec:
         for train, test in windows:
             if not train:
                 raise ValueError("window has no train snapshots")
+            if len(set(train)) < len(train):
+                raise ValueError("window repeats a train snapshot")
             if max(train) >= test:
                 raise ValueError(
                     "train window must strictly precede test snapshot")

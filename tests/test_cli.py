@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -765,6 +767,54 @@ class TestExperiment:
         assert code == 4
         assert "error: line 2: 'utf-8' codec can't decode byte 0xe9" in err
 
+    def test_repeated_train_snapshot_is_contract_error(
+            self, stream_files, tmp_path, capsys):
+        # [s0, s0, s1] would train on every s0 record twice
+        data, config, truth = stream_files
+        obj = json.loads(Path(config).read_text())
+        s0, s1 = truth["snapshots"][:2]
+        obj["train_snapshots"] = [s0, s0, s1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(
+            capsys, "experiment", "--config", str(bad), "--data", data,
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 4
+        assert "error: window repeats a train snapshot" in err
+        assert not (tmp_path / "e.report.json").exists()
+
+    def test_labels_csv_quotes_ids(self, stream_files, tmp_path, capsys):
+        # RFC 4180: an id that holds a comma, a quote, CR or LF is quoted,
+        # with its quotes doubled; a plain id keeps its bytes
+        _, config, _ = stream_files
+        records, _ = fraud_stream(seed=5)
+        odd = ['a,b"900', '"', "\r", "\n", "x\r\ny"]
+        records = [
+            dataclasses.replace(r, id=r.id + odd[i % 10]) if i % 10 < 5
+            else r for i, r in enumerate(records)]
+        data = tmp_path / "odd.ndjson"
+        save_transactions(str(data), records)
+        code, _, _ = run(
+            capsys, "experiment", "--config", config, "--data", str(data),
+            "--out-prefix", str(tmp_path / "e"))
+        assert code == 0
+        path = tmp_path / "e.labels.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "id", "window", "label", "strength", "predicted_fraud"]
+        assert len(rows) == 1 + 3 * 400 + 150
+        assert {len(row) for row in rows} == {5}
+        ids = {r.id for r in records}
+        assert {row[0] for row in rows[1:]} <= ids
+        assert {row[0][7:] for row in rows[1:]} == {"", *odd}
+        text = path.read_bytes().decode()
+        for row in rows[1:]:
+            cell = row[0]
+            if cell[7:]:  # past a fraud_stream id such as "t000042"
+                cell = '"' + cell.replace('"', '""') + '"'
+            assert "\n" + ",".join([cell, *row[1:]]) + "\n" in text
+
     @pytest.mark.parametrize("dwell", [2**63, 10**400],
                              ids=["2**63", "10**400"])
     def test_dwell_overflow_names_the_record(self, tmp_path, capsys, dwell):
@@ -940,6 +990,76 @@ class TestExplain:
             "--target", str(target), "--out", str(tmp_path / "r.json"))
         assert code == 4
         assert "error: line 4: non-numeric cell" in err
+
+
+class TestInputNotUtf8:
+    """Every input file of every command: a byte that is not UTF-8 on line
+    3 is a contract error that names the line."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        files = {
+            "train": "0,0\n0,1\n5,5\n5,6\n",
+            "queries": "0,0\n5,5\n1,1\n",
+            "model": json.dumps({
+                "input": {"path": "train.csv", "format": "csv"},
+                "labels": [0, 0, 1, 1], "strengths": [1.0] * 4}, indent=2),
+            "a": "0\n0\n1\n1\n",
+            "b": "0\n1\n0\n1\n",
+            "features": "f1,f2\n0,1\n1,0\n2,2\n3,1\n",
+            "target": "0\n0\n1\n1\n",
+            "explain_config": json.dumps(
+                {"max_depth": 2, "min_precision": 0.5}, indent=2),
+            "experiment_config": json.dumps({
+                "mode": "inductive", "train_snapshots": [0],
+                "test_snapshot": 1,
+                "clustering": {"min_cluster_size": 2}}, indent=2),
+            "sankey_labels": json.dumps({"labels": [0, 0, 0, 0]}, indent=2),
+        }
+        paths = {"out": str(tmp_path / "out")}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.{'json' if '{' in text else 'csv'}"
+            path.write_text(text)
+            paths[name] = str(path)
+        records, _ = fraud_stream(seed=5)
+        paths["data"] = str(tmp_path / "data.ndjson")
+        save_transactions(paths["data"], records[:4])
+        return paths
+
+    @pytest.mark.parametrize("command, bad", [
+        ("cluster --input {train} --min-cluster-size 2 --out {out}",
+         "train"),
+        ("predict --model {model} --queries {queries} --out {out}",
+         "queries"),
+        ("predict --model {model} --queries {queries} --out {out}", "model"),
+        ("predict --model {model} --queries {queries} --out {out}", "train"),
+        ("ari --a {a} --b {b}", "a"),
+        ("ari --a {a} --b {b}", "b"),
+        ("explain --features {features} --target {target}"
+         " --config {explain_config} --out {out}", "features"),
+        ("explain --features {features} --target {target}"
+         " --config {explain_config} --out {out}", "target"),
+        ("explain --features {features} --target {target}"
+         " --config {explain_config} --out {out}", "explain_config"),
+        ("experiment --config {experiment_config} --data {data}"
+         " --out-prefix {out}", "experiment_config"),
+        ("experiment --config {experiment_config} --data {data}"
+         " --out-prefix {out}", "data"),
+        ("sankey --data {data} --labels {sankey_labels} --cluster 0"
+         " --out {out}", "sankey_labels"),
+        ("sankey --data {data} --labels {sankey_labels} --cluster 0"
+         " --out {out}", "data"),
+    ], ids=lambda v: v.split()[0] if " " in v else v)
+    def test_line_3_not_utf8(self, inputs, capsys, command, bad):
+        argv = command.format(**inputs).split()
+        assert "line 3" not in run(capsys, *argv)[2]
+        path = Path(inputs[bad])
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "line 3" in err
 
 
 class TestSankey:

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from riskcluster import model
 from riskcluster.datagen import fraud_stream
+from riskcluster.cli import _load_label_column
 from riskcluster.model import (
     ClickSession, ClusterAssignment, PointSet, TransactionBatch,
-    TransactionRecord, load_points, load_transactions, save_points,
-    save_transactions)
+    TransactionRecord, load_points, load_table, load_transactions,
+    read_json, save_points, save_transactions, text_lines)
 
 
 class TestPointSet:
@@ -148,6 +149,89 @@ class TestPointsIO:
         path.write_bytes(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
             load_points(path, fmt="binary")
+
+
+class TestTextReaders:
+    """load_table, text_lines and read_json: lines read as bytes, UTF-8
+    decoded one by one."""
+
+    @staticmethod
+    def _lf_and_crlf(tmp_path, text):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        return lf, crlf
+
+    def test_crlf_and_lf_load_the_same_arrays(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(3))
+        points = tmp_path / "points.csv"
+        save_points(points, PointSet(rng.normal(size=(40, 5))))
+        lf, crlf = self._lf_and_crlf(tmp_path, points.read_text())
+        assert load_points(lf).data.tobytes() \
+            == load_points(crlf).data.tobytes()
+        feats = "f1,f2\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.normal(size=(30, 2)).tolist())
+        lf, crlf = self._lf_and_crlf(tmp_path, feats)
+        (names, x), (crlf_names, crlf_x) = (
+            load_table(lf, header=True), load_table(crlf, header=True))
+        assert names == crlf_names == ("f1", "f2")
+        assert x.tobytes() == crlf_x.tobytes()
+        lf, crlf = self._lf_and_crlf(
+            tmp_path, "0\n-1\n9007199254740993\n3.0\n")
+        assert _load_label_column(lf).tobytes() \
+            == _load_label_column(crlf).tobytes()
+        assert _load_label_column(lf).tolist() == [0, -1, 2**53 + 1, 3]
+
+    def test_whitespace_line_is_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("1,2\n \t\n3,4\n")
+        assert load_points(path).data.tolist() == [[1, 2], [3, 4]]
+        assert [n for n, _ in text_lines(path)] == [1, 3]
+        path.write_text("1,2\n \t\n3,x\n")
+        with pytest.raises(ValueError, match="^line 3: non-numeric cell$"):
+            load_points(path)
+        path.write_text("0\n \r\n1\nx\n")
+        with pytest.raises(
+                ValueError, match="^line 4: non-numeric label 'x'$"):
+            _load_label_column(path)
+
+    def test_header_is_the_first_line_that_is_not_blank(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("\n  \nx,y\n1,2\n\n3,4\n")
+        names, rows = load_table(path, header=True)
+        assert names == ("x", "y")
+        assert rows.tolist() == [[1, 2], [3, 4]]
+        assert load_points(path, header=True).data.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("text, header, message", [
+        ("1,2\n3\n", False, "^line 2: expected 2 columns, got 1$"),
+        ("x,y,z\n1,2\n", True, "^line 2: expected 3 columns, got 2$"),
+        ("x,y\n\n", True, "no data rows$"),
+        ("\n\n", False, "no data rows$"),
+    ])
+    def test_table_faults(self, tmp_path, text, header, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_table(path, header)
+
+    def test_line_not_utf8_is_numbered(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n\n3,\xe9\n")
+        with pytest.raises(ValueError, match=(
+                "^line 3: 'utf-8' codec can't decode byte 0xe9 in position 2:"
+                " invalid continuation byte$")):
+            load_points(path)
+
+    def test_json_not_utf8_names_its_path_and_line(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{\n  "a": 1,\n  "b": "\xff"\n}\n')
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: line 3: 'utf-8' codec can't"
+                " decode byte 0xff in position 20: invalid start byte$")):
+            read_json(path)
+        path.write_bytes(b'{\r\n  "a": [1,\r\n 2]}')
+        assert read_json(path) == {"a": [1, 2]}
 
 
 class TestTransactionIO:

@@ -422,6 +422,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**{**base, **edit})
 
+    @pytest.mark.parametrize("form", [
+        {"train_snapshots": (0, 0, 1), "test_snapshot": 2},
+        {"windows": (((0, 1), 2), ((1, 0, 1), 2))},
+    ], ids=["train_snapshots", "windows"])
+    @pytest.mark.parametrize("mode", ["inductive", "transductive"])
+    def test_rejects_a_repeated_train_snapshot(self, mode, form):
+        # a repeated snapshot would train on each of its records twice
+        with pytest.raises(
+                ValueError, match="^window repeats a train snapshot$"):
+            ExperimentSpec(
+                mode=mode, clustering={"min_cluster_size": 10}, **form)
+
     def test_window_errors_come_before_clustering_errors(self):
         with pytest.raises(ValueError, match="windows must not be empty"):
             ExperimentSpec(mode="inductive", windows=(), clustering=7)
