@@ -135,7 +135,6 @@ def cmd_cluster(args):
         nprobe=args.nprobe,
         seed=args.seed,
         allow_single_cluster=args.allow_single_cluster,
-        kernel=args.kernel,
         ivf_train_sample=args.train_sample,
     )
     resolved = params.resolve(points.n)
@@ -375,7 +374,6 @@ def _build_parser():
     p.add_argument("--nlist", type=int, default=None)
     p.add_argument("--nprobe", type=int, default=None)
     p.add_argument("--train-sample", type=int, default=None)
-    p.add_argument("--kernel", choices=("exact", "fast"), default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--allow-single-cluster", action="store_true")

@@ -7,8 +7,7 @@ import numpy as np
 
 from .hierarchy import condense_tree, extract_clusters, single_linkage
 from .knn import (
-    _KERNELS, brute_force_knn, default_nlist, default_nprobe, ivf_build,
-    ivf_search)
+    brute_force_knn, default_nlist, default_nprobe, ivf_build, ivf_search)
 from .model import reject_non_numbers
 from .mst import attach_forest_root, full_graph_forest, kruskal_forest
 from .parallel import resolve_threads
@@ -35,7 +34,8 @@ class ClusterParams:
             "ivf_train_sample", "ivf_max_iter"))
         if self.mode not in ("exact", "ivf"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
+        # "exact" is the one kernel; the field stays for configs naming it
+        if self.kernel != "exact":
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.min_cluster_size < 2:
             raise ValueError("min_cluster_size must be >= 2")
@@ -97,16 +97,15 @@ class ClusterResult:
 def cluster_points(points, params, threads=None):
     """Run kNN -> reachability -> MST -> hierarchy -> stable clusters.
 
-    In exact mode with the exact kernel and k = n - 1 (exact HDBSCAN*) no
-    n - 1 neighbor rows are sorted and no n(n - 1)/2-edge list is built:
+    In exact mode with k = n - 1 (exact HDBSCAN*) no n - 1 neighbor rows
+    are sorted and no n(n - 1)/2-edge list is built:
     the `knn` stage searches k' = max(min_samples + 1, 2 min_samples)
     neighbors (at most n - 1), the `reach` stage takes their core
     distances and mutual reachability edges, and the `mst` stage runs
     mst.full_graph_forest: Borůvka over those edges, certified by each
     point's last listed distance, then Prim over the components left, in
     O(n k') memory and with the bits the full kNN graph would give. Other
-    graphs, a fast-kernel full graph included, go through
-    mutual_reach_edges and kruskal_forest.
+    graphs go through mutual_reach_edges and kruskal_forest.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -128,8 +127,7 @@ def cluster_points(points, params, threads=None):
             component_count=1, condensed=condensed)
 
     t0 = time.perf_counter()
-    full = (resolved["mode"] == "exact" and resolved["kernel"] == "exact"
-            and resolved["k"] == n - 1)
+    full = resolved["mode"] == "exact" and resolved["k"] == n - 1
     if resolved["mode"] == "ivf":
         index = ivf_build(
             points, resolved["nlist"], seed=resolved["seed"],
@@ -139,7 +137,7 @@ def cluster_points(points, params, threads=None):
         t0 = time.perf_counter()
         knn = ivf_search(
             index, points, resolved["k"], resolved["nprobe"],
-            threads=threads, kernel=resolved["kernel"])
+            threads=threads)
     else:
         timings["quantizer"] = 0.0
         k = resolved["k"]
@@ -152,8 +150,7 @@ def cluster_points(points, params, threads=None):
             # leave 4 to 9 components for Prim
             ms = resolved["min_samples"]
             k = min(n - 1, max(ms + 1, 2 * ms))
-        knn = brute_force_knn(
-            points, k, threads=threads, kernel=resolved["kernel"])
+        knn = brute_force_knn(points, k, threads=threads)
     timings["knn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

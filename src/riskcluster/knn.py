@@ -12,11 +12,11 @@ each pair still takes (q_0 - b_0)^2 first and then adds (q_d - b_d)^2 for
 d = 1, 2, ... in order, so the tiling changes no bit of any value (a NaN
 result's sign is left to numpy's loops, as IEEE 754 leaves it open).
 sqdist_fast uses the Gram-matrix identity, which is faster but rounds
-differently depending on BLAS blocking and threads; it only feeds values
-with no bitwise contract across BLAS setups: k-means++ seeding weights and
-the optional kernel="fast" searches. Its elementwise tail (the norms added,
-twice the product subtracted, the clamp) runs in L2-sized row tiles, each
-entry taking the same operations in the same order.
+differently depending on BLAS blocking and threads; it only feeds the
+k-means++ seeding weights, which have no bitwise contract across BLAS
+setups. Its elementwise tail (the norms added, twice the product
+subtracted, the clamp) runs in L2-sized row tiles, each entry taking the
+same operations in the same order.
 
 The quantizer's assignments and distances are exact values: given the
 centroids, each point takes its nearest by sqdist_exact value (the smaller
@@ -24,8 +24,8 @@ index on ties) and that value, the same on any BLAS and at any thread
 count, through the Gram filter below with k = 1. Only k-means++ seeding
 weights still come from Gram products.
 
-Exact searches (brute-force fit, quantizer assignment, IVF probe order and
-candidate blocks, inductive assignment) filter and refine through
+Every search (brute-force fit, quantizer assignment, IVF probe order and
+candidate blocks, inductive assignment) filters and refines through
 _exact_topk, over blocks of rows that each search their own base columns
 (a brute-force, assignment or probe-order block is a row range of the
 whole base): a Gram block on centred data, with a proven bound on its gap
@@ -52,10 +52,9 @@ _GramBase. The queries of a cell form blocks of up to _BLOCK_QUERIES, and
 a search task takes a group of consecutive blocks, up to _GROUP_QUERIES
 queries. The group orders the first nprobe + _PROBE_SLACK cells of every
 row, and a row whose prefix holds fewer than k points besides itself takes
-its whole order. Each block scores the points of the cells its rows probe,
-every row masking the cells it does not: the exact kernel filters block by
-block and refines the group's survivors once, the fast kernel scores each
-block whole.
+its whole order. Each block filters the points of the cells its rows
+probe, every row masking the cells it does not, and the group's survivors
+are refined once.
 """
 
 import math
@@ -73,9 +72,10 @@ _BLOCK_CELLS = 4_000_000
 # float64 array, so the output tile and its one scratch tile (about 1 MB)
 # stay in L2 across all dimensions, and a partition's copy stays one tile.
 # It also sizes _exact_topk's refine chunks and how many survivors it holds.
-# On a 2-core Xeon VM, the fast kernel's nearest-centroid pass of 6400 x 16
-# points to 256 centroids took 6.9 ms with tail tiles of this size or half
-# of it, 8.2 ms at twice it, and 12.3 ms with the tail untiled
+# On a 2-core Xeon VM, a nearest-centroid pass through sqdist_fast (the
+# quantizer's, before it turned exact) of 6400 x 16 points to 256
+# centroids took 6.9 ms with tail tiles of this size or half of it, 8.2 ms
+# at twice it, and 12.3 ms with the tail untiled
 _TILE_CELLS = 1 << 16
 # Gram values per batch of filter blocks in _exact_topk (2 MB of float64):
 # one default block, or one ivf_search group of 512 queries whose blocks
@@ -217,6 +217,8 @@ def sqdist_fast(queries, base, qq=None):
     return d2
 
 
+# searches take "exact" from here at call time, where perfbench's tracer
+# wraps it; no search reads "fast", which only that tracer still wraps
 _KERNELS = {"exact": sqdist_exact, "fast": sqdist_fast}
 
 
@@ -570,39 +572,36 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     return vals, ids
 
 
-def _row_chunk(n, k, threads, kernel):
-    """Query rows per brute_force_knn task over n points."""
-    chunk = max(1, _BLOCK_CELLS // n)
-    if kernel != "exact":
-        return chunk
-    # each exact row is computed apart from the rows batched with it, so
-    # chunks may follow the thread count; only full rows hold a rows x n
-    # block. Fast values depend on the batch, so fast chunks stay fixed
-    threads_chunk = -(-n // threads)
-    return min(chunk, threads_chunk) if k + 1 >= n else threads_chunk
+def _row_chunk(n, k, threads):
+    """Query rows per brute_force_knn task over n points.
+
+    Each row is computed apart from the rows batched with it, so chunks
+    follow the thread count; only full rows hold a rows x n block, which
+    _BLOCK_CELLS caps.
+    """
+    chunk = -(-n // threads)
+    return min(chunk, max(1, _BLOCK_CELLS // n)) if k + 1 >= n else chunk
 
 
-def brute_force_knn(points, k, threads=1, kernel="exact"):
+def brute_force_knn(points, k, threads=1):
     """Exact k nearest neighbors for every point, self excluded."""
     threads = resolve_threads(threads)
     n = points.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")
-    sq = _KERNELS[kernel]
-    topk = _exact_topk if kernel == "exact" else _block_topk
-    base = search = points.data.astype(np.float64)
+    exact = _KERNELS["exact"]
+    base = points.data.astype(np.float64)
+    search = _gram_base(base)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
-    if kernel == "exact":
-        search = _gram_base(base)
 
     def work(start, stop):
-        v, c = topk(base[start:stop], search, k, sq,
-                    self_cols=np.arange(start, stop))
+        v, c = _exact_topk(base[start:stop], search, k, exact,
+                           self_cols=np.arange(start, stop))
         ids[start:stop] = c
         np.sqrt(v, out=dists[start:stop])
 
-    run_chunked(work, n, threads, _row_chunk(n, k, threads, kernel))
+    run_chunked(work, n, threads, _row_chunk(n, k, threads))
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
@@ -808,22 +807,28 @@ def _cells_needed(order, home, cell_sizes, k, nprobe):
     return np.where(enough.any(axis=1), np.argmax(enough, axis=1) + 1, 0)
 
 
-def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
+def ivf_search(index, points, k, nprobe, threads=1):
     """kNN graph over `points` probing the nprobe nearest cells per query.
 
-    Queries are the indexed points themselves; self is excluded. Rows short
-    of k candidates probe additional cells in centroid-distance order. With
-    nprobe = nlist the result is identical to brute_force_knn.
+    Queries are the indexed points themselves, so the index must have been
+    built on them; self is excluded. Rows short of k candidates probe
+    additional cells in centroid-distance order. With nprobe = nlist the
+    result is identical to brute_force_knn.
     """
     threads = resolve_threads(threads)
     n = points.n
+    if index.n != n:
+        raise ValueError(f"index holds {index.n} points, got {n}")
+    if index.centroids.shape[1] != points.dim:
+        raise ValueError(f"index dim {index.centroids.shape[1]} != "
+                         f"point dim {points.dim}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, n-1], got {k} for n={n}")
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, nlist], got {nprobe}")
-    sq = _KERNELS[kernel]
+    exact = _KERNELS["exact"]
     x = points.data.astype(np.float64)
-    base = _gram_base(x) if kernel == "exact" else None
+    base = _gram_base(x)
     centroids = _gram_base(np.asarray(index.centroids, dtype=np.float64))
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
     nlist = index.nlist
@@ -842,8 +847,7 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
         probed = []
         rows = np.arange(qidx.size)
         for width in (prefix, nlist):
-            order = _exact_topk(q[rows], centroids, width,
-                                _KERNELS["exact"])[1]
+            order = _exact_topk(q[rows], centroids, width, exact)[1]
             need = _cells_needed(order, home[rows], cell_sizes, k, nprobe)
             probed.append((order + (rows * nlist)[:, None])[
                 np.arange(width) < need[:, None]])
@@ -864,19 +868,11 @@ def ivf_search(index, points, k, nprobe, threads=1, kernel="exact"):
             own = np.minimum(np.searchsorted(cols, qidx[b0:b1]),
                              cols.size - 1)
             own[cols[own] != qidx[b0:b1]] = -1
-            if base is None:
-                # fast values depend on the batch: each block keeps its shape
-                v, c = _block_topk(q[b0:b1], x[cols], k, sq, own, excluded)
-                ids[qidx[b0:b1]] = cols[c]
-                dists[qidx[b0:b1]] = np.sqrt(v)
-            else:
-                filters.append((b0, b1, cols, excluded))
-                owns.append(own)
-        if filters:
-            v, c = _exact_topk(q, base, k, sq, np.concatenate(owns),
-                               filters)
-            ids[qidx] = c
-            dists[qidx] = np.sqrt(v)
+            filters.append((b0, b1, cols, excluded))
+            owns.append(own)
+        v, c = _exact_topk(q, base, k, exact, np.concatenate(owns), filters)
+        ids[qidx] = c
+        dists[qidx] = np.sqrt(v)
 
     # queries grouped by home cell share most of their probe lists, so each
     # block scores one union candidate block and masks per query; a group

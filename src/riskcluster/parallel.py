@@ -2,9 +2,9 @@
 
 Every task writes into its own disjoint output slice. Chunks may depend on the
 worker count only where each row's result is independent of the rows batched
-with it; a caller whose kernel is batch-sensitive, such as sqdist_fast, must
-keep fixed chunks. Either way results are identical whether a job runs on 1
-thread or 16.
+with it, as in every kNN search; a batch-sensitive kernel, such as a Gram
+product (sqdist_fast), would need fixed chunks. Either way results are
+identical whether a job runs on 1 thread or 16.
 """
 
 import os

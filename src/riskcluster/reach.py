@@ -3,12 +3,13 @@
 Core distance is the distance to the min_samples-th nearest OTHER point (self
 never counts). Mutual reachability of a kNN pair (i, j) is
 max(core_i, core_j, d_ij). Deduplication keeps the pair's copy in the row of
-its smaller end u: the fast kernel's BLAS rounding may give d_ij != d_ji.
-A row may hold a pair once, so the rows take one unstable sort of the
-distinct keys 2 * (u * n + v) + (src > dst), which puts any row-u copy
-first. The full graph of exact HDBSCAN* takes the edges of short kNN lists
-here, and mst.full_graph_forest computes the weights it needs beyond them
-in tiles from the points and the core distances.
+its smaller end u, so a graph whose two copies of a pair differ (d_ij !=
+d_ji, as a hand-built graph may have) still gives one weight. A row may
+hold a pair once, so the rows take one unstable sort of the distinct keys
+2 * (u * n + v) + (src > dst), which puts any row-u copy first. The full
+graph of exact HDBSCAN* takes the edges of short kNN lists here, and
+mst.full_graph_forest computes the weights it needs beyond them in tiles
+from the points and the core distances.
 """
 
 from dataclasses import dataclass

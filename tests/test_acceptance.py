@@ -66,7 +66,7 @@ def test_criterion_02_ivf_fidelity_on_benchmark_manifest():
     for entry in benchmark_manifest():
         pts, truth = generate(spec_from_manifest(entry))
         kw = dict(min_cluster_size=entry["min_cluster_size"],
-                  min_samples=entry["min_samples"], kernel="fast")
+                  min_samples=entry["min_samples"])
         exact = cluster_points(pts, ClusterParams(mode="exact", **kw))
         ivf = cluster_points(pts, ClusterParams(mode="ivf", **kw))
         deltas.append(abs(adjusted_rand_index(ivf.labels, truth)

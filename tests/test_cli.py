@@ -49,6 +49,13 @@ class TestParsing:
         code, _, _ = run(capsys, "cluster", "--input", "x.csv")
         assert code == 2
 
+    def test_kernel_flag_is_gone(self, capsys):
+        # the exact kernel is the only one, so there is nothing to choose
+        code, _, err = run(capsys, "cluster", "--input", "x.csv",
+                           "--min-cluster-size", "5", "--kernel", "fast")
+        assert code == 2
+        assert "--kernel" in err
+
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
@@ -252,10 +259,14 @@ class TestClusterPredictAri:
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
 
+    @pytest.mark.parametrize("mode", ["exact", "ivf"])
     def test_exact_output_does_not_depend_on_blas_threads(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, mode):
         # the exact kernel's Gram filter runs on BLAS, whose thread count is
-        # read once at start-up, so each count gets its own interpreter
+        # read once at start-up, so each count gets its own interpreter.
+        # IVF mode adds the quantizer and the probe order, which select
+        # through the same filter, and k-means++ seeds drawn from Gram
+        # weights, which pick the same seeds here at either count
         prefix = str(tmp_path / "wide")
         code, _, _ = run(
             capsys, "gen", "--shape", "blobs", "--n", "3000", "--dim", "24",
@@ -271,8 +282,8 @@ class TestClusterPredictAri:
             done = subprocess.run(
                 [sys.executable, "-m", "riskcluster", "cluster",
                  "--input", f"{prefix}.points.csv",
-                 "--min-cluster-size", "25", "--threads", "1",
-                 "--out", str(out_json)],
+                 "--min-cluster-size", "25", "--mode", mode,
+                 "--threads", "1", "--out", str(out_json)],
                 env=env, capture_output=True, text=True, check=False)
             assert done.returncode == 0, done.stderr
             outs.append(out_json.read_bytes())
@@ -642,6 +653,8 @@ class TestExperiment:
          "unknown mode 'gpu'"),
         ("clustering", {"min_cluster_size": 50, "kernel": "gpu"},
          "unknown kernel 'gpu'"),
+        ("clustering", {"min_cluster_size": 50, "kernel": "fast"},
+         "unknown kernel 'fast'"),
         ("clustering", {"min_cluster_size": 1},
          "min_cluster_size must be >= 2"),
         ("clustering", {"min_cluster_size": 50, "min_samples": 0},

@@ -48,11 +48,13 @@ class TestParamsResolve:
         with pytest.raises(ValueError, match="mode"):
             ClusterParams(min_cluster_size=5, mode="annoy").resolve(10)
 
-    def test_rejects_unknown_kernel(self):
+    @pytest.mark.parametrize("kernel", ["gpu", "fast"])
+    def test_rejects_unknown_kernel(self, kernel):
+        # "exact" is the only kernel; the removed "fast" one is refused too
         pts, _ = generate(SyntheticSpec(shape="blobs", n=30, seed=0))
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(ValueError, match=f"unknown kernel '{kernel}'"):
             cluster_points(
-                pts, ClusterParams(min_cluster_size=5, kernel="gpu"))
+                pts, ClusterParams(min_cluster_size=5, kernel=kernel))
 
     def test_rejects_k_below_min_samples(self):
         with pytest.raises(ValueError, match="min_samples"):
@@ -158,12 +160,11 @@ def _bits(a):
 class TestFullGraph:
     """k = n - 1 keeps every bit of the explicit full kNN pipeline.
 
-    With the exact kernel, cluster_points searches short lists there and
-    takes its tree by Borůvka over their edges, certified by each vertex's
-    last listed distance, then Prim over the components left; the fast
-    kernel takes the explicit path. The reference sorts all n - 1
-    neighbors of every row, dedupes them in mutual_reach_edges and joins
-    them in kruskal_forest.
+    cluster_points searches short lists there and takes its tree by Borůvka
+    over their edges, certified by each vertex's last listed distance, then
+    Prim over the components left. The reference sorts all n - 1 neighbors
+    of every row, dedupes them in mutual_reach_edges and joins them in
+    kruskal_forest.
     """
 
     @staticmethod
@@ -182,7 +183,7 @@ class TestFullGraph:
     def _explicit(points, params, threads):
         r = params.resolve(points.n)
         n = points.n
-        g = brute_force_knn(points, n - 1, threads=threads, kernel=r["kernel"])
+        g = brute_force_knn(points, n - 1, threads=threads)
         edges = mutual_reach_edges(g, core_distances(g, r["min_samples"]))
         forest = kruskal_forest(edges, n)
         condensed = condense_tree(
@@ -190,41 +191,35 @@ class TestFullGraph:
             r["min_cluster_size"])
         return forest, extract_clusters(condensed, r["allow_single_cluster"])
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rows", [None, 37])
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
     @pytest.mark.parametrize("name", [*SHAPES, "grid", "pair"])
     def test_matches_explicit_pipeline_bitwise(
-            self, monkeypatch, name, kernel, rows):
+            self, monkeypatch, name, rows, threads):
         points = self._inputs()[name]
         if rows is not None:
-            # several chunks per thread, fast-kernel rows included, and
-            # joins of the exact kernel's tree split across threads
+            # several chunks of full rows per thread in the reference, and
+            # joins of the tree split across threads
             monkeypatch.setattr(knn, "_BLOCK_CELLS", points.n * rows)
             monkeypatch.setattr(mst, "_BLOCK_CELLS", points.n * rows)
         forests = []
-        # full_graph_forest builds the exact kernel's forest, kruskal_forest
-        # the fast one's
-        routine = "full_graph_forest" if kernel == "exact" else (
-            "kruskal_forest")
-        original = getattr(cluster, routine)
+        original = cluster.full_graph_forest
 
         def capture(*args):
             forests.append(original(*args))
             return forests[-1]
 
-        monkeypatch.setattr(cluster, routine, capture)
-        for threads in (1, 2):
-            for min_samples in (1, 5, 10):
-                params = ClusterParams(
-                    min_cluster_size=5, min_samples=min_samples,
-                    k=points.n - 1, kernel=kernel)
-                got = cluster_points(points, params, threads=threads)
-                forest, want = self._explicit(points, params, threads)
-                for attr in ("u", "v", "w", "labels"):
-                    assert _bits(getattr(forests[-1], attr)) == _bits(
-                        getattr(forest, attr)), (threads, min_samples, attr)
-                assert _bits(got.labels) == _bits(want.labels)
-                assert _bits(got.strengths) == _bits(want.strengths)
+        monkeypatch.setattr(cluster, "full_graph_forest", capture)
+        for min_samples in (1, 5, 10):
+            params = ClusterParams(
+                min_cluster_size=5, min_samples=min_samples, k=points.n - 1)
+            got = cluster_points(points, params, threads=threads)
+            forest, want = self._explicit(points, params, threads)
+            for attr in ("u", "v", "w", "labels"):
+                assert _bits(getattr(forests[-1], attr)) == _bits(
+                    getattr(forest, attr)), (min_samples, attr)
+            assert _bits(got.labels) == _bits(want.labels)
+            assert _bits(got.strengths) == _bits(want.strengths)
 
     @staticmethod
     def _traced_peak(pts):

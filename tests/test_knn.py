@@ -502,9 +502,8 @@ class TestBruteForce:
             assert np.array_equal(
                 g.neighbor_dists.view(np.int64), dists.view(np.int64))
 
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
-    def test_thread_count_splits_exact_blocks_only(self, monkeypatch, kernel):
-        # n = 601 fits one block, so the exact kernel splits it per thread
+    def test_thread_count_splits_blocks(self, monkeypatch):
+        # n = 601 fits one block, so the search splits it per thread
         # (uneven chunks for 2 and 3 threads); the graphs keep every bit
         chunks = []
 
@@ -514,10 +513,9 @@ class TestBruteForce:
 
         monkeypatch.setattr(knn, "run_chunked", recording)
         pts = _points(shape="blobs", n=601, seed=6, dim=5)
-        graphs = [brute_force_knn(pts, k, threads=t, kernel=kernel)
+        graphs = [brute_force_knn(pts, k, threads=t)
                   for k in (9, 600) for t in (1, 2, 3)]
-        want = [1, 2, 3] * 2 if kernel == "exact" else [1] * 6
-        assert chunks[-6:] == want
+        assert chunks[-6:] == [1, 2, 3] * 2
         for a, b in ((0, 1), (0, 2), (3, 4), (3, 5)):
             assert np.array_equal(
                 graphs[a].neighbor_ids, graphs[b].neighbor_ids)
@@ -1029,6 +1027,14 @@ class TestIvf:
         with pytest.raises(ValueError):
             ivf_build(pts, 7, seed=0)
 
+    @pytest.mark.parametrize("n, dim", [(150, 3), (50, 3), (100, 4)])
+    def test_index_of_other_points_rejected(self, n, dim):
+        # the queries are the indexed points: more points would read past
+        # the postings, fewer would index past the queries
+        idx = ivf_build(_points(n=100, seed=3, dim=3), 4, seed=0)
+        with pytest.raises(ValueError, match="index"):
+            ivf_search(idx, _points(n=n, seed=4, dim=dim), 5, 2)
+
     # group bounds: one block per group, groups that end between the two
     # blocks of a 300-query cell, and the module's own
     GROUP_BOUNDS = (1, knn._BLOCK_QUERIES + 14, None)
@@ -1078,61 +1084,6 @@ class TestIvf:
                     assert np.array_equal(got.neighbor_dists.view(np.int64),
                                           dists.view(np.int64))
                 monkeypatch.undo()
-
-    @staticmethod
-    def _fast_reference(index, x, k, nprobe):
-        """The fast-kernel search block by block: per block of up to
-        _BLOCK_QUERIES queries of one cell, each row's cells by a lexsort
-        of (exact distance, cell id), and one sqdist_fast of the block
-        against the union of its rows' cells, other cells and self inf."""
-        n, nlist = x.shape[0], index.nlist
-        sizes = np.array([p.size for p in index.postings])
-        ids = np.empty((n, k), dtype=np.int64)
-        dists = np.empty((n, k), dtype=np.float64)
-        for posting in index.postings:
-            for s0 in range(0, posting.size, knn._BLOCK_QUERIES):
-                qidx = posting[s0 : s0 + knn._BLOCK_QUERIES]
-                d2 = sqdist_exact(x[qidx], index.centroids)
-                probed = []
-                for row, i in zip(d2, qidx):
-                    order = np.lexsort((np.arange(nlist), row))
-                    held = np.cumsum(sizes[order]
-                                     - (order == index.assignments[i]))
-                    stop = max(nprobe, int(np.argmax(held >= k)) + 1)
-                    probed.append(order[:stop])
-                union = np.unique(np.concatenate(probed))
-                cand = np.sort(np.concatenate(
-                    [index.postings[c] for c in union]))
-                block = sqdist_fast(x[qidx], x[cand])
-                for row, (i, cells) in enumerate(zip(qidx, probed)):
-                    block[row, ~np.isin(index.assignments[cand], cells)] = (
-                        np.inf)
-                    block[row, cand == i] = np.inf
-                v, c = _lexsort_topk(block, k)
-                ids[qidx] = cand[c]
-                dists[qidx] = np.sqrt(v)
-        return ids, dists
-
-    def test_fast_kernel_keeps_block_shapes(self, monkeypatch):
-        # fast values depend on the product's shape, so the graph keeps its
-        # bits only if every block is scored at the reference's shape (in 16
-        # dimensions, scoring a block's first row apart from the rest changes
-        # 19 of these distances); cells of 200 to 400 points split into
-        # blocks of 256 and less
-        pts = _points(shape="blobs", n=1500, seed=5, dim=16, centers=4)
-        index = ivf_build(pts, 5, seed=1)
-        assert max(p.size for p in index.postings) > knn._BLOCK_QUERIES
-        ids, dists = self._fast_reference(index, pts.data, 9, 2)
-        for bound in self.GROUP_BOUNDS:
-            if bound is not None:
-                monkeypatch.setattr(knn, "_GROUP_QUERIES", bound)
-            for threads in (1, 2, 3):
-                got = ivf_search(index, pts, 9, 2, threads=threads,
-                                 kernel="fast")
-                assert np.array_equal(got.neighbor_ids, ids)
-                assert np.array_equal(got.neighbor_dists.view(np.int64),
-                                      dists.view(np.int64))
-            monkeypatch.undo()
 
     def test_peak_memory_is_bounded_by_the_group(self, monkeypatch):
         # 12.8k x 16 points in 256 cells read an 11.1 MB peak with groups

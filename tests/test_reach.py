@@ -151,38 +151,38 @@ class TestDedupeMatchesUniqueReference:
 
     @pytest.mark.parametrize("rows", [None, 37])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
+    @pytest.mark.parametrize("tree", ["prim", "kruskal"])
     @pytest.mark.parametrize("n", [2, 3, 40, 301, "wide"])
     def test_full_graph_forest_weights_from_distance_rows(
-            self, monkeypatch, n, kernel, threads, rows):
-        # the exact kernel's forest comes from short lists and Prim, whose
+            self, monkeypatch, n, tree, threads, rows):
+        # cluster_points' forest comes from short lists and Prim, whose
         # tiles hold open vertices against one component's members; the
         # search's hold a chunk of rows against every point: exact values
-        # must not depend on either. The fast kernel's forest comes from
-        # the search's own rows through mutual_reach_edges and
-        # kruskal_forest, as in cluster_points
+        # must not depend on either. The explicit pipeline's forest, which
+        # the full-graph tests of cluster_points compare against, comes
+        # from the full rows through mutual_reach_edges and kruskal_forest
         pts = self._wide_points() if n == "wide" else self._points(n, seed=n)
         n = pts.n
         if rows is not None:
             monkeypatch.setattr(knn, "_BLOCK_CELLS", n * rows)
-        g = brute_force_knn(pts, n - 1, threads=threads, kernel=kernel)
+        g = brute_force_knn(pts, n - 1, threads=threads)
         core = core_distances(g, min(4, n - 1))
         u, v, w = mutual_reach_reference(
             g.neighbor_ids, g.neighbor_dists, core.values)
         # the reference's (u, v) order is the upper triangle's row order
         assert np.array_equal(np.triu_indices(n, 1), (u, v))
-        if kernel == "exact":
+        if tree == "prim":
             short = brute_force_knn(pts, min(n - 1, 8), threads=threads)
-            tree = full_graph_forest(
+            forest = full_graph_forest(
                 pts, core, mutual_reach_edges(short, core),
                 short.neighbor_dists[:, -1])
         else:
-            tree = kruskal_forest(mutual_reach_edges(g, core), n)
-        assert tree.component_count == 1
+            forest = kruskal_forest(mutual_reach_edges(g, core), n)
+        assert forest.component_count == 1
         want = np.zeros((n, n))
         want[u, v] = w
         assert np.array_equal(
-            want[tree.u, tree.v].view(np.int64), tree.w.view(np.int64))
+            want[forest.u, forest.v].view(np.int64), forest.w.view(np.int64))
 
     @pytest.mark.parametrize("k", [1, 7, 150, 299])
     def test_exact_short_rows(self, k):
@@ -193,17 +193,6 @@ class TestDedupeMatchesUniqueReference:
         pts = self._points(257, seed=5, dim=3)
         g = ivf_search(ivf_build(pts, 8, seed=1), pts, pts.n - 1, 8)
         self._assert_matches_reference(g)
-
-    @pytest.mark.parametrize("k", [5, 256])
-    def test_fast_kernel_graphs(self, monkeypatch, k):
-        # 37-row fast-kernel blocks may round a pair differently in its two
-        # rows (on OpenBLAS 0.3 Haswell, 82 pairs of this full graph differ)
-        monkeypatch.setattr(knn, "_BLOCK_CELLS", 257 * 37)
-        pts = self._wide_points()
-        self._assert_matches_reference(
-            brute_force_knn(pts, k, kernel="fast"))
-        self._assert_matches_reference(
-            ivf_search(ivf_build(pts, 8, seed=1), pts, k, 3, kernel="fast"))
 
     @pytest.mark.parametrize("k", [6, 120])
     def test_asymmetric_rows_keep_row_u_copy(self, k):
