@@ -1,9 +1,9 @@
 """Single-linkage dendrogram, condensation, and stable-cluster extraction.
 
 lambda = 1/distance is the density scale: zero-length merges are capped at
-MAX_LAMBDA, synthetic infinite edges map to lambda 0. Condensation walks the
-dendrogram with an explicit stack; recursion would die on degenerate chains
-(a merge chain can be as deep as the dataset).
+MAX_LAMBDA, synthetic infinite edges map to lambda 0. Condensation takes no
+per-node walk: pointer doubling places every node in a depth-first order, so
+a merge chain as deep as the dataset costs O(log depth) numpy rounds.
 
 Each dendrogram node, points 0..n-1 and merges n..2n-2, owns one parent
 slot, and a merge points both its children at itself: a component's root is
@@ -63,7 +63,7 @@ def single_linkage(edges, n):
     """One merge per edge in ascending weight order.
 
     A merge's children are the roots of its edge's u and v ends, found with
-    path compression over the node parent slots.
+    path halving over the node parent slots.
     """
     m = len(edges)
     if m != n - 1:
@@ -77,115 +77,111 @@ def single_linkage(edges, n):
         raise ValueError(f"vertex ids must lie in [0, {n})")
     parent = list(range(2 * n - 1))
     size = [1] * (2 * n - 1)
-    left, right = [], []
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for node, a, b in zip(
-            range(n, 2 * n - 1), edges.u.tolist(), edges.v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra == rb:
+    left = [0] * m
+    right = [0] * m
+    for i, a, b in zip(range(m), edges.u.tolist(), edges.v.tolist()):
+        # path halving: each node on the way up skips to its grandparent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             raise ValueError("edge set not a spanning tree: cycle found")
-        left.append(ra)
-        right.append(rb)
-        parent[ra] = parent[rb] = node
-        size[node] = size[ra] + size[rb]
+        left[i] = a
+        right[i] = b
+        node = n + i
+        parent[a] = parent[b] = node
+        size[node] = size[a] + size[b]
     return SingleLinkageTree(
         n=n, left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64), dist=w.astype(np.float64),
         size=np.array(size[n:], dtype=np.int64))
 
 
-def _lambda_of(distance):
-    if distance == np.inf:
-        return 0.0
-    if distance <= 0.0:
-        return MAX_LAMBDA
-    return 1.0 / distance
-
-
 def condense_tree(slt, min_cluster_size):
     """Simplify a dendrogram to clusters of at least min_cluster_size.
 
-    Top-down walk with an explicit stack. At each split both qualifying
-    children become new clusters; a single qualifying child continues its
-    parent's cluster; points under non-qualifying children fall out at the
-    split's lambda.
+    The root and every merge of at least min_cluster_size points are the
+    processed nodes. At each, both qualifying children become new clusters;
+    a single qualifying child continues its parent's cluster; points under
+    non-qualifying children fall out at the split's lambda.
+
+    The records come in the order of a depth-first walk that takes each
+    node's right child before its left. Cluster ids ascend in that walk's
+    order of splits, the left child's first. Fall records group by the
+    node that sheds them, in walk order; at each node the left child's
+    points come before the right child's, and within a child in the
+    walk's leaf order. stability_scores sums them in this order.
+
+    There is no walk: one pointer-doubling pass gives each node its
+    right-first leaf offset, the processed nodes sort by (offset, -size)
+    into walk order, and a shed child's points are the leaves at its
+    offsets.
     """
     if min_cluster_size < 2:
         raise ValueError("min_cluster_size must be >= 2")
     n = slt.n
-    cl_id = [n]
-    cl_parent = [-1]
-    cl_birth = [0.0]
-    cl_size = [n]
-    f_cluster = []
-    f_point = []
-    f_lambda = []
     if n == 1:
         # a lone point never splits; it leaves the root at density 0
-        f_cluster.append(n)
-        f_point.append(0)
-        f_lambda.append(0.0)
-    else:
-        left = slt.left.tolist()
-        right = slt.right.tolist()
-        dist = slt.dist.tolist()
-        size = slt.size.tolist()
-
-        def size_of(node):
-            return 1 if node < n else size[node - n]
-
-        def shed(node, cluster, lam):
-            walk = [node]
-            while walk:
-                cur = walk.pop()
-                if cur < n:
-                    f_cluster.append(cluster)
-                    f_point.append(cur)
-                    f_lambda.append(lam)
-                else:
-                    walk.append(left[cur - n])
-                    walk.append(right[cur - n])
-
-        stack = [(2 * n - 2, n)]
-        while stack:
-            node, cluster = stack.pop()
-            i = node - n
-            lam = _lambda_of(dist[i])
-            a, b = left[i], right[i]
-            big_a = size_of(a) >= min_cluster_size
-            big_b = size_of(b) >= min_cluster_size
-            if big_a and big_b:
-                for side in (a, b):
-                    cid = n + len(cl_id)
-                    cl_id.append(cid)
-                    cl_parent.append(cluster)
-                    cl_birth.append(lam)
-                    cl_size.append(size_of(side))
-                    stack.append((side, cid))
-            else:
-                for side, big in ((a, big_a), (b, big_b)):
-                    if big:
-                        stack.append((side, cluster))
-                    else:
-                        shed(side, cluster, lam)
+        return CondensedTree(
+            n=1, min_cluster_size=min_cluster_size,
+            cluster_id=np.array([1]), cluster_parent=np.array([-1]),
+            cluster_birth=np.zeros(1), cluster_size=np.array([1]),
+            fall_cluster=np.array([1]), fall_point=np.array([0]),
+            fall_lambda=np.zeros(1))
+    kids = np.stack([slt.left, slt.right], axis=1)
+    size = np.concatenate([np.ones(n, dtype=np.int64), slt.size])
+    root = 2 * n - 2
+    # offset: leaves of the right subtree, then those of the left
+    up = np.empty(2 * n - 1, dtype=np.int64)
+    up[kids] = np.arange(n, 2 * n - 1)[:, None]
+    up[root] = root
+    offset = np.zeros(2 * n - 1, dtype=np.int64)
+    offset[slt.left] = size[slt.right]
+    # pointer doubling: the root points at itself and adds nothing
+    while (up != root).any():
+        offset += offset[up]
+        up = up[up]
+    big = size >= min_cluster_size
+    # the root is processed whatever its size; it is no node's child
+    big[root] = True
+    walk = np.flatnonzero(big[n:]) + n
+    # keys are distinct: nodes sharing an offset nest, so their sizes differ
+    walk = walk[np.argsort(offset[walk] * (n + 1) - size[walk])]
+    pairs = kids[walk - n]
+    split = big[pairs].all(axis=1)
+    dist = slt.dist[walk - n]
+    # Python's 1.0 / d, which gives inf past the float range unwarned
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = 1.0 / dist
+    lam[dist <= 0.0] = MAX_LAMBDA
+    born = np.arange(n + 1, n + 1 + 2 * split.sum())
+    # a cluster's processed nodes come in one run of the walk, from the
+    # node that starts it
+    start = np.full(2 * n - 1, -1, dtype=np.int64)
+    start[root] = n
+    start[pairs[split]] = born.reshape(-1, 2)
+    cluster = start[walk]
+    cluster = cluster[np.maximum.accumulate(
+        np.where(cluster >= 0, np.arange(walk.size), 0))]
+    shed = ~big[pairs]
+    child = pairs[shed]
+    count = size[child]
+    first = np.cumsum(count) - count
+    leaf = np.empty(n, dtype=np.int64)
+    leaf[offset[:n]] = np.arange(n)
+    fall_at = np.repeat(offset[child] - first, count) + np.arange(n)
+    per_shed = np.repeat(np.arange(walk.size), shed.sum(axis=1))
     return CondensedTree(
         n=n,
         min_cluster_size=min_cluster_size,
-        cluster_id=np.array(cl_id, dtype=np.int64),
-        cluster_parent=np.array(cl_parent, dtype=np.int64),
-        cluster_birth=np.array(cl_birth, dtype=np.float64),
-        cluster_size=np.array(cl_size, dtype=np.int64),
-        fall_cluster=np.array(f_cluster, dtype=np.int64),
-        fall_point=np.array(f_point, dtype=np.int64),
-        fall_lambda=np.array(f_lambda, dtype=np.float64),
+        cluster_id=np.arange(n, n + 1 + born.size),
+        cluster_parent=np.concatenate([[-1], np.repeat(cluster[split], 2)]),
+        cluster_birth=np.concatenate([[0.0], np.repeat(lam[split], 2)]),
+        cluster_size=np.concatenate([[n], size[pairs[split]].ravel()]),
+        fall_cluster=np.repeat(cluster[per_shed], count),
+        fall_point=leaf[fall_at],
+        fall_lambda=np.repeat(lam[per_shed], count),
     )
 
 

@@ -17,13 +17,12 @@ the points and core distances. Both compare the same (w, u, v) order without
 materializing, sorting or filtering the n(n - 1)/2 edges.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .knn import _BLOCK_CELLS, _TILE_CELLS
-from .parallel import run_chunked
+from .parallel import available_cpus, run_chunked
 from .reach import EdgeList
 
 
@@ -50,30 +49,39 @@ class SpanningForest:
 def sorted_edge_order(u, v, w):
     """Permutation putting edges in ascending (w, u, v) order.
 
-    One sort on w, then a repair over only the positions whose weight
-    equals a neighbor's: an argsort of the packed key (u << 32) | v, then a
-    stable argsort on w, so tie runs of different weights that sit side by
-    side keep their weight order. Vertex ids must lie in [0, 2^31) for the
-    key to pack. Edges with equal (w, u, v) may come in any order; an
+    An unstable argsort on w gives the runs of equal weight; without ties
+    that is the order. Otherwise one np.sort of the run-ranked key
+    run * m + rank, which needs m^2 < 2^63, orders each run by the edges'
+    (u, v) rank. Edges in ascending (u, v) order, as mutual_reach_edges
+    returns them, are ranked by their index; other input is ranked by an
+    argsort of the packed key (u << 32) | v, for which vertex ids must lie
+    in [0, 2^31). Edges with equal (w, u, v) may come in any order; an
     EdgeList has none.
     """
-    if u.size and (min(u.min(), v.min()) < 0
-                   or max(u.max(), v.max()) >= 1 << 31):
+    m = w.size
+    if m * m >= 1 << 63:
+        raise ValueError("m^2 must lie below 2^63 for run-ranked keys")
+    if m and (min(u.min(), v.min()) < 0
+              or max(u.max(), v.max()) >= 1 << 31):
         raise ValueError("vertex ids must lie in [0, 2^31)")
     order = np.argsort(w)
     ws = w[order]
-    tie = ws[1:] == ws[:-1]
-    if tie.any():
-        tied = np.zeros(ws.size, dtype=bool)
-        tied[1:] = tie
-        tied[:-1] |= tie
-        pos = np.flatnonzero(tied)
-        seg = order[pos]
-        p = np.argsort(
-            (u[seg].astype(np.int64, copy=False) << 32)
-            | v[seg].astype(np.int64, copy=False))
-        order[pos] = seg[p[np.argsort(w[seg][p], kind="stable")]]
-    return order
+    step = ws[1:] != ws[:-1]
+    if step.all():
+        return order
+    pair = (u.astype(np.int64) << 32) | v.astype(np.int64, copy=False)
+    pre = np.argsort(pair) if (pair[1:] <= pair[:-1]).any() else None
+    if pre is not None:
+        rank = np.empty(m, dtype=np.int64)
+        rank[pre] = np.arange(m)
+        order = rank[order]
+    run = np.zeros(m, dtype=np.int64)
+    np.cumsum(step, out=run[1:])
+    run *= m
+    order += run
+    order.sort()
+    order -= run
+    return order if pre is None else pre[order]
 
 
 def _boruvka(lu, lv, n, bound=None):
@@ -244,7 +252,7 @@ def _prim_components(x, c, labels, threads):
     open_ = np.ones(sizes.size, dtype=bool)
     best = np.full(sizes.size, np.inf, dtype=np.complex128)
     keys = np.empty(n, dtype=np.complex128)
-    parts = min(threads, os.cpu_count() or 1)
+    parts = min(threads, available_cpus())
     scratch = np.empty((parts, 2, max(_TILE_CELLS, sizes.max())))
     tree = np.empty(sizes.size - 1, dtype=np.complex128)
     j = 0

@@ -13,6 +13,17 @@ from concurrent.futures import ThreadPoolExecutor
 from .model import is_integer
 
 
+def available_cpus():
+    """CPUs this process may run on: its affinity set where the OS has one.
+
+    os.cpu_count counts the host's CPUs, which a container or taskset may
+    not grant.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(threads=None):
     """Explicit argument, else RC_THREADS, else available cores.
 
@@ -27,7 +38,7 @@ def resolve_threads(threads=None):
             except ValueError:
                 raise ValueError(f"RC_THREADS is not an integer: {env!r}")
         else:
-            threads = os.cpu_count() or 1
+            threads = available_cpus()
     elif not is_integer(threads):
         raise ValueError(f"thread count must be an integer, got {threads!r}")
     threads = int(threads)
@@ -51,7 +62,7 @@ def run_chunked(fn, n, threads, chunk):
     asks for. fn must only write to state owned by its own slice.
     """
     ranges = chunk_ranges(n, chunk)
-    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    workers = min(threads, len(ranges), available_cpus())
     if workers <= 1:
         for start, stop in ranges:
             fn(start, stop)

@@ -56,7 +56,11 @@ def core_distances(knn, min_samples):
 
 
 def mutual_reach_edges(knn, core):
-    """One undirected edge per kNN pair, weighted by mutual reachability."""
+    """One undirected edge per kNN pair, weighted by mutual reachability.
+
+    The edges come in ascending (u, v) order, which lets
+    mst.sorted_edge_order order them with one sort.
+    """
     n, k = knn.neighbor_ids.shape
     if core.n != n:
         raise ValueError("core distances not aligned with the kNN graph")

@@ -181,6 +181,37 @@ class TestSortedEdgeOrderMatchesLexsort:
             np.array([2]), np.array([5]), np.array([0.5]))
         assert one.tolist() == [0]
 
+    @pytest.mark.parametrize("values", [
+        [1.0], [0.0, 1.0, 2.0], [-0.0, 0.0, 0.5], [0.5, np.inf],
+        [0.0, -0.0, np.inf, 3.0, np.inf]])
+    def test_few_distinct_weights_in_pair_order_and_shuffled(self, values):
+        rng = np.random.Generator(np.random.PCG64(len(values)))
+        u, v = np.triu_indices(80, 1)
+        for m in (0, 1, 2, 3, 50, 2000):
+            # ascending (u, v), as mutual_reach_edges gives them
+            pick = np.sort(rng.choice(u.size, size=m, replace=False))
+            w = rng.choice(np.array(values), size=m)
+            self._check(u[pick], v[pick], w)
+            p = rng.permutation(m)
+            self._check(u[pick][p], v[pick][p], w[p])
+
+    def test_negative_zero_ties_zero(self):
+        u = np.array([0, 0, 1, 2], dtype=np.int64)
+        v = np.array([1, 3, 2, 3], dtype=np.int64)
+        w = np.array([0.0, -0.0, 0.0, -0.0])
+        assert sorted_edge_order(u, v, w).tolist() == [0, 1, 2, 3]
+        assert sorted_edge_order(u[::-1], v[::-1], w[::-1]).tolist() == [
+            3, 2, 1, 0]
+
+    def test_reach_edges_come_in_ascending_pair_order(self):
+        # the one-sort case of sorted_edge_order rests on this order
+        pts, _ = generate(SyntheticSpec(
+            shape="blobs", n=600, dim=4, centers=8, seed=5))
+        for k in (1, 7, pts.n - 1):
+            _, edges = _reach_edges(pts, 1, k)
+            key = edges.u * pts.n + edges.v
+            assert (key[1:] > key[:-1]).all()
+
 
 class TestSortedEdgeOrderIdGuard:
     def test_ids_up_to_two_pow_31_minus_one_sort(self):
@@ -200,6 +231,13 @@ class TestSortedEdgeOrderIdGuard:
             sorted_edge_order(wrong, ok, w)
         with pytest.raises(ValueError):
             sorted_edge_order(ok, wrong, w)
+
+    def test_refuses_run_keys_past_two_pow_63(self):
+        # broadcast views: the size is real, the memory is not
+        m = 3_100_000_000
+        ids = np.broadcast_to(np.int64(0), (m,))
+        with pytest.raises(ValueError, match="2\\^63"):
+            sorted_edge_order(ids, ids, np.broadcast_to(1.0, (m,)))
 
 
 def _assert_same_forest(edges, n):

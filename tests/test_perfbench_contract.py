@@ -118,10 +118,8 @@ IVF_FAST_CALLS = 256
 IVF_FAST_CELLS = 1_638_400
 
 
-def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):
-    tracing, workloads = perfbench
-    wl = workloads.IvfBlobs()
-    wl.setup(1, tmp_path)
+def _traced_op(tracing, wl):
+    """Spans of one traced op of a set-up workload."""
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
@@ -130,8 +128,38 @@ def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):
         tracer.end_op(root)
     finally:
         tracer.restore()
-    spans = [s for s in tracer.spans if s.name == "knn.sqdist_fast"]
+    return tracer.spans
+
+
+def test_traced_ivf_op_counts_every_fast_distance(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    wl = workloads.IvfBlobs()
+    wl.setup(1, tmp_path)
+    spans = _traced_op(tracing, wl)
+    layers = tracing.op_layer_metrics(spans)
+    spans = [s for s in spans if s.name == "knn.sqdist_fast"]
     assert len(spans) == IVF_FAST_CALLS
     assert sum(s.attrs["cells"] for s in spans) == IVF_FAST_CELLS
-    layers = tracing.op_layer_metrics(tracer.spans)
     assert layers["knn.sqdist_fast.gcells"] == IVF_FAST_CELLS / 1e9
+
+
+@pytest.mark.parametrize("workload, sorts", [
+    ("IvfBlobs", 1),        # kruskal_forest's one sort
+    ("ExactFullGraph", 2),  # the listed edges', then the tree's
+])
+def test_traced_op_times_each_step_from_edges_to_labels(
+        perfbench, tmp_path, workload, sorts):
+    # the edge sort, the dendrogram and the condensation each keep a span
+    # of their own, so the trace can tell which of them a change moved
+    tracing, workloads = perfbench
+    wl = getattr(workloads, workload)()
+    wl.setup(1, tmp_path)
+    spans = _traced_op(tracing, wl)
+    names = [s.name for s in spans]
+    assert names.count("mst.sorted_edge_order") == sorts
+    assert names.count("hierarchy.single_linkage") == 1
+    assert names.count("hierarchy.condense_tree") == 1
+    layers = tracing.op_layer_metrics(spans)
+    for name in ("mst.sorted_edge_order", "hierarchy.single_linkage",
+                 "hierarchy.condense_tree"):
+        assert layers[name + ".s"] > 0

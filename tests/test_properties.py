@@ -1,8 +1,9 @@
 """Property-based invariant tests.
 
 Three invariant families run at high example counts: the single-linkage
-dendrogram vs the oracle's merge list, condensation bookkeeping vs the
-reference checker, and deduplication's pairwise-overlap bound. The config
+dendrogram vs the oracle's merge list, condensation vs the oracle's rows,
+row for row, and vs the reference checker, and deduplication's
+pairwise-overlap bound. The config
 readers take a value of any JSON kind in any field and either accept it or
 raise ValueError, and an accepted snapshot number is the integer given. The
 noise-monotonicity family is expected to fail: excess-of-mass selection can
@@ -24,11 +25,15 @@ from riskcluster.cluster import ClusterParams, cluster_points
 from riskcluster.datagen import SyntheticSpec, generate
 from riskcluster.explain import ExplainConfig, Rule, dedup_rules
 from riskcluster.hierarchy import condense_tree, single_linkage
+from riskcluster.knn import ivf_build, ivf_search
+from riskcluster.mst import attach_forest_root, kruskal_forest
 from riskcluster.pipeline import (
     ExperimentSpec, RiskyClusterConfig, SamplingSpec)
-from riskcluster.reach import EdgeList
+from riskcluster.reach import (
+    EdgeList, core_distances, mutual_reach_edges)
 
-from oracle import condensed_invariants, single_linkage_from_edges
+from oracle import (
+    condense_merges, condensed_invariants, single_linkage_from_edges)
 
 BULK = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -53,15 +58,19 @@ def _tree_triples(data, n):
     return triples
 
 
+def _tree_slt(triples, n):
+    cols = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    return single_linkage(EdgeList(
+        u=cols[:, 0].astype(np.int64), v=cols[:, 1].astype(np.int64),
+        w=cols[:, 2]), n)
+
+
 @BULK
 @given(data=st.data())
 def test_single_linkage_matches_oracle_merge_for_merge(data):
     n = data.draw(st.integers(1, 40))
     triples = _tree_triples(data, n)
-    cols = np.array(triples, dtype=np.float64).reshape(-1, 3)
-    slt = single_linkage(EdgeList(
-        u=cols[:, 0].astype(np.int64), v=cols[:, 1].astype(np.int64),
-        w=cols[:, 2]), n)
+    slt = _tree_slt(triples, n)
     want = single_linkage_from_edges(triples, n)
     assert slt.left.tolist() == [m[0] for m in want]
     assert slt.right.tolist() == [m[1] for m in want]
@@ -113,6 +122,55 @@ def test_condensation_bookkeeping(data):
         range(n, n + ct.num_clusters))
     assert ct.cluster_parent[0] == -1
     assert np.all(ct.cluster_parent[1:] < ct.cluster_id[1:])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_condensed_like_oracle(slt, mcs):
+    """condense_tree's records equal the oracle's rows, order and bits."""
+    n = slt.n
+    ct = condense_tree(slt, mcs)
+    merges = list(zip(slt.left.tolist(), slt.right.tolist(),
+                      slt.dist.tolist(), slt.size.tolist()))
+    rows, _ = condense_merges(merges, n, mcs)
+    if n == 1:
+        # the oracle leaves a lone point out; it falls from the root at 0
+        assert rows == []
+        rows = [(1, 0, 0.0, 1)]
+    want = [(p, c, bits, s) for (p, c, _, s), bits
+            in zip(rows, _bits([r[2] for r in rows]))]
+    assert [r for r in want if r[1] >= n] == list(zip(
+        ct.cluster_parent[1:].tolist(), ct.cluster_id[1:].tolist(),
+        _bits(ct.cluster_birth[1:]), ct.cluster_size[1:].tolist()))
+    assert [r for r in want if r[1] < n] == list(zip(
+        ct.fall_cluster.tolist(), ct.fall_point.tolist(),
+        _bits(ct.fall_lambda), [1] * ct.fall_point.size))
+
+
+@BULK
+@given(data=st.data())
+def test_condense_tree_matches_oracle_row_for_row(data):
+    # stability_scores sums fall records in order, so their order is part
+    # of the result, not only the invariants
+    n = data.draw(st.integers(1, 40))
+    mcs = data.draw(st.integers(2, 8))
+    _assert_condensed_like_oracle(_tree_slt(_tree_triples(data, n), n), mcs)
+
+
+def test_condense_tree_matches_oracle_on_an_ivf_blobs_tree():
+    # 12.8k x 16 blobs through the IVF graph and the forest's +inf joins
+    pts, _ = generate(SyntheticSpec(
+        shape="blobs", n=12_800, dim=16, centers=64, seed=16))
+    g = ivf_search(ivf_build(pts, 256, seed=0, train_sample=6_400,
+                             max_iter=10), pts, 16, 3)
+    edges = mutual_reach_edges(g, core_distances(g, 16))
+    tree = attach_forest_root(kruskal_forest(edges, pts.n))
+    slt = single_linkage(tree, pts.n)
+    assert np.isinf(slt.dist).any()
+    for mcs in (2, 50):
+        _assert_condensed_like_oracle(slt, mcs)
 
 
 def test_condense_survives_deep_chain():
