@@ -21,7 +21,9 @@ same operations in the same order.
 The quantizer's assignments and distances are exact values: given the
 centroids, each point takes its nearest by sqdist_exact value (the smaller
 index on ties) and that value, the same on any BLAS and at any thread
-count, through the Gram filter below with k = 1. Only k-means++ seeding
+count, through the Gram filter below with k = 1. A k-means fit centres its
+points once, on their mean, and each Lloyd pass builds only the
+centroids' side of the filter on that centre. Only k-means++ seeding
 weights still come from Gram products.
 
 Every search (brute-force fit, quantizer assignment, IVF probe order and
@@ -50,11 +52,14 @@ An IVF query probes its cells in (centroid distance, cell id) order, the
 distances being exact values that _exact_topk selects over the centroids'
 _GramBase. The queries of a cell form blocks of up to _BLOCK_QUERIES, and
 a search task takes a group of consecutive blocks, up to _GROUP_QUERIES
-queries. The group orders the first nprobe + _PROBE_SLACK cells of every
-row, and a row whose prefix holds fewer than k points besides itself takes
-its whole order. Each block filters the points of the cells its rows
-probe, every row masking the cells it does not, and the group's survivors
-are refined once.
+queries. The group orders the first nprobe cells of every row, each row's
+threshold taken from a hint, the nprobe centroids nearest its home
+centroid (one exact top nprobe over the centroids per search), so that no
+row partitions its centroid distances. A row whose nprobe cells hold fewer
+than k points besides itself orders twice as many cells, again hinted,
+and so on until its cells hold k points or it takes the whole order. Each
+block filters the points of the cells its rows probe, every row masking
+the cells it does not, and the group's survivors are refined once.
 """
 
 import math
@@ -105,11 +110,6 @@ _BATCH_CELLS = 4 * _TILE_CELLS
 _GROUPS_PER_K = 64
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
-# cells ordered past nprobe per IVF query before the whole order is taken:
-# no row went past nprobe on ivf_blobs (seeds 1 and 1009) or the 100k x 16
-# criterion-3 input; with nprobe 1 and k 100 (twice ivf_blobs' mean cell),
-# 2 of 12800 rows needed more than 1 + 4 cells
-_PROBE_SLACK = 4
 # IVF queries per block, the rows of one candidate union and one filter: a
 # cell with more queries splits into several blocks
 _BLOCK_QUERIES = 256
@@ -300,11 +300,15 @@ def _gram_slack(qq, bb_max, dim):
 _GramBase = namedtuple("_GramBase", "data mean aug norms bt")
 
 
-def _gram_base(base):
-    """base's _GramBase, built once for every search on it."""
+def _gram_base(base, mean=None):
+    """base's _GramBase, built once for every search on it.
+
+    Both sides are centred on mean, by default the base's own.
+    """
     n, dim = base.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = base.mean(axis=0)
+        if mean is None:
+            mean = base.mean(axis=0)
         bc = base - mean
         bb = _sqnorms(bc)
         aug = np.empty((dim + 2, n), dtype=np.float64)
@@ -315,25 +319,31 @@ def _gram_base(base):
                      bt=np.ascontiguousarray(base.T))
 
 
-def _gram_rows(queries, base):
-    """The filter's query side against base (see _exact_topk).
+def _gram_rows(queries, mean):
+    """The filter's query side (see _exact_topk): the rows [qc, 1, qq].
 
-    Returns the rows [qc, 1, qq], with qc the queries centred on base.mean
-    and qq their squared norms, so that one matmul with base.aug gives the
-    Gram values f; which rows the bound covers; and twice each row's slack.
-    Where they overflow, the rows are left uncovered.
+    qc is the queries centred on mean and qq their squared norms, so that
+    one matmul with the aug of a _GramBase on the same centre gives the
+    Gram values f.
     """
     m, dim = queries.shape
     with np.errstate(over="ignore", invalid="ignore"):
         qa = np.empty((m, dim + 2), dtype=np.float64)
-        qc = np.subtract(queries, base.mean, out=qa[:, :dim])
-        qq = _sqnorms(qc)
+        qc = np.subtract(queries, mean, out=qa[:, :dim])
         qa[:, dim] = 1.0
-        qa[:, dim + 1] = qq
+        qa[:, dim + 1] = _sqnorms(qc)
+    return qa
+
+
+def _gram_cover(qq, base):
+    """Which rows of centred squared norms qq the bound covers against base,
+    and twice each row's slack. Where they overflow, rows are left
+    uncovered."""
+    with np.errstate(over="ignore", invalid="ignore"):
         bb_max = base.norms.max()
         covered = qq + bb_max <= _HUGE
-        slack2 = 2.0 * _gram_slack(qq, bb_max, dim)
-    return qa, covered, slack2
+        slack2 = 2.0 * _gram_slack(qq, bb_max, base.data.shape[1])
+    return covered, slack2
 
 
 def _groups(width, k):
@@ -342,7 +352,8 @@ def _groups(width, k):
     return b, width // b
 
 
-def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
+def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None,
+                hint=None):
     """_block_topk's (vals, cols) bit for bit, without a queries x base block.
 
     base is the _GramBase of the base points, built once per search and
@@ -352,6 +363,8 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     order, covering every row: query rows start:stop search only the base
     rows cols (ascending), less the entries of the mask excluded (or None),
     and their self_cols index cols. Result columns are base rows either way.
+    hint, if given (with blocks None), holds k distinct base rows per query
+    row, any k, from which the row's threshold is taken (see below).
 
     Filter: both sides are centred on the mean of the whole base (the bound
     below holds for any shared centre), one matmul gives the Gram values
@@ -392,6 +405,15 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
     a group with g_ij <= U_i + 2 s_i can hold a survivor, so only the
     members of those groups are compared. With b = 1, g is f itself.
 
+    U_i comes from the hint instead, where one is given: U_i is the largest
+    f_ij over the row's k hinted columns. They are k distinct columns at or
+    under U_i, so the k-th smallest f_ij is too: U_i >= F_i, and no row
+    sorts or partitions anything. The closer the hint is to the row's true
+    top k, the fewer columns survive, but any k distinct columns keep the
+    bits. A row whose U_i is not finite (it may not take a hinted column,
+    as its own one, which is set to inf) takes U_i = F_i, as above. Groups,
+    if the block has them, still select the survivors.
+
     The filter runs block by block (by default, row ranges over the whole
     base of up to _BATCH_CELLS Gram values and _TILE_CELLS group minima),
     each matmul, mask, group minimum and partition on the block's own rows
@@ -419,7 +441,8 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
                   for r0 in range(0, m, step)]
     # f = [qc, 1, qq] . [-2 bc, bb, 1]: one matmul, no pass over the block;
     # where it overflows, the rows take the full path, which warns itself
-    qa, covered, slack2 = _gram_rows(queries, base)
+    qa = _gram_rows(queries, base.mean)
+    covered, slack2 = _gram_cover(qa[:, dim + 1], base)
     qt = np.ascontiguousarray(queries.T)
     vals = np.empty((m, k), dtype=np.float64)
     ids = np.empty((m, k), dtype=np.int64)
@@ -497,10 +520,15 @@ def _exact_topk(queries, base, k, kernel, self_cols=None, blocks=None):
                 np.min(t[:, :width].reshape(b1 - b0, b, -1), axis=1, out=gt)
                 tail = t.shape[1] - width
                 np.minimum(gt[:, :tail], t[:, width:], out=gt[:, :tail])
-            kth[b0:b1] = np.partition(gt, k - 1, axis=1)[:, k - 1]
-        if grouped:
-            # a row whose finite columns fall in fewer than k groups takes
-            # its own k-th value
+            if hint is None:
+                kth[b0:b1] = np.partition(gt, k - 1, axis=1)[:, k - 1]
+            else:
+                kth[b0:b1] = np.take_along_axis(
+                    t, hint[b0:b1], axis=1).max(axis=1)
+        if grouped or hint is not None:
+            # a row whose finite columns fall in fewer than k groups, or
+            # whose hint holds a column it may not take, takes its own
+            # k-th value
             lost = np.isinf(kth[start:stop]) & covered[start:stop]
             if lost.any():
                 for b0, b1, t, _, _, _ in tiles:
@@ -605,21 +633,45 @@ def brute_force_knn(points, k, threads=1):
     return KnnGraph(k=k, neighbor_ids=ids, neighbor_dists=dists)
 
 
-def _assign_nearest(x, centroids, threads=1):
+# a point set's side of the quantizer's filter, built once per k-means fit:
+# the centre (the points' mean), the rows [qc, 1, qq] of _gram_rows on it,
+# and the points' transpose, whose contiguous rows score each point's
+# winning centroid one dimension at a time
+_FitRows = namedtuple("_FitRows", "mean qa xt")
+
+
+def _fit_rows(x, mean=None):
+    """x's _FitRows, centred on mean, by default x's own.
+
+    A k-means fit builds them once and shares them by every pass.
+    """
+    if mean is None:
+        mean = x.mean(axis=0)
+    return _FitRows(mean=mean, qa=_gram_rows(x, mean),
+                    xt=np.ascontiguousarray(x.T))
+
+
+def _assign_nearest(x, centroids, threads=1, rows=None):
     """Exact nearest centroid per point: its index and sqdist_exact value.
 
     Ties go to the smaller index, so, as with _exact_topk at k = 1, no bit
-    depends on tiles, threads or BLAS. Each thread takes one chunk of rows
-    and walks it in tiles of _BATCH_CELLS Gram values, filtered as in
-    _exact_topk: one matmul with the centroids' _GramBase gives f, and a
-    column survives when f_ij <= nextafter(min_j f_ij + 2 s_i). The exact
-    nearest centroid always survives, so a covered row with one survivor
-    takes it, its distance summed in sqdist_exact's per-dimension order.
-    Every other row (ties, near-ties, rows the bound does not cover) goes
-    through _exact_topk, which takes its full path when nlist <= 2.
+    depends on tiles, threads or BLAS. Points and centroids are centred on
+    the points' mean, which the bound allows as it holds for any shared
+    centre. rows, if given, is x's _FitRows: a k-means fit centres its
+    points once, and each pass builds only the centroids' _GramBase.
+    Without rows, each tile builds its own on the same centre, so no
+    operand of x's size is held. Each thread takes one chunk of rows and
+    walks it in tiles of _BATCH_CELLS Gram values, filtered as in
+    _exact_topk: one matmul gives f, and a column survives when
+    f_ij <= nextafter(min_j f_ij + 2 s_i). The exact nearest centroid
+    always survives, so a covered row with one survivor takes it, its
+    distance summed in sqdist_exact's per-dimension order. Every other row
+    (ties, near-ties, rows the bound does not cover) goes through
+    _exact_topk, which takes its full path when nlist <= 2.
     """
     n, dim = x.shape
-    base = _gram_base(centroids)
+    mean = x.mean(axis=0) if rows is None else rows.mean
+    base = _gram_base(centroids, mean)
     exact = _KERNELS["exact"]
     assign = np.empty(n, dtype=np.int64)
     dmin = np.empty(n, dtype=np.float64)
@@ -630,13 +682,16 @@ def _assign_nearest(x, centroids, threads=1):
         # one Gram tile per chunk, reused by its tiles
         f_tile = np.empty((min(step, stop - start), nlist), dtype=np.float64)
         for r0 in range(start, stop, step):
-            q = x[r0 : min(r0 + step, stop)]
-            f = f_tile[: q.shape[0]]
-            qa, covered, slack2 = _gram_rows(q, base)
+            r1 = min(r0 + step, stop)
+            tile, t0 = ((rows, r0) if rows is not None
+                        else (_fit_rows(x[r0:r1], mean), 0))
+            qa = tile.qa[t0 : t0 + r1 - r0]
+            f = f_tile[: r1 - r0]
+            covered, slack2 = _gram_cover(qa[:, dim + 1], base)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(qa, base.aug, out=f)
                 a = f.argmin(axis=1)
-                at = np.arange(q.shape[0])
+                at = np.arange(r1 - r0)
                 thr = np.nextafter(f[at, a] + slack2, np.inf)
                 # a is the one survivor if the runner-up is above thr (an
                 # argmin and a gather beat a min reduce); a NaN compares
@@ -645,16 +700,17 @@ def _assign_nearest(x, centroids, threads=1):
                 single = f[at, f.argmin(axis=1)] > thr
             single &= covered & np.isfinite(thr)
             i = np.flatnonzero(single)
-            diff = q[i] - centroids[a[i]]
+            diff = tile.xt.take(t0 + i, axis=1)
+            diff -= base.bt.take(a[i], axis=1)
             diff *= diff
-            e = diff[:, 0].copy()
+            e = diff[0]
             for d in range(1, dim):
-                e += diff[:, d]
+                e += diff[d]
             assign[r0 + i] = a[i]
             dmin[r0 + i] = e
             rest = np.flatnonzero(~single)
             if rest.size:
-                v, c = _exact_topk(q[rest], base, 1, exact)
+                v, c = _exact_topk(x[r0 + rest], base, 1, exact)
                 assign[r0 + rest] = c[:, 0]
                 dmin[r0 + rest] = v[:, 0]
 
@@ -701,9 +757,11 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
     cell is re-seeded to the point currently farthest from its own centroid
     (ties toward the lower index), which keeps inertia non-increasing.
     Assignments and distances are exact (_assign_nearest), so the result
-    does not depend on threads. A fit that stops on repeated assignments
-    returns that pass, made at its final centroids; one that runs out of
-    rounds assigns once more after the last update.
+    does not depend on threads. The points' side of each pass's filter
+    (_FitRows) is built once, so a pass builds only the centroids' side. A
+    fit that stops on repeated assignments returns that pass, made at its
+    final centroids; one that runs out of rounds assigns once more after
+    the last update.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -714,10 +772,11 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
     x = points.data.astype(np.float64)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _seed_plus_plus(x, ncentroids, rng, _sqnorms(x))
+    rows = _fit_rows(x)
     history = []
     prev = None
     for _ in range(max_iter):
-        assign, dmin = _assign_nearest(x, centroids, threads)
+        assign, dmin = _assign_nearest(x, centroids, threads, rows)
         history.append(float(dmin.sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
@@ -737,7 +796,7 @@ def kmeans_fit(points, ncentroids, max_iter=25, seed=0, threads=1):
                 far[pick] = -np.inf
     else:
         # no break: the last round moved the centroids
-        assign, dmin = _assign_nearest(x, centroids, threads)
+        assign, dmin = _assign_nearest(x, centroids, threads, rows)
     return KMeansResult(
         centroids=centroids,
         assignments=assign,
@@ -811,9 +870,11 @@ def ivf_search(index, points, k, nprobe, threads=1):
     """kNN graph over `points` probing the nprobe nearest cells per query.
 
     Queries are the indexed points themselves, so the index must have been
-    built on them; self is excluded. Rows short of k candidates probe
-    additional cells in centroid-distance order. With nprobe = nlist the
-    result is identical to brute_force_knn.
+    built on them; self is excluded. A row whose nprobe cells hold fewer
+    than k points besides itself probes on in (centroid distance, cell id)
+    order, up to the first cell that completes k: its order is taken for
+    2 nprobe cells, then 4 nprobe, and so on up to all nlist. With nprobe =
+    nlist the result is identical to brute_force_knn.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -829,31 +890,46 @@ def ivf_search(index, points, k, nprobe, threads=1):
     exact = _KERNELS["exact"]
     x = points.data.astype(np.float64)
     base = _gram_base(x)
-    centroids = _gram_base(np.asarray(index.centroids, dtype=np.float64))
+    cdata = np.asarray(index.centroids, dtype=np.float64)
+    centroids = _gram_base(cdata)
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
     nlist = index.nlist
-    prefix = min(nlist, nprobe + _PROBE_SLACK)
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
+
+    def nearest_cells(cells, width):
+        # the probe order's hint: the width cells nearest each home cell's
+        # centroid, which a full-width order does not need
+        if width + 1 >= nlist:
+            return None
+        return _exact_topk(cdata[cells], centroids, width, exact)[1]
+
+    near = nearest_cells(np.arange(nlist), nprobe)
 
     def search_group(blocks):
         qidx = np.concatenate(blocks)
         q = x[qidx]
         spans = np.cumsum([0] + [b.size for b in blocks])
         # cells by ascending (exact distance, cell id) per query: the first
-        # `prefix` of them, then the whole order for rows still short of k.
-        # probed holds row * nlist + cell of every probed cell
+        # nprobe of them, then twice as many for rows still short of k,
+        # until each row has k points or its whole order. probed holds
+        # row * nlist + cell of every probed cell
         home = index.assignments[qidx]
         probed = []
         rows = np.arange(qidx.size)
-        for width in (prefix, nlist):
-            order = _exact_topk(q[rows], centroids, width, exact)[1]
+        width = nprobe
+        hint = None if near is None else near[home]
+        while True:
+            order = _exact_topk(q[rows], centroids, width, exact,
+                                hint=hint)[1]
             need = _cells_needed(order, home[rows], cell_sizes, k, nprobe)
             probed.append((order + (rows * nlist)[:, None])[
                 np.arange(width) < need[:, None]])
             rows = rows[need == 0]
             if not rows.size:
                 break
+            width = min(nlist, 2 * width)
+            hint = nearest_cells(home[rows], width)
         probed = np.concatenate(probed)
         # a row leaves out the cells it does not probe
         blocked = np.ones((qidx.size, nlist), dtype=bool)

@@ -176,6 +176,47 @@ def seed_plus_plus_reference(x, ncentroids, rng):
     return centroids
 
 
+def lloyd_reference(x, ncentroids, max_iter, seed):
+    """k-means as kmeans_fit documents it, built from the references above.
+
+    Seeds come from seed_plus_plus_reference and every pass from
+    nearest_exact_reference. Each cell's sum adds its points one at a time
+    in index order. An empty cell is re-seeded to the point farthest from
+    its own centroid, ties toward the lower index, each point at most once.
+    The fit stops when assignments repeat, keeping that pass, or after
+    max_iter updates, assigning once more. Returns (centroids, assignments,
+    inertia, inertia_history, reseeds).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = seed_plus_plus_reference(x, ncentroids, rng)
+    history = []
+    prev = None
+    reseeds = 0
+    for _ in range(max_iter):
+        assign, dmin = nearest_exact_reference(x, centroids)
+        history.append(float(dmin.sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        sums = np.zeros_like(centroids)
+        counts = np.zeros(ncentroids, dtype=np.int64)
+        np.add.at(sums, assign, x)
+        np.add.at(counts, assign, 1)
+        far = dmin.copy()
+        for cell in range(ncentroids):
+            if counts[cell]:
+                centroids[cell] = sums[cell] / counts[cell]
+        for cell in np.flatnonzero(counts == 0):
+            pick = int(np.argmax(far))
+            centroids[cell] = x[pick]
+            far[pick] = -np.inf
+            reseeds += 1
+    else:
+        assign, dmin = nearest_exact_reference(x, centroids)
+    return centroids, assign, float(dmin.sum()), tuple(history), reseeds
+
+
 def vote_reference(train, train_labels, queries, k):
     """Distance-weighted kNN vote, one query at a time.
 

@@ -17,7 +17,7 @@ from riskcluster.predict import assign_new_points
 
 from oracle import (
     assign_nearest_reference, dense_knn, dense_sqdist, ivf_search_reference,
-    nearest_exact_reference, seed_plus_plus_reference)
+    lloyd_reference, nearest_exact_reference, seed_plus_plus_reference)
 
 
 def _points(shape="blobs", n=200, seed=0, dim=2, **kw):
@@ -418,6 +418,105 @@ class TestExactTopk:
         _assert_same_topk(got, _full_path(queries, base, 5, None, excluded))
         assert (got[1][0] % 10 < 2).all()
 
+    @staticmethod
+    def _hint_cases():
+        """(queries, centroids, k): centroid sets as a probe order searches
+        them, with queries near some of the centroids."""
+        rng = np.random.Generator(np.random.PCG64(51))
+        cents = rng.normal(size=(256, 16)) * 10
+        queries = cents[rng.integers(0, 256, 90)] + rng.normal(size=(90, 16))
+        yield queries, cents, 3
+        # integer grids: every Gram sum is exact, and distances tie
+        grid = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
+        yield rng.integers(0, 4, size=(90, 3)).astype(np.float64), grid, 5
+        # every centroid twice: exact ties at the k-th value
+        twice = np.repeat(rng.normal(size=(60, 5)) * 10, 2, axis=0)
+        yield twice[::3] + rng.normal(size=(40, 5)), twice, 4
+        # 3e6 from the origin, each query 1 from one centroid and
+        # sqrt(1 + 1e-7) from another, which the Gram values cannot order
+        side = np.where(np.arange(40) % 2 == 0, 3e6, -3e6)
+        x = np.column_stack([side, 10.0 * np.arange(40)])
+        near = np.vstack([x + [1.0, 0.0], x - [np.sqrt(1 + 1e-7), 0.0]])
+        yield x, near[rng.permutation(80)], 2
+
+    @staticmethod
+    def _gram_topk(q, b, k):
+        """Each row's k columns of smallest Gram value, the tightest hint:
+        its largest Gram value is the row's k-th."""
+        base = knn._gram_base(b)
+        f = knn._gram_rows(q, base.mean) @ base.aug
+        return np.argsort(f, axis=1, kind="stable")[:, :k]
+
+    def _hints(self, q, b, k, rng):
+        """Each row's true top k, its Gram top k, k random distinct
+        columns, and its k farthest columns."""
+        d2 = sqdist_exact(q, b)
+        yield _full_path(q, b, k)[1]
+        yield self._gram_topk(q, b, k)
+        yield np.argsort(rng.random(d2.shape), axis=1)[:, :k]
+        yield np.argsort(-d2, axis=1, kind="stable")[:, :k]
+
+    @pytest.mark.parametrize("groups_per_k", (None, 1))
+    def test_hinted_threshold_matches_partition_bitwise(self, monkeypatch,
+                                                        groups_per_k):
+        # any k distinct columns per row bound its k-th Gram value, so the
+        # survivors still hold its top k and the bits stay the partition
+        # path's and the full path's; groups, where a block has them, still
+        # select the survivors
+        if groups_per_k is not None:
+            monkeypatch.setattr(knn, "_GROUPS_PER_K", groups_per_k)
+        rng = np.random.Generator(np.random.PCG64(52))
+        hinted = 0
+        for q, b, k in self._hint_cases():
+            base = knn._gram_base(b)
+            plain = knn._exact_topk(q, base, k, sqdist_exact)
+            _assert_same_topk(plain, _full_path(q, b, k))
+            for hint in self._hints(q, b, k, rng):
+                _assert_same_topk(
+                    knn._exact_topk(q, base, k, sqdist_exact, hint=hint),
+                    plain)
+                hinted += 1
+        assert hinted == 4 * 4
+
+    def test_hint_with_zero_slack_loses_columns(self, monkeypatch):
+        # the Gram top k puts each threshold at the row's k-th Gram value,
+        # so without the slack the tied and near-tied cases above lose
+        # columns: the bitwise test can catch a bound too tight
+        monkeypatch.setattr(
+            knn, "_gram_slack", lambda qq, bb_max, dim: np.zeros_like(qq))
+        differ = 0
+        for q, b, k in self._hint_cases():
+            hint = self._gram_topk(q, b, k)
+            got = knn._exact_topk(q, knn._gram_base(b), k, sqdist_exact,
+                                  hint=hint)
+            differ += not np.array_equal(got[1], _full_path(q, b, k)[1])
+        assert differ > 0
+
+    def test_hinted_rows_keep_the_full_path_and_own_columns(self):
+        # rows past _HUGE take the full path with a hint too; a row whose
+        # hint holds its own column, which it may not take, takes its own
+        # k-th value instead
+        rng = np.random.Generator(np.random.PCG64(53))
+        base = rng.normal(size=(200, 4))
+        queries = base[:50].copy()
+        queries[3, 1] = 1e200
+        queries[11, 2] = 1e154
+        own = np.arange(50)
+        hint = np.argsort(rng.random((50, 200)), axis=1)[:, :5]
+        hint[:25, 0] = own[:25]
+        kernel_rows = []
+
+        def kernel(q, b):
+            kernel_rows.append(q.shape[0])
+            return sqdist_exact(q, b)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = knn._exact_topk(queries, knn._gram_base(base), 5, kernel,
+                                  own, hint=hint)
+            want = _full_path(queries, base, 5, own)
+        assert sum(kernel_rows) == 2
+        _assert_same_topk(got, want)
+
     def test_brute_force_holds_no_block(self):
         # one 3400 x 3400 float64 block is 92 MB, and one of the 1176-row
         # chunks the unfiltered fit used 32 MB
@@ -624,6 +723,43 @@ class TestKMeans:
         assert np.isfinite(res.inertia)
 
 
+    @staticmethod
+    def _lloyd_inputs():
+        """(points, ncentroids, max_iter, reseeds): a fit far from the
+        origin, a tie-heavy integer lattice, and a fit that re-seeds."""
+        rng = np.random.Generator(np.random.PCG64(71))
+        yield PointSet(1e6 + rng.normal(size=(700, 5)) * 40), 24, 25, False
+        yield PointSet(rng.integers(0, 6, size=(900, 2))), 30, 25, False
+        # four distinct points, each 40 times, for 7 centroids: seeding
+        # runs out of mass, duplicate centroids lose every tie, and their
+        # empty cells are re-seeded
+        yield PointSet(np.repeat([[0.0, 0.0], [5.0, 5.0], [0.0, 9.0],
+                                  [3.0, 1.0]], 40, axis=0)), 7, 10, True
+
+    @pytest.mark.parametrize("batch_cells", [None, 2000])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_centre_matches_reference_lloyd(self, monkeypatch,
+                                                   threads, batch_cells):
+        # kmeans_fit centres its points once per fit and shares them by
+        # every pass; centroids, assignments and inertia keep the bits of a
+        # Lloyd built from the seeding and exact-assignment references, on
+        # one tile per thread and on tiles of a few rows
+        if batch_cells is not None:
+            monkeypatch.setattr(knn, "_BATCH_CELLS", batch_cells)
+        for pts, nc, max_iter, reseeds in self._lloyd_inputs():
+            got = kmeans_fit(pts, nc, max_iter=max_iter, seed=5,
+                             threads=threads)
+            cents, assign, inertia, history, moved = lloyd_reference(
+                pts.data, nc, max_iter, 5)
+            assert (moved > 0) == reseeds
+            assert np.array_equal(_bits(got.centroids), _bits(cents))
+            assert np.array_equal(got.assignments, assign)
+            assert np.array_equal(_bits(np.array(got.inertia_history)),
+                                  _bits(np.array(history)))
+            assert _bits(np.array([got.inertia])) == _bits(
+                np.array([inertia]))
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -707,9 +843,9 @@ class TestQuantizerSweep:
         self._assert_assign(x, centroids[::-1].copy())
 
     def test_near_ties_at_a_large_offset_take_the_refine(self, monkeypatch):
-        # 40 points 3e6 from the centroids' mean, each 1 from one centroid
-        # and sqrt(1 + 1e-7) from another: the Gram slack (about 0.2 here)
-        # keeps both, so every row goes to the exact refine
+        # 40 points 3e6 from the filter's centre (their mean), each 1 from
+        # one centroid and sqrt(1 + 1e-7) from another: the Gram slack
+        # (about 0.2 here) keeps both, so every row goes to the exact refine
         rng = np.random.Generator(np.random.PCG64(62))
         side = np.where(np.arange(40) % 2 == 0, 3e6, -3e6)
         x = np.column_stack([side, 10.0 * np.arange(40)])
@@ -757,8 +893,11 @@ class TestQuantizerSweep:
                     m.setattr(knn, "_seed_plus_plus",
                               lambda x, c, rng, qq: seed_plus_plus_reference(
                                   x, c, rng))
+                    # a pass also gets the fit's _FitRows, which the
+                    # reference does not need
                     m.setattr(knn, "_assign_nearest",
-                              lambda x, c, threads, f=assign: f(x, c))
+                              lambda x, c, threads, rows=None, f=assign:
+                              f(x, c))
                     want[name] = kmeans_fit(train, 256, max_iter=10, seed=0)
             assert np.array_equal(_bits(got.centroids),
                                   _bits(want["fast"].centroids))
@@ -882,12 +1021,29 @@ class TestIvf:
                 got.neighbor_dists.view(np.int64), dists.view(np.int64))
         return ids
 
-    def test_rows_past_the_probe_prefix_match_reference(self):
+    @staticmethod
+    def _probe_widths(monkeypatch, nlist):
+        """The widths of the _exact_topk calls against nlist centroids: the
+        probe order's stages and their hints, one entry per call."""
+        widths = []
+        topk = knn._exact_topk
+
+        def recording(queries, base, k, *args, **kwargs):
+            if base.norms.size == nlist:
+                widths.append(k)
+            return topk(queries, base, k, *args, **kwargs)
+
+        monkeypatch.setattr(knn, "_exact_topk", recording)
+        return widths
+
+    def test_rows_past_the_probe_prefix_match_reference(self, monkeypatch):
         # a far point at (100, 0) alone in its cell; toward a 9 x 9 grid
-        # near the origin lie cells holding one point each, and empty cells
-        # between them. Its k neighbors take every line point and some grid
-        # points, so its row orders cells past nprobe + _PROBE_SLACK
-        line = 2 * (knn._PROBE_SLACK + 2)
+        # near the origin lie 11 more cells on a line, every other one
+        # holding one point. Its k neighbors take every line point and some
+        # grid points, so its row needs 13 of the 16 cells: its order is
+        # taken for nprobe cells, then twice as many, and so on, until the
+        # last stage takes all 16
+        line = 12
         g = np.arange(0, 9, dtype=np.float64)
         grid = np.array([(a, b) for a in g for b in g])
         stops = np.array([(100.0 - 6 * i, 0.0) for i in range(line)])
@@ -895,37 +1051,48 @@ class TestIvf:
         centroids = np.vstack([[(2.0, 2.0), (2.0, 6.0), (6.0, 2.0),
                                 (6.0, 6.0)], stops])
         k = line // 2 + 2
+        widths = self._probe_widths(monkeypatch, centroids.shape[0])
         for nprobe in (1, 2):
+            widths.clear()
             ids = self._assert_reference(data, centroids, k, nprobe)
             # the far point's row reached the grid
             assert (ids[grid.shape[0]] < grid.shape[0]).any()
+            assert set(widths) == {w for w in (1, 2, 4, 8, 16)
+                                   if w >= nprobe}
 
-    def test_tie_at_the_prefix_boundary_matches_reference(self):
-        # the query at the origin holds its cell alone; cells of one point
-        # each lie at distances 10, 20, ... so the first nprobe + slack - 1
-        # cells hold fewer than k points. The next four cells, all at
-        # distance 100 and holding three points each, tie exactly at the
-        # prefix boundary, and the lowest cell id decides which one is
+    def test_tie_at_the_prefix_boundary_matches_reference(self,
+                                                          monkeypatch):
+        # the query at the origin holds its cell alone; two cells of one
+        # point each lie at distances 10 and 20, so its first stages (1 and
+        # 2 cells at nprobe 1, 2 at nprobe 2) hold fewer than k points, and
+        # the next stage orders 4 cells. The next four cells, all at
+        # distance 100 and holding three points each, tie exactly at that
+        # stage's boundary, and the lowest cell id decides which one is
         # probed; the tied cells take the lowest ids, so an order that is
         # not by (distance, id) would pick another
-        nprobe = 1
-        singles = nprobe + knn._PROBE_SLACK - 2
+        singles = 2
         angles = np.arange(singles) * (2 * np.pi / singles)
         steps = np.rint(np.column_stack([np.cos(angles), np.sin(angles)])
                         * (10 * np.arange(1, singles + 1))[:, None])
         tied = np.array([[0.0, -100.0], [-100.0, 0.0], [0.0, 100.0],
                          [100.0, 0.0]])
-        for shift in range(4):
-            order = np.roll(tied, shift, axis=0)
-            centroids = np.vstack([order, [(0.0, 0.0)], steps])
-            data = np.vstack([[(0.0, 0.0)], steps,
-                              np.repeat(order, 3, axis=0)
-                              + np.tile([[0.0, 0.0], [1.0, 0.0],
-                                         [0.0, 1.0]], (4, 1))])
-            ids = self._assert_reference(data, centroids, singles + 2, nprobe)
-            # the query's two points past the singletons are cell 0's
-            assert (ids[0] < 1 + singles + 3).all()
-            assert (ids[0] >= 1 + singles).sum() == 2
+        widths = self._probe_widths(monkeypatch, 4 + 1 + singles)
+        for nprobe in (1, 2):
+            for shift in range(4):
+                order = np.roll(tied, shift, axis=0)
+                centroids = np.vstack([order, [(0.0, 0.0)], steps])
+                data = np.vstack([[(0.0, 0.0)], steps,
+                                  np.repeat(order, 3, axis=0)
+                                  + np.tile([[0.0, 0.0], [1.0, 0.0],
+                                             [0.0, 1.0]], (4, 1))])
+                widths.clear()
+                ids = self._assert_reference(data, centroids, singles + 2,
+                                             nprobe)
+                # the query's cell, the singletons and one tied cell
+                assert 1 + singles + 1 in widths
+                # the query's two points past the singletons are cell 0's
+                assert (ids[0] < 1 + singles + 3).all()
+                assert (ids[0] >= 1 + singles).sum() == 2
 
     def test_near_tied_centroids_match_reference(self):
         # 40 queries at a 3e6 offset, each between two cells whose centroid
@@ -987,9 +1154,9 @@ class TestIvf:
         seen = []
         assign = knn._assign_nearest
 
-        def spy(x, centroids, threads=1):
+        def spy(x, centroids, threads=1, rows=None):
             seen.append(x.shape[0])
-            return assign(x, centroids, threads)
+            return assign(x, centroids, threads, rows)
 
         monkeypatch.setattr(knn, "_assign_nearest", spy)
         h = hashlib.sha256()
@@ -1054,7 +1221,7 @@ class TestIvf:
         # in any batch: a 20 x 15 grid makes a 300-query cell of two blocks,
         # small grids make cells of a few points, three cells hold one point
         # and one cell none; the far point at (400, 0) is alone in its cell
-        # and its row orders cells past the probe prefix
+        # and its row orders cells past its first stage
         big = np.array([(a, b) for a in range(20) for b in range(15)],
                        dtype=np.float64)
         small = np.array([(a, b) for a in range(3) for b in range(3)],
@@ -1073,7 +1240,7 @@ class TestIvf:
             ids, dists = ivf_search_reference(
                 data, centroids, index.assignments, k, nprobe)
             if k == 30:
-                # the far point reached past prefix cells into the grid
+                # the far point reached past its first stage into the grid
                 assert (ids[-1] < big.shape[0]).any()
             for bound in self.GROUP_BOUNDS:
                 if bound is not None:
