@@ -56,10 +56,9 @@ queries. The group orders the first nprobe cells of every row, each row's
 threshold taken from a hint, the nprobe centroids nearest its home
 centroid (one exact top nprobe over the centroids per search), so that no
 row partitions its centroid distances. A row whose nprobe cells hold fewer
-than k points besides itself orders twice as many cells, again hinted,
-and so on until its cells hold k points or it takes the whole order. Each
-block filters the points of the cells its rows probe, every row masking
-the cells it does not, and the group's survivors are refined once.
+than k points besides itself takes its whole order. Each block filters
+the points of the cells its rows probe, every row masking the cells it
+does not, and the group's survivors are refined once.
 """
 
 import math
@@ -871,10 +870,9 @@ def ivf_search(index, points, k, nprobe, threads=1):
 
     Queries are the indexed points themselves, so the index must have been
     built on them; self is excluded. A row whose nprobe cells hold fewer
-    than k points besides itself probes on in (centroid distance, cell id)
-    order, up to the first cell that completes k: its order is taken for
-    2 nprobe cells, then 4 nprobe, and so on up to all nlist. With nprobe =
-    nlist the result is identical to brute_force_knn.
+    than k points besides itself takes its whole (centroid distance, cell
+    id) order and probes on, up to the first cell that completes k. With
+    nprobe = nlist the result is identical to brute_force_knn.
     """
     threads = resolve_threads(threads)
     n = points.n
@@ -890,36 +888,29 @@ def ivf_search(index, points, k, nprobe, threads=1):
     exact = _KERNELS["exact"]
     x = points.data.astype(np.float64)
     base = _gram_base(x)
-    cdata = np.asarray(index.centroids, dtype=np.float64)
-    centroids = _gram_base(cdata)
+    centroids = _gram_base(np.asarray(index.centroids, dtype=np.float64))
     cell_sizes = np.array([p.size for p in index.postings], dtype=np.int64)
     nlist = index.nlist
     ids = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k), dtype=np.float64)
 
-    def nearest_cells(cells, width):
-        # the probe order's hint: the width cells nearest each home cell's
-        # centroid, which a full-width order does not need
-        if width + 1 >= nlist:
-            return None
-        return _exact_topk(cdata[cells], centroids, width, exact)[1]
-
-    near = nearest_cells(np.arange(nlist), nprobe)
+    # the probe order's hint: the nprobe cells nearest each home cell's
+    # centroid, which a full-width order (the full path) does not need
+    near = (_exact_topk(centroids.data, centroids, nprobe, exact)[1]
+            if nprobe + 1 < nlist else None)
 
     def search_group(blocks):
         qidx = np.concatenate(blocks)
         q = x[qidx]
         spans = np.cumsum([0] + [b.size for b in blocks])
         # cells by ascending (exact distance, cell id) per query: the first
-        # nprobe of them, then twice as many for rows still short of k,
-        # until each row has k points or its whole order. probed holds
-        # row * nlist + cell of every probed cell
+        # nprobe of them, then the whole order for rows still short of k.
+        # probed holds row * nlist + cell of every probed cell
         home = index.assignments[qidx]
         probed = []
         rows = np.arange(qidx.size)
-        width = nprobe
         hint = None if near is None else near[home]
-        while True:
+        for width in (nprobe, nlist):
             order = _exact_topk(q[rows], centroids, width, exact,
                                 hint=hint)[1]
             need = _cells_needed(order, home[rows], cell_sizes, k, nprobe)
@@ -928,8 +919,7 @@ def ivf_search(index, points, k, nprobe, threads=1):
             rows = rows[need == 0]
             if not rows.size:
                 break
-            width = min(nlist, 2 * width)
-            hint = nearest_cells(home[rows], width)
+            hint = None
         probed = np.concatenate(probed)
         # a row leaves out the cells it does not probe
         blocked = np.ones((qidx.size, nlist), dtype=bool)

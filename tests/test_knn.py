@@ -1041,8 +1041,7 @@ class TestIvf:
         # near the origin lie 11 more cells on a line, every other one
         # holding one point. Its k neighbors take every line point and some
         # grid points, so its row needs 13 of the 16 cells: its order is
-        # taken for nprobe cells, then twice as many, and so on, until the
-        # last stage takes all 16
+        # taken for nprobe cells, then for all 16
         line = 12
         g = np.arange(0, 9, dtype=np.float64)
         grid = np.array([(a, b) for a in g for b in g])
@@ -1057,27 +1056,28 @@ class TestIvf:
             ids = self._assert_reference(data, centroids, k, nprobe)
             # the far point's row reached the grid
             assert (ids[grid.shape[0]] < grid.shape[0]).any()
-            assert set(widths) == {w for w in (1, 2, 4, 8, 16)
-                                   if w >= nprobe}
+            assert set(widths) == {nprobe, 16}
 
     def test_tie_at_the_prefix_boundary_matches_reference(self,
                                                           monkeypatch):
         # the query at the origin holds its cell alone; two cells of one
-        # point each lie at distances 10 and 20, so its first stages (1 and
-        # 2 cells at nprobe 1, 2 at nprobe 2) hold fewer than k points, and
-        # the next stage orders 4 cells. The next four cells, all at
-        # distance 100 and holding three points each, tie exactly at that
-        # stage's boundary, and the lowest cell id decides which one is
-        # probed; the tied cells take the lowest ids, so an order that is
-        # not by (distance, id) would pick another
+        # point each lie at distances 10 and 20, so its first three cells
+        # hold fewer than k points. The next four cells, all at distance
+        # 100 and holding three points each, tie exactly where the row
+        # stops: at the boundary of its first stage at nprobe 4, and at
+        # the cell that completes k in its whole order at nprobe 1. The
+        # lowest cell id decides which one is probed; the tied cells take
+        # the lowest ids, so an order that is not by (distance, id) would
+        # pick another
         singles = 2
         angles = np.arange(singles) * (2 * np.pi / singles)
         steps = np.rint(np.column_stack([np.cos(angles), np.sin(angles)])
                         * (10 * np.arange(1, singles + 1))[:, None])
         tied = np.array([[0.0, -100.0], [-100.0, 0.0], [0.0, 100.0],
                          [100.0, 0.0]])
-        widths = self._probe_widths(monkeypatch, 4 + 1 + singles)
-        for nprobe in (1, 2):
+        nlist = 4 + 1 + singles
+        widths = self._probe_widths(monkeypatch, nlist)
+        for nprobe in (1, 1 + singles + 1):
             for shift in range(4):
                 order = np.roll(tied, shift, axis=0)
                 centroids = np.vstack([order, [(0.0, 0.0)], steps])
@@ -1088,8 +1088,10 @@ class TestIvf:
                 widths.clear()
                 ids = self._assert_reference(data, centroids, singles + 2,
                                              nprobe)
-                # the query's cell, the singletons and one tied cell
-                assert 1 + singles + 1 in widths
+                # a row short of k at nprobe 1 takes the whole order; at
+                # nprobe 4 every row stops in its first stage
+                assert set(widths) == ({1, nlist} if nprobe == 1
+                                       else {nprobe})
                 # the query's two points past the singletons are cell 0's
                 assert (ids[0] < 1 + singles + 3).all()
                 assert (ids[0] >= 1 + singles).sum() == 2
@@ -1188,6 +1190,20 @@ class TestIvf:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 1024 * 1024
+
+    def test_fit_holds_its_points_centred_once(self):
+        # 12.8k x 16 points to 256 centroids on 2 threads: the fit holds
+        # the points as float64, their rows [qc, 1, qq] and their transpose
+        # (5.1 MB), and two threads' 2 MB tiles, 10.3 MB at most; one more
+        # copy of the points (1.6 MB) or a Gram block (26 MB) would not fit
+        pts, _ = _ivf_blobs_input(1, 0)
+        tracemalloc.start()
+        try:
+            kmeans_fit(pts, 256, max_iter=10, seed=0, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 1024 * 1024
 
     def test_nlist_above_n_rejected(self):
         pts = _points(n=6)
